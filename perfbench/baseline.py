@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Run the benchmark over several seeds and summarise it.
 
-    python3 perfbench/baseline.py --seeds 0..9 [--workloads a,b] [--out FILE]
+    python3 perfbench/baseline.py --seeds 0..9
 
-For each workload: one untraced run per seed, then one traced run on the
-first seed.  Prints, for every end-to-end metric, the median, the quartiles
-and the quartile spread ((q3 - q1) / median) next to the metric's bound, and
-writes everything to ``--out`` (default ``perfbench/baseline.json``).
+For each workload in ``BENCHMARK.json``: one untraced run per seed, then one
+traced run on the first seed, each for ``run_seconds``.  Prints, for every
+end-to-end metric, the median and the quartile spread ((q3 - q1) / median)
+next to the metric's bound, flags a metric whose spread is wider than its
+bound as unresolved, and writes everything to ``perfbench/baseline.json``.
 """
 
 from __future__ import annotations
@@ -31,11 +32,15 @@ def bench(workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dic
     return info, result
 
 
-def summarise(values: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4)
+def summarise(values: list[float], bound: float) -> dict:
+    """Median, quartiles and quartile spread of one metric's runs.  The
+    metric is unresolved when its spread is wider than its bound: a change
+    within the bound cannot then be told from run-to-run noise."""
+    q1, _, q3 = statistics.quantiles(values, n=4)
     med = statistics.median(values)
-    return {"median": med, "q1": q1, "q3": q3,
-            "spread": (q3 - q1) / med if med else None, "values": values}
+    spread = (q3 - q1) / med
+    return {"median": med, "q1": q1, "q3": q3, "spread": spread, "bound": bound,
+            "unresolved": spread > bound, "values": values}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -49,20 +54,17 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=parse_seeds, default=list(range(10)))
-    p.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    p.add_argument("--seconds", type=int, default=spec["run_seconds"])
-    p.add_argument("--no-trace", action="store_true", help="skip the traced run")
-    p.add_argument("--out", type=Path, default=BENCH_DIR / "baseline.json")
     args = p.parse_args(argv)
+    seconds = spec["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
-    summary = {"seeds": args.seeds, "seconds": args.seconds, "workloads": {}}
-    for workload in args.workloads.split(","):
+    summary = {"seeds": args.seeds, "seconds": seconds, "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
         values: dict[str, list[float]] = {}
         attempted = failed = 0
         all_correct = True
         for seed in args.seeds:
-            info, result = bench(workload, seed, args.seconds, 0)
+            info, result = bench(workload, seed, seconds, 0)
             summary["machine"] = info["machine"]
             attempted += result["attempted"]
             failed += result["failed"]
@@ -72,17 +74,18 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: correct={result['correct']} "
                   f"wall_s={result['metrics']['wall_s']['value']:.3f}", flush=True)
         entry = {"correct": all_correct, "attempted": attempted, "failed": failed,
-                 "end_to_end": {name: summarise(v) for name, v in values.items()}}
+                 "end_to_end": {name: summarise(v, bounds[name])
+                                for name, v in values.items()}}
         for name, s in entry["end_to_end"].items():
             print(f"  {name:12s} median {s['median']:.6g}  spread {s['spread']:.4f}"
-                  f"  bound {bounds[name]}", flush=True)
-        if not args.no_trace:
-            _, traced = bench(workload, args.seeds[0], args.seconds, 1)
-            entry["traced_seed"] = args.seeds[0]
-            entry["per_layer"] = {n: m["value"] for n, m in traced["metrics"].items()}
-            entry["correct"] &= traced["correct"]
+                  f"  bound {s['bound']}{'  UNRESOLVED' if s['unresolved'] else ''}",
+                  flush=True)
+        _, traced = bench(workload, args.seeds[0], seconds, 1)
+        entry["traced_seed"] = args.seeds[0]
+        entry["per_layer"] = {n: m["value"] for n, m in traced["metrics"].items()}
+        entry["correct"] &= traced["correct"]
         summary["workloads"][workload] = entry
-    args.out.write_text(json.dumps(summary, indent=1) + "\n")
+    (BENCH_DIR / "baseline.json").write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 
 

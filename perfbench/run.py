@@ -8,10 +8,10 @@ Usage, from the root of a checkout:
 ``--trace 0`` measures the end-to-end metrics: set-up (a fresh interpreter
 importing ``veclap.cli``, median of several), the workload's wall time
 (median over the iterations of a closed loop that runs for ``--seconds``),
-peak RSS and the finest-level eigenvalue error.  ``--trace 1`` runs the
-loop untraced and then traced, checks that both write the same bytes, and
-reports per-layer metrics from spans recorded around the calls into
-``veclap.mesh``, ``veclap.fem``, ``veclap.eigensolve``, ``veclap.analysis``,
+peak RSS and the accuracy of the spectrum (``ev_err_max``).  ``--trace 1``
+alternates untraced and traced iterations, checks that both write the same
+bytes, and reports per-layer metrics from spans recorded around the calls
+into ``veclap.mesh``, ``veclap.fem``, ``veclap.eigensolve``, ``veclap.analysis``,
 ``veclap.abstract_framework`` and ``scipy.sparse.linalg.splu``.
 
 Every iteration is checked by the workload's gate (see ``workloads.py``).
@@ -24,6 +24,7 @@ under ``perfbench/out/``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -32,10 +33,10 @@ import statistics
 import subprocess
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
 
-from spans import Tracer, self_times
+from spans import Tracer, patched, self_times
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
@@ -215,33 +216,33 @@ class Loop:
             yield
         self.walls.append(time.perf_counter() - t0)
 
-    def run_for(self, seconds: float, on_iteration=None) -> None:
+    def step(self) -> None:
+        outcome = self.workload(self.seed, self._region)
+        self.verdict.add(outcome)
+        self.ev_errs.append(outcome.ev_err_max)
+
+    def run_for(self, seconds: float) -> None:
         deadline = time.perf_counter() + seconds
         while True:
-            if on_iteration is not None:
-                on_iteration(len(self.ev_errs))
-            outcome = self.workload(self.seed, self._region)
-            self.verdict.add(outcome)
-            self.ev_errs.append(outcome.ev_err_max)
+            self.step()
             if time.perf_counter() >= deadline:
                 return
 
 
-def instrument(tracer, counts) -> None:
-    """Wrap every spanned function; result hooks add the per-layer counts
-    to ``counts()``, the dict of the current iteration."""
+@contextmanager
+def instrumented(tracer, counts):
+    """Within the block, every spanned function records a span per call;
+    result hooks add the per-layer counts to ``counts``."""
     import importlib
 
     def add(name, n=1):
-        c = counts()
-        c[name] = c.get(name, 0) + n
+        counts[name] = counts.get(name, 0) + n
 
     def on_solve(pairs):
         add("eigensolve.iterations", pairs.iterations)
         add("eigensolve.dense_solves", int(pairs.method == "dense"))
-        c = counts()
-        c["eigensolve.max_residual"] = max(c.get("eigensolve.max_residual", 0.0),
-                                           float(max(pairs.residuals)))
+        counts["eigensolve.max_residual"] = max(
+            counts.get("eigensolve.max_residual", 0.0), float(max(pairs.residuals)))
 
     def on_report(report):
         add("abstract_framework.checks", len(report.checks))
@@ -254,8 +255,12 @@ def instrument(tracer, counts) -> None:
         "eigensolve.solve_smallest": on_solve,
         "abstract_framework.verify_bounds": on_report,
     }
-    for name, (module, attr) in SPANNED.items():
-        tracer.wrap(importlib.import_module(module), attr, name, hooks.get(name))
+    with ExitStack() as stack:
+        for name, (module, attr) in SPANNED.items():
+            stack.enter_context(patched(
+                importlib.import_module(module), attr, hooks.get(name),
+                around=functools.partial(tracer.span, name)))
+        yield
 
 
 def layer_metrics(spans, counts: dict) -> dict:
@@ -304,22 +309,36 @@ def end_to_end(loop, setup: list[float]) -> dict:
 
 
 def traced_loop(workload, args, verdict: Verdict):
-    """Run the loop with every layer wrapped.  Returns the loop, the tracer,
-    the per-layer metrics (medians over the iterations) and the instance
-    latencies, which pool all iterations."""
+    """After one warm-up iteration, which neither side counts, alternate
+    untraced and traced iterations until ``--seconds`` have passed, swapping
+    their order in every other pair so that both sides see the same phases
+    of the machine and neither always runs first.
+
+    Returns the untraced and traced loops, the tracer, the per-layer
+    metrics and the number of instances.  The metrics are medians over the
+    traced iterations, instance latencies pooled over all of them, and the
+    median paired difference of traced and untraced wall time."""
     tracer = Tracer()
+    plain = Loop(workload, args.seed, verdict)
+    traced = Loop(workload, args.seed, verdict, tracer)
     counts_per_iteration: list[dict] = []
 
-    def start_iteration(i):
-        tracer.run_id = f"it{i}"
+    def traced_step():
+        tracer.run_id = f"it{len(counts_per_iteration)}"
         counts_per_iteration.append({})
+        with instrumented(tracer, counts_per_iteration[-1]):
+            traced.step()
 
-    instrument(tracer, lambda: counts_per_iteration[-1])
-    loop = Loop(workload, args.seed, verdict, tracer)
-    try:
-        loop.run_for(args.seconds, start_iteration)
-    finally:
-        tracer.unwrap_all()
+    # first calls are slower (lazy imports, fresh memory): keep them out
+    # of the paired differences
+    Loop(workload, args.seed, verdict).step()
+    deadline = time.perf_counter() + args.seconds
+    while True:
+        pair = (plain.step, traced_step)
+        for step in pair if len(plain.walls) % 2 == 0 else pair[::-1]:
+            step()
+        if time.perf_counter() >= deadline:
+            break
     per_iteration = [
         layer_metrics([s for s in tracer.spans if s.run_id == f"it{i}"], counts)
         for i, counts in enumerate(counts_per_iteration)]
@@ -330,7 +349,9 @@ def traced_loop(workload, args, verdict: Verdict):
         statistics.median(lat) if lat else 0.0)
     metrics["abstract_framework.instance_p99_ms"] = (
         statistics.quantiles(lat, n=100)[98] if len(lat) >= 2 else 0.0)
-    return loop, tracer, metrics, lat
+    metrics["trace.overhead_s"] = statistics.median(
+        t - p for t, p in zip(traced.walls, plain.walls))
+    return plain, traced, tracer, metrics, len(lat)
 
 
 def run(args) -> dict:
@@ -341,18 +362,16 @@ def run(args) -> dict:
 
     workload = workloads.WORKLOADS[args.workload]
     verdict = Verdict()
-    plain = Loop(workload, args.seed, verdict)
-    plain.run_for(args.seconds)
-    samples = {"wall_s": plain.walls, "setup_s": setup}
-
     tracer = None
     if args.trace:
-        traced, tracer, metrics, lat = traced_loop(workload, args, verdict)
-        metrics["trace.overhead_s"] = (statistics.median(traced.walls)
-                                       - statistics.median(plain.walls))
-        samples.update(traced_wall_s=traced.walls, instances=len(lat))
+        plain, traced, tracer, metrics, instances = traced_loop(workload, args, verdict)
+        samples = {"wall_s": plain.walls, "traced_wall_s": traced.walls,
+                   "instances": instances}
         units = PER_LAYER
     else:
+        plain = Loop(workload, args.seed, verdict)
+        plain.run_for(args.seconds)
+        samples = {"wall_s": plain.walls, "setup_s": setup}
         metrics = end_to_end(plain, setup)
         units = END_TO_END
 

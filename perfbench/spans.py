@@ -15,7 +15,7 @@ import itertools
 import json
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 
 
@@ -33,8 +33,33 @@ class Span:
         return self.end - self.start
 
 
+@contextmanager
+def patched(owner, attr: str, on_result=None, around=nullcontext):
+    """Within the block, ``owner.attr`` calls the original inside ``around()``
+    and hands each result to ``on_result(result)``, outside ``around()``.
+
+    The original is put back when the block ends, however it ends.
+    """
+    original = getattr(owner, attr)
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        with around():
+            result = original(*args, **kwargs)
+        if on_result is not None:
+            on_result(result)
+        return result
+
+    setattr(owner, attr, wrapper)
+    try:
+        yield
+    finally:
+        setattr(owner, attr, original)
+
+
 class Tracer:
-    """Collects spans; ``wrap`` installs a traced replacement of a function."""
+    """Collects spans; ``patched(..., around=lambda: tracer.span(name))``
+    records one span per call of a function."""
 
     def __init__(self):
         self.spans: list[Span] = []
@@ -42,7 +67,6 @@ class Tracer:
         self._ids = itertools.count()
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._patched = []
 
     def _stack(self) -> list[int]:
         if not hasattr(self._local, "stack"):
@@ -64,30 +88,6 @@ class Tracer:
             stack.pop()
             with self._lock:
                 self.spans.append(Span(span_id, name, start, end, parent, self.run_id))
-
-    def wrap(self, owner, attr: str, name: str, on_result=None) -> None:
-        """Replace ``owner.attr`` by a version that records a span per call.
-
-        ``on_result(result)`` runs after each call, outside the span, so
-        counts are taken at the same boundary as the time.
-        """
-        original = getattr(owner, attr)
-
-        @functools.wraps(original)
-        def traced(*args, **kwargs):
-            with self.span(name):
-                result = original(*args, **kwargs)
-            if on_result is not None:
-                on_result(result)
-            return result
-
-        setattr(owner, attr, traced)
-        self._patched.append((owner, attr, original))
-
-    def unwrap_all(self) -> None:
-        while self._patched:
-            owner, attr, original = self._patched.pop()
-            setattr(owner, attr, original)
 
     def write_jsonl(self, fileobj, header: dict) -> None:
         fileobj.write(json.dumps(header, sort_keys=True) + "\n")

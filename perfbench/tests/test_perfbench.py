@@ -13,7 +13,7 @@ import pytest
 
 import run
 import workloads
-from spans import Span, Tracer, self_times
+from spans import Span, Tracer, patched, self_times
 from veclap.abstract_framework import BoundCheckReport
 from veclap.analysis import ConvergenceRecord
 
@@ -108,6 +108,17 @@ def test_gate_flags_a_failed_projection_identity():
     assert any("projection_identity" in f for f in failures)
 
 
+def test_identity_error_is_the_geometric_mean_of_the_worst_ratios():
+    reports = []
+    for seed, worst in ((1, 1e-6), (2, 1e-4)):
+        rep = BoundCheckReport(seed=seed, mode="exact")
+        rep.add("projection_identity", 1, worst * 1e-10, 1e-10, True)
+        rep.add("projection_identity", 2, worst * 1e-12, 1e-10, True)
+        rep.add("dualnorm_formula", 1, 1e-10, 1e-10, True)
+        reports.append(rep)
+    assert workloads.identity_error(reports) == pytest.approx(1e-5)
+
+
 def test_sweep_bases_are_disjoint_across_seeds():
     used = set()
     for seed in range(20):
@@ -146,15 +157,41 @@ def test_tracer_records_parents_and_restores_the_function():
     original_inner = ns.inner
     tracer = Tracer()
     seen = []
-    tracer.wrap(ns, "inner", "inner", on_result=seen.append)
-    tracer.wrap(ns, "outer", "outer")
-    assert ns.outer(1) == 4
-    tracer.unwrap_all()
+    with patched(ns, "inner", seen.append, around=lambda: tracer.span("inner")):
+        with patched(ns, "outer", around=lambda: tracer.span("outer")):
+            assert ns.outer(1) == 4
     assert ns.inner is original_inner
     by_name = {s.name: s for s in tracer.spans}
     assert by_name["inner"].parent == by_name["outer"].span_id
     assert by_name["outer"].parent is None
     assert seen == [2]
+
+
+def test_patched_restores_the_function_when_the_block_raises():
+    ns = SimpleNamespace(f=lambda: 1)
+    original = ns.f
+    with pytest.raises(RuntimeError):
+        with patched(ns, "f"):
+            assert ns.f is not original and ns.f() == 1
+            raise RuntimeError
+    assert ns.f is original
+
+
+def test_traced_loop_alternates_and_pairs_the_wall_times():
+    def workload(seed, region):
+        with region():
+            pass
+        return workloads.Outcome(output="x", ev_err_max=1.0, attempted=1)
+
+    verdict = run.Verdict()
+    args = SimpleNamespace(seed=0, seconds=0)
+    plain, traced, tracer, metrics, instances = run.traced_loop(workload, args, verdict)
+    assert len(plain.walls) == len(traced.walls) == 1
+    assert verdict.attempted == 3 and not verdict.failures   # with the warm-up
+    # only the traced iteration records spans
+    assert [s.name for s in tracer.spans] == [run.ROOT_SPAN]
+    assert metrics["trace.overhead_s"] == pytest.approx(traced.walls[0] - plain.walls[0])
+    assert set(metrics) == set(run.PER_LAYER) and instances == 0
 
 
 def test_top_level_spans_and_unaccounted_add_up_to_the_traced_wall():

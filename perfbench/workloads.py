@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import io
 import statistics
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from spans import patched
 from veclap import abstract_framework, analysis
 
 KILLING_WINDOW = (0.999, 1.001)   # Criterion 1, lambda_1..3
@@ -103,13 +103,24 @@ def check_study(records, residuals_by_ndof, tol: float, with_eoc: bool) -> Outco
 
 def check_sweep(reports) -> Outcome:
     """Gate a sweep: one operation per instance."""
-    # per instance, max_j of the relative eigenvalue error
-    # (lambda~_j - lambda_j) / lambda~_j, j <= k_max, which the verifier
-    # records whatever the hypotheses; averaged over instances, because the
-    # max over a few hundred random instances varies too much between seeds
-    errs = [max(abs(c.lhs) for c in rep.checks if c.bound == "ev_relative_error_upper")
-            for rep in reports]
-    return _outcome([report_failures(rep) for rep in reports], statistics.fmean(errs))
+    return _outcome([report_failures(rep) for rep in reports], identity_error(reports))
+
+
+def identity_error(reports) -> float:
+    """Geometric mean over instances of max_j of the ``projection_identity``
+    residual over its tolerance.
+
+    The identity holds exactly for exact discrete eigenpairs, so its
+    residual is set by the accuracy of ``full_spectrum``: it is about 3e-5
+    of the tolerance on correct code and grows with any digits the
+    eigensolve loses.  The geometric mean is steady across seeds; the worst
+    instance is not.
+    """
+    # floored, because geometric_mean rejects an exact zero
+    return statistics.geometric_mean(
+        max(1e-300, max(c.lhs / c.rhs for c in rep.checks
+                        if c.bound == "projection_identity"))
+        for rep in reports)
 
 
 def _outcome(per_op: list[list[str]], ev_err_max: float) -> Outcome:
@@ -122,32 +133,17 @@ def _outcome(per_op: list[list[str]], ev_err_max: float) -> Outcome:
 # workloads
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def solver_residuals():
-    """Collect the residuals of every eigensolve, keyed by problem size.
-
-    ``ConvergenceRecord`` does not carry them, so the gate reads them where
-    the study calls ``solve_smallest``.  The probe costs one dict store per
-    solve and is installed in traced and untraced runs alike.
-    """
-    original = analysis.solve_smallest
-    seen = {}
-
-    def probe(A, B, m, *args, **kwargs):
-        pairs = original(A, B, m, *args, **kwargs)
-        seen[A.shape[0]] = list(pairs.residuals)
-        return pairs
-
-    analysis.solve_smallest = probe
-    try:
-        yield seen
-    finally:
-        analysis.solve_smallest = original
-
-
 def _study(cfg, region, with_eoc: bool) -> Outcome:
     buf = io.StringIO()
-    with solver_residuals() as residuals:
+    # ConvergenceRecord does not carry the solver residuals, so the gate
+    # reads them, keyed by problem size, where the study calls
+    # solve_smallest; the probe runs in traced and untraced runs alike
+    residuals = {}
+
+    def probe(pairs):
+        residuals[pairs.vectors.shape[0]] = list(pairs.residuals)
+
+    with patched(analysis, "solve_smallest", on_result=probe):
         with region():
             records = analysis.convergence_study(cfg)
             analysis.write_csv(records, buf)
