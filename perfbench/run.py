@@ -3,15 +3,16 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload converge-p2 --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload converge-p2 --seed 0 --seconds 30 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics: set-up (a fresh interpreter
-importing ``veclap.cli``, median of several), the workload's wall time
-(median over the iterations of a closed loop that runs for ``--seconds``),
-peak RSS and the accuracy of the spectrum (``ev_err_max``).  ``--trace 1``
-alternates untraced and traced iterations, checks that both write the same
-bytes, and reports per-layer metrics from spans recorded around the calls
-into ``veclap.mesh``, ``veclap.fem``, ``veclap.eigensolve``, ``veclap.analysis``,
+importing ``veclap.cli``, median of several taken before and after the
+loop), the workload's wall time (median over the iterations of a closed
+loop that runs for ``--seconds``), peak RSS and the accuracy of the
+spectrum (``ev_err_max``).  ``--trace 1`` alternates untraced and traced
+iterations, checks that both write the same bytes, and reports per-layer
+metrics from spans recorded around the calls into ``veclap.mesh``,
+``veclap.fem``, ``veclap.eigensolve``, ``veclap.analysis``,
 ``veclap.abstract_framework`` and ``scipy.sparse.linalg.splu``.
 
 Every iteration is checked by the workload's gate (see ``workloads.py``).
@@ -43,7 +44,7 @@ ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 OUT_DIR = BENCH_DIR / "out"
 
-SETUP_REPEATS = 7
+SETUP_REPEATS = 4   # before the loop, and again after it
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "VECLAP_THREADS")
 
 END_TO_END = {
@@ -176,29 +177,30 @@ def machine() -> dict:
 
 class Verdict:
     """Gate results of every iteration, plus determinism: each iteration
-    must write the same bytes as the first untraced one."""
+    must write the same bytes as the first iteration on the same part."""
 
     def __init__(self):
-        self.reference: str | None = None
+        self.reference: dict[int, str] = {}
         self.attempted = 0
         self.failed = 0
         self.failures: list[str] = []
 
-    def add(self, outcome) -> None:
-        if self.reference is None:
-            self.reference = outcome.output
+    def add(self, outcome, part: int = 0) -> None:
+        reference = self.reference.setdefault(part, outcome.output)
         self.attempted += outcome.attempted
         self.failed += outcome.failed
         self.failures += outcome.failures
-        if outcome.output != self.reference:
-            self.failures.append("output bytes differ from the first iteration's")
+        if outcome.output != reference:
+            self.failures.append(f"part {part}: output bytes differ from the "
+                                 "first iteration's")
 
 
 class Loop:
     """Closed loop: the next iteration starts when the previous one ends.
 
     Outcomes go to the verdict as they arrive, so the process does not grow
-    with the number of iterations and its peak RSS is that of one."""
+    with the number of iterations and its peak RSS is that of one.
+    Iteration ``i`` runs part ``i % parts`` of the workload."""
 
     def __init__(self, workload, seed: int, verdict: Verdict, tracer=None):
         self.workload = workload
@@ -206,7 +208,7 @@ class Loop:
         self.verdict = verdict
         self.tracer = tracer
         self.walls: list[float] = []
-        self.ev_errs: list[float] = []
+        self.ev_errs: dict[int, float] = {}
 
     @contextmanager
     def _region(self):
@@ -216,17 +218,32 @@ class Loop:
             yield
         self.walls.append(time.perf_counter() - t0)
 
-    def step(self) -> None:
-        outcome = self.workload(self.seed, self._region)
-        self.verdict.add(outcome)
-        self.ev_errs.append(outcome.ev_err_max)
+    def step(self, part: int = 0) -> None:
+        outcome = self.workload.run(self.seed, self._region, part)
+        self.verdict.add(outcome, part)
+        self.ev_errs[part] = outcome.ev_err_max
 
     def run_for(self, seconds: float) -> None:
-        deadline = time.perf_counter() + seconds
-        while True:
-            self.step()
-            if time.perf_counter() >= deadline:
-                return
+        run_until(seconds, lambda i: self.step(i % self.workload.parts))
+
+    def ev_err(self) -> float:
+        """Over the parts run; parts are of equal size, so for a sweep this
+        is the geometric mean over all their instances."""
+        return statistics.geometric_mean(self.ev_errs.values())
+
+
+def run_until(seconds: float, step) -> None:
+    """Call ``step(0)``, ``step(1)``, ... while the next call, if it lasts as
+    long as the last one, still ends within ``seconds``; at least once."""
+    start = time.perf_counter()
+    i = 0
+    while True:
+        t0 = time.perf_counter()
+        step(i)
+        i += 1
+        now = time.perf_counter()
+        if now - start + (now - t0) > seconds:
+            return
 
 
 @contextmanager
@@ -304,15 +321,16 @@ def end_to_end(loop, setup: list[float]) -> dict:
         "setup_s": statistics.median(setup),
         "wall_s": statistics.median(loop.walls),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "ev_err_max": max(loop.ev_errs),
+        "ev_err_max": loop.ev_err(),
     }
 
 
 def traced_loop(workload, args, verdict: Verdict):
     """After one warm-up iteration, which neither side counts, alternate
-    untraced and traced iterations until ``--seconds`` have passed, swapping
-    their order in every other pair so that both sides see the same phases
-    of the machine and neither always runs first.
+    untraced and traced iterations on the same part while pairs still fit
+    in ``--seconds`` (at least one pair), swapping their order in every
+    other pair so that both sides see the same phases of the machine and
+    neither always runs first.
 
     Returns the untraced and traced loops, the tracer, the per-layer
     metrics and the number of instances.  The metrics are medians over the
@@ -323,22 +341,22 @@ def traced_loop(workload, args, verdict: Verdict):
     traced = Loop(workload, args.seed, verdict, tracer)
     counts_per_iteration: list[dict] = []
 
-    def traced_step():
+    def traced_step(part):
         tracer.run_id = f"it{len(counts_per_iteration)}"
         counts_per_iteration.append({})
         with instrumented(tracer, counts_per_iteration[-1]):
-            traced.step()
+            traced.step(part)
 
+    def pair_step(i):
+        pair = (plain.step, traced_step)
+        for step in pair if i % 2 == 0 else pair[::-1]:
+            step(i % workload.parts)
+
+    start = time.perf_counter()
     # first calls are slower (lazy imports, fresh memory): keep them out
     # of the paired differences
     Loop(workload, args.seed, verdict).step()
-    deadline = time.perf_counter() + args.seconds
-    while True:
-        pair = (plain.step, traced_step)
-        for step in pair if len(plain.walls) % 2 == 0 else pair[::-1]:
-            step()
-        if time.perf_counter() >= deadline:
-            break
+    run_until(args.seconds - (time.perf_counter() - start), pair_step)
     per_iteration = [
         layer_metrics([s for s in tracer.spans if s.run_id == f"it{i}"], counts)
         for i, counts in enumerate(counts_per_iteration)]
@@ -371,6 +389,8 @@ def run(args) -> dict:
     else:
         plain = Loop(workload, args.seed, verdict)
         plain.run_for(args.seconds)
+        # set-up samples before and after the loop see two phases of the machine
+        setup += setup_seconds()
         samples = {"wall_s": plain.walls, "setup_s": setup}
         metrics = end_to_end(plain, setup)
         units = END_TO_END

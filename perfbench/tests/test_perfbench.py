@@ -178,20 +178,63 @@ def test_patched_restores_the_function_when_the_block_raises():
 
 
 def test_traced_loop_alternates_and_pairs_the_wall_times():
-    def workload(seed, region):
+    def iteration(seed, region, part):
         with region():
             pass
         return workloads.Outcome(output="x", ev_err_max=1.0, attempted=1)
 
     verdict = run.Verdict()
     args = SimpleNamespace(seed=0, seconds=0)
-    plain, traced, tracer, metrics, instances = run.traced_loop(workload, args, verdict)
+    plain, traced, tracer, metrics, instances = run.traced_loop(
+        workloads.Workload(iteration), args, verdict)
     assert len(plain.walls) == len(traced.walls) == 1
     assert verdict.attempted == 3 and not verdict.failures   # with the warm-up
     # only the traced iteration records spans
     assert [s.name for s in tracer.spans] == [run.ROOT_SPAN]
     assert metrics["trace.overhead_s"] == pytest.approx(traced.walls[0] - plain.walls[0])
     assert set(metrics) == set(run.PER_LAYER) and instances == 0
+
+
+def test_run_until_stops_when_the_next_call_would_not_fit(monkeypatch):
+    clock = [0.0]
+    monkeypatch.setattr(run.time, "perf_counter", lambda: clock[0])
+    calls = []
+
+    def step(i):                            # each call takes one second
+        calls.append(i)
+        clock[0] += 1.0
+
+    run.run_until(0, step)
+    assert calls == [0]                     # always at least one call
+    calls.clear()
+    run.run_until(2.5, step)                # a third call would end at 3 s
+    assert calls == [0, 1]
+
+
+def test_loop_cycles_through_the_parts_and_checks_bytes_per_part():
+    seen = []
+
+    def iteration(seed, region, part):
+        seen.append(part)
+        with region():
+            pass
+        return workloads.Outcome(output=f"part {part}", ev_err_max=10.0 ** -part,
+                                 attempted=1)
+
+    verdict = run.Verdict()
+    loop = run.Loop(workloads.Workload(iteration, parts=3), 0, verdict)
+    for i in range(7):
+        loop.step(i % 3)
+    assert seen == [0, 1, 2, 0, 1, 2, 0]
+    assert not verdict.failures and verdict.attempted == 7
+    assert loop.ev_err() == pytest.approx(0.1)   # geometric mean of 1, 0.1, 0.01
+    loop.verdict.add(workloads.Outcome(output="other", ev_err_max=1.0, attempted=1), 1)
+    assert verdict.failures == ["part 1: output bytes differ from the first iteration's"]
+
+
+def test_sweep_parts_cover_the_seeds_instances():
+    assert workloads.WORKLOADS["abstract-sweep"].parts * workloads.SWEEP_PART == (
+        workloads.SWEEP_TRIALS)
 
 
 def test_top_level_spans_and_unaccounted_add_up_to_the_traced_wall():

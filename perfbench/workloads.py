@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import statistics
 from dataclasses import dataclass, field
+from typing import Callable
 
 from spans import patched
 from veclap import abstract_framework, analysis
@@ -26,9 +27,11 @@ KILLING_WINDOW = (0.999, 1.001)   # Criterion 1, lambda_1..3
 SECOND_WINDOW = (1.99, 2.01)      # Criterion 1, lambda_4..6
 MIN_EOC_LAMBDA4 = 2.8             # Criterion 3, EOC(|lambda_4 - 2|)
 GATE_MIN_LEVEL = 2
-# instances per sweep, two sweeps per iteration: an iteration of several
-# seconds averages over the machine's short swings in speed
+# instances per mode and seed; an iteration sweeps one part of SWEEP_PART
+# instances per mode, and a run cycles through the seed's parts, so a
+# run's median iteration time is taken over many short samples
 SWEEP_TRIALS = 500
+SWEEP_PART = 50
 
 
 @dataclass
@@ -152,14 +155,14 @@ def _study(cfg, region, with_eoc: bool) -> Outcome:
     return outcome
 
 
-def converge_p2(seed: int, region) -> Outcome:
+def converge_p2(seed: int, region, part: int = 0) -> Outcome:
     """``veclap converge --k 2 --kg 2 --levels 2..4 --fields all``."""
     cfg = analysis.StudyConfig(k=2, k_g=2, levels=(2, 3, 4),
                                fields=("z", "x", "y"), mesh_seed=seed)
     return _study(cfg, region, with_eoc=True)
 
 
-def solve_p4(seed: int, region) -> Outcome:
+def solve_p4(seed: int, region, part: int = 0) -> Outcome:
     """``veclap solve --k 4 --kg 4 --level 2`` (no fields)."""
     cfg = analysis.StudyConfig(k=4, k_g=4, levels=(2,), fields=(), mesh_seed=seed)
     return _study(cfg, region, with_eoc=False)
@@ -171,13 +174,16 @@ def sweep_bases(seed: int, trials: int = SWEEP_TRIALS) -> tuple[int, int]:
     return base, base + trials
 
 
-def abstract_sweep(seed: int, region) -> Outcome:
-    """``veclap abstract`` in exact mode, then in perturbed mode."""
+def abstract_sweep(seed: int, region, part: int = 0) -> Outcome:
+    """``veclap abstract`` in exact mode, then in perturbed mode, on one part
+    of the seed's instances.  Instance ``i`` of ``sweep(n, b)`` has seed
+    ``b + i``, so the parts together are ``sweep(SWEEP_TRIALS, b)``."""
     exact_base, perturbed_base = sweep_bases(seed)
+    offset = SWEEP_PART * part
     buf = io.StringIO()
     with region():
-        reports = (abstract_framework.sweep(SWEEP_TRIALS, exact_base, "exact")
-                   + abstract_framework.sweep(SWEEP_TRIALS, perturbed_base,
+        reports = (abstract_framework.sweep(SWEEP_PART, exact_base + offset, "exact")
+                   + abstract_framework.sweep(SWEEP_PART, perturbed_base + offset,
                                               "perturbed"))
         abstract_framework.write_jsonl(reports, buf)
     outcome = check_sweep(reports)
@@ -185,8 +191,17 @@ def abstract_sweep(seed: int, region) -> Outcome:
     return outcome
 
 
+@dataclass(frozen=True)
+class Workload:
+    """``run(seed, region, part)`` is one iteration on part ``part`` of the
+    seed's inputs; the iterations of a run cycle through the ``parts``."""
+
+    run: Callable[..., Outcome]
+    parts: int = 1
+
+
 WORKLOADS = {
-    "converge-p2": converge_p2,
-    "solve-p4": solve_p4,
-    "abstract-sweep": abstract_sweep,
+    "converge-p2": Workload(converge_p2),
+    "solve-p4": Workload(solve_p4),
+    "abstract-sweep": Workload(abstract_sweep, SWEEP_TRIALS // SWEEP_PART),
 }
