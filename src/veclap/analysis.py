@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .eigensolve import DENSE_LIMIT, EigenPairs, solve_smallest
+from .eigensolve import DENSE_LIMIT, EigenPairs, factorize, resolve_method, solve_smallest
 from .errors import InputError
 from .fem import AssembledForms, ExtendedPairings, assemble, build_space, extended_pairings
 from .geometry import KillingField, Sphere
@@ -127,23 +125,17 @@ def eigenvector_error(window: ClusterWindow, pairs: EigenPairs,
                             energy_sq_raw=float(e_sq), l2_sq_raw=float(l_sq))
 
 
-def defect_dual_norm(r, A) -> float:
+def defect_dual_norm(r, A, lu=None) -> float:
     """Dual norm of a defect functional over the discrete space.
 
     Computes sqrt(r^T A^-1 r) with one SPD solve; equivalent to the
     root-sum-square of the functional over an a_h-orthonormal eigenbasis.
+    ``lu`` is a ``factorize(A)`` to reuse: a convergence level passes the
+    factor its eigensolve used, so A is factorized once per level.  Without
+    it, A is factorized here.
     """
     r = np.asarray(r, dtype=float)
-    if sp.issparse(A):
-        try:
-            x = spla.splu(sp.csc_matrix(A)).solve(r)
-        except RuntimeError as exc:
-            raise InputError("A is singular") from exc
-    else:
-        try:
-            x = np.linalg.solve(np.asarray(A, dtype=float), r)
-        except np.linalg.LinAlgError as exc:
-            raise InputError("A is singular") from exc
+    x = (lu if lu is not None else factorize(A)).solve(r)
     return math.sqrt(max(float(r @ x), 0.0))
 
 
@@ -218,14 +210,14 @@ def _area_degree(cfg: StudyConfig) -> int:
     return 2 * cfg.k_g + 8
 
 
-def _guard_size(n: int, method: str) -> None:
-    resolved = method
-    if method == "auto":
-        resolved = "dense" if n <= DENSE_LIMIT else "iterative"
+def _guard_size(n: int, method: str) -> str:
+    """The solver route for n DOFs, rejected before assembly if too large."""
+    resolved = resolve_method(n, method)
     if resolved == "dense" and n > DENSE_LIMIT:
         raise InputError(f"dense solver limited to {DENSE_LIMIT} DOFs, got {n}")
     if n > ITERATIVE_DOF_LIMIT:
         raise InputError(f"problem size {n} exceeds the {ITERATIVE_DOF_LIMIT} DOF guard")
+    return resolved
 
 
 def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRecord:
@@ -233,12 +225,14 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
     mesh = icosphere(level, surface, jitter=cfg.jitter, seed=cfg.mesh_seed)
     pmap = parametric_lift(mesh, cfg.k_g, surface)
     space = build_space(mesh, pmap, cfg.k)
-    _guard_size(space.n_dofs, cfg.method)
+    method = _guard_size(space.n_dofs, cfg.method)
     forms = assemble(space, pmap, surface, eta_coeff=cfg.eta_coeff)
     if on_assembled is not None:
         on_assembled(level, mesh, forms)
+    # one factor of A serves the iterative eigensolve and every dual norm
+    lu = factorize(forms.A) if method == "iterative" or cfg.fields else None
     pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs,
-                           tol=cfg.tol, method=cfg.method)
+                           tol=cfg.tol, method=method, lu=lu)
     exact = exact_sphere_eigenvalues(cfg.num_eigs, surface)
     area = surface_area(pmap, _area_degree(cfg))
     exact_area = 4.0 * math.pi * surface.radius**2
@@ -255,7 +249,7 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
         ep = extended_pairings(kf, 1.0, space, pmap, forms)
         ev = eigenvector_error(window, pairs, forms, ep)
         rec.fields.append(FieldErrors(axis=axis, energy=ev.energy, l2=ev.l2,
-                                      defect_dual=defect_dual_norm(ep.r, forms.A)))
+                                      defect_dual=defect_dual_norm(ep.r, forms.A, lu)))
     return rec
 
 

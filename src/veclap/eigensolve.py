@@ -6,13 +6,15 @@ Two routes:
 * dense: LAPACK generalized symmetric solver (Cholesky reduction of B,
   tridiagonalization, implicit-shift QL/QR), used as the oracle and for the
   full spectrum;
-* iterative: deflated block inverse iteration with a sparse factorization of
-  A (valid shift sigma = 0 because A is SPD), B-inner products throughout,
-  Rayleigh-Ritz extraction, and locking of converged pairs.
+* iterative: ARPACK's implicitly restarted Lanczos method in shift-invert
+  mode with shift sigma = 0 (valid because A is SPD) and B-inner products,
+  applying A^-1 through a sparse LU factor of A.
 
-Both return B-orthonormal eigenvectors sorted ascending.  The iterative
-start block is a fixed function of the problem size, so repeated solves are
-bitwise reproducible.
+``factorize`` builds that factor; a caller that also needs A^-1 elsewhere
+passes the same factor to ``solve_smallest``, so A is factorized once.
+Both routes return B-orthonormal eigenvectors sorted ascending.  The
+Lanczos start vector is a fixed function of the problem size, so repeated
+solves are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, InputError
 
-__all__ = ["EigenPairs", "solve_smallest", "full_spectrum"]
+__all__ = ["EigenPairs", "factorize", "resolve_method", "solve_smallest",
+           "full_spectrum"]
 
 DENSE_LIMIT = 3000
-_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class EigenPairs:
     vectors: np.ndarray       # (n, m), columns B-orthonormal
     residuals: np.ndarray     # (m,) relative residual norms
     method: str
-    iterations: int
+    iterations: int           # shift-invert solves with A (0 for dense)
 
     @property
     def m(self) -> int:
@@ -73,6 +75,25 @@ def _check_pencil(A, B, m):
         raise InputError(f"requested {m} pairs from problem of size {A.shape[0]}")
 
 
+def resolve_method(n: int, method: str) -> str:
+    """The route ``method`` selects for a problem of size n; ``auto`` picks
+    dense for n <= DENSE_LIMIT."""
+    if method == "auto":
+        return "dense" if n <= DENSE_LIMIT else "iterative"
+    if method not in ("dense", "iterative"):
+        raise InputError(f"unknown method {method!r}")
+    return method
+
+
+def factorize(A):
+    """Sparse LU factor of A (``splu``'s default column ordering); its
+    ``solve`` applies A^-1."""
+    try:
+        return spla.splu(sp.csc_matrix(A))
+    except RuntimeError as exc:
+        raise InputError("A is singular") from exc
+
+
 def _dense_solve(A, B, m) -> tuple[np.ndarray, np.ndarray]:
     Ad, Bd = _dense(A), _dense(B)
     try:
@@ -82,113 +103,55 @@ def _dense_solve(A, B, m) -> tuple[np.ndarray, np.ndarray]:
     return w[:m], X[:, :m]
 
 
-def _b_orthonormalize(Y, BY):
-    """Whiten Y in the B-inner product; drops directions lost to roundoff."""
-    M = Y.T @ BY
-    M = 0.5 * (M + M.T)
-    s, U = np.linalg.eigh(M)
-    keep = s > s[-1] * 1e-14
-    T = U[:, keep] / np.sqrt(s[keep])[None, :]
-    return Y @ T, BY @ T
-
-
-def _iterative_solve(A, B, m, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _shift_invert_solve(A, B, m, lu) -> tuple[np.ndarray, np.ndarray, int]:
     n = A.shape[0]
-    block = min(n, m + max(8, m))
+    if m >= n:
+        raise InputError(f"the iterative solver needs fewer than {n} pairs, got {m}")
+    solves = 0
+
+    def apply_inverse(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
+    op = spla.LinearOperator(A.shape, matvec=apply_inverse, dtype=float)
+    v0 = np.random.default_rng(0x5EED).standard_normal(n)  # fixed: reproducible
     try:
-        lu = spla.splu(sp.csc_matrix(A))
-    except RuntimeError as exc:
-        raise InputError("A could not be factorized (singular?)") from exc
-
-    rng = np.random.default_rng(0x5EED)  # fixed: solves are reproducible
-    X = rng.standard_normal((n, block))
-
-    locked_X = np.zeros((n, 0))
-    locked_w = np.empty(0)
-    best = None
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        # deflate: B-orthogonalize the active block against locked pairs
-        if locked_X.shape[1]:
-            X = X - locked_X @ (locked_X.T @ (B @ X))
-        Y = lu.solve(B @ X)
-        if locked_X.shape[1]:
-            Y = Y - locked_X @ (locked_X.T @ (B @ Y))
-        Y, BY = _b_orthonormalize(Y, B @ Y)
-        # Rayleigh-Ritz on the active subspace
-        Ar = Y.T @ (A @ Y)
-        Ar = 0.5 * (Ar + Ar.T)
-        theta, Z = np.linalg.eigh(Ar)
-        X = Y @ Z
-
-        n_needed = m - locked_w.size
-        w_cand = theta[:n_needed]
-        X_cand = X[:, :n_needed]
-        res = _residuals(A, B, w_cand, X_cand)
-        best = (w_cand, X_cand, res)
-
-        # lock converged leading pairs (they must stay sorted, so only a
-        # prefix of the candidate block may be locked)
-        n_lock = 0
-        while n_lock < n_needed and res[n_lock] <= tol:
-            n_lock += 1
-        if n_lock:
-            locked_X = np.concatenate([locked_X, X_cand[:, :n_lock]], axis=1)
-            locked_w = np.concatenate([locked_w, w_cand[:n_lock]])
-            if locked_w.size >= m:
-                break
-            X = X[:, n_lock:]
-        # keep a buffer of trial directions beyond the wanted pairs
-        target = min(n - locked_w.size, block)
-        if X.shape[1] < target:
-            X = np.concatenate(
-                [X, rng.standard_normal((n, target - X.shape[1]))], axis=1)
-
-    if locked_w.size < m:
-        w_cand, X_cand, res = best
-        w = np.concatenate([locked_w, w_cand])
-        X = np.concatenate([locked_X, X_cand], axis=1)
-        res_all = _residuals(A, B, w, X)
-        if np.any(res_all > tol):
-            raise ConvergenceError(
-                f"inverse iteration did not converge in {_MAX_ITER} iterations "
-                f"(worst residual {res_all.max():.3e})",
-                residuals=res_all)
-        return w, X, res_all, iterations
-
-    w, X = locked_w[:m], locked_X[:, :m]
-    order = np.argsort(w, kind="stable")
-    return w[order], X[:, order], _residuals(A, B, w[order], X[:, order]), iterations
+        w, X = spla.eigsh(A, k=m, M=B, sigma=0.0, OPinv=op, v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"ARPACK converged {exc.eigenvalues.size} of {m} pairs",
+            residuals=_residuals(A, B, exc.eigenvalues, exc.eigenvectors)) from exc
+    return w, X, solves
 
 
 def solve_smallest(A, B, m: int, tol: float = 1e-10,
-                   method: str = "auto") -> EigenPairs:
+                   method: str = "auto", lu=None) -> EigenPairs:
     """Compute the m smallest eigenpairs of A x = lambda B x (A, B SPD).
 
-    ``method`` is one of ``dense``, ``iterative``, ``auto``; auto picks dense
-    for n <= 3000.
+    ``method`` is one of ``dense``, ``iterative``, ``auto`` (see
+    ``resolve_method``).  The iterative route uses ``lu``, a
+    ``factorize(A)`` the caller already holds, or factorizes A itself, and
+    raises ConvergenceError if any relative residual exceeds ``tol``.
     """
     A = _as_operator(A)
     B = _as_operator(B)
     _check_pencil(A, B, m)
-    n = A.shape[0]
-    if method == "auto":
-        method = "dense" if n <= DENSE_LIMIT else "iterative"
-    if method not in ("dense", "iterative"):
-        raise InputError(f"unknown method {method!r}")
+    method = resolve_method(A.shape[0], method)
 
     if method == "dense":
         w, X = _dense_solve(A, B, m)
         res = _residuals(A, B, w, X)
         iterations = 0
     else:
-        w, X, res, iterations = _iterative_solve(sp.csr_matrix(A), sp.csr_matrix(B),
-                                                 m, tol)
-        # one final B-normalization pass for clean orthonormality
-        BX = sp.csr_matrix(B) @ X
-        M = X.T @ BX
-        X = X @ np.linalg.inv(sla.cholesky(0.5 * (M + M.T), lower=False))
+        A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+        w, X, iterations = _shift_invert_solve(
+            A, B, m, lu if lu is not None else factorize(A))
         res = _residuals(A, B, w, X)
+        if np.any(res > tol):
+            raise ConvergenceError(
+                f"shift-invert Lanczos residual {res.max():.3e} exceeds {tol:.1e}",
+                residuals=res)
     return EigenPairs(eigenvalues=w, vectors=X, residuals=res,
                       method=method, iterations=iterations)
 

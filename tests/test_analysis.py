@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from veclap.analysis import (
     CSV_COLUMNS,
@@ -185,6 +186,22 @@ class TestConvergenceStudy:
     def test_levels_must_ascend(self):
         with pytest.raises(InputError):
             StudyConfig(k=1, k_g=1, levels=(3, 1))
+
+    def test_one_factorization_per_level(self, monkeypatch):
+        # the iterative eigensolve and the three dual norms share one factor
+        calls = []
+        splu = spla.splu
+
+        def counting_splu(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        cfg = StudyConfig(k=1, k_g=1, levels=(1,), fields=("z", "x", "y"),
+                          method="iterative")
+        rec, = convergence_study(cfg)
+        assert rec.solver_method == "iterative" and len(rec.fields) == 3
+        assert len(calls) == 1
 
     def test_dense_guard(self):
         cfg = StudyConfig(k=2, k_g=1, levels=(4,), method="dense")

@@ -1,8 +1,11 @@
 """Generalized symmetric eigensolver: dense oracle, iterative path, guards."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import veclap.eigensolve as es
 from veclap.errors import ConvergenceError, InputError
@@ -110,13 +113,24 @@ class TestIterative:
         np.testing.assert_array_equal(e1.vectors, e2.vectors)
 
     def test_convergence_error_carries_residuals(self, monkeypatch):
-        monkeypatch.setattr(es, "_MAX_ITER", 1)
+        # one Lanczos restart is too few for ARPACK to converge all 5 pairs
+        monkeypatch.setattr(es.spla, "eigsh", functools.partial(spla.eigsh, maxiter=1))
         rng = np.random.default_rng(11)
         A, B = random_spd_pencil(rng, 100)
         with pytest.raises(ConvergenceError) as err:
             solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 5,
                            tol=1e-14, method="iterative")
+        assert isinstance(err.value.__cause__, spla.ArpackNoConvergence)
         assert err.value.residuals is not None
+
+    def test_residual_gate(self):
+        # ARPACK converges, but no residual can meet tol = 0
+        rng = np.random.default_rng(11)
+        A, B = random_spd_pencil(rng, 100)
+        with pytest.raises(ConvergenceError) as err:
+            solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 5,
+                           tol=0.0, method="iterative")
+        assert err.value.residuals.shape == (5,)
 
 
 class TestInvariants:
