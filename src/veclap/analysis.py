@@ -244,9 +244,9 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
         area=area, area_error=abs(area - exact_area),
         solver_method=pairs.method, solver_iterations=pairs.iterations)
     window = ClusterWindow(*KILLING_WINDOW)
-    for axis in cfg.fields:
-        kf = KillingField(axis, surface)
-        ep = extended_pairings(kf, 1.0, space, pmap, forms)
+    pairings = (extended_pairings([KillingField(axis, surface) for axis in cfg.fields],
+                                  1.0, space, pmap, forms) if cfg.fields else [])
+    for axis, ep in zip(cfg.fields, pairings):
         ev = eigenvector_error(window, pairs, forms, ep)
         rec.fields.append(FieldErrors(axis=axis, energy=ev.energy, l2=ev.l2,
                                       defect_dual=defect_dual_norm(ep.r, forms.A, lu)))

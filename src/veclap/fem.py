@@ -5,14 +5,11 @@ The discrete space is the degree-k continuous scalar Lagrange space on the
 flat mesh pushed through the parametric map, taken component-wise for vector
 fields (3 x scalar DOFs, blocked by component).  Assembled matrices:
 
-* ``a_tilde``: tangential-symmetric-gradient stiffness plus tangential mass,
-* ``k_a``:    normal-component penalty, scaled ``eta = eta_coeff / h^2``,
-* ``b_tilde``: tangential mass,
-* ``k_b``:    normal mass,
-
-composed as ``A = a_tilde + k_a`` and ``B = b_tilde + k_b``; B equals the
-plain L2 vector mass matrix on the lifted surface because the tangential and
-normal parts add back to the identity.
+* ``A = a~ + k_a``: tangential-symmetric-gradient stiffness plus tangential
+  mass, plus the normal-component penalty scaled ``eta = eta_coeff / h^2``;
+* ``B = b~ + k_b``: tangential plus normal mass.  Because
+  ``P_h + n_h n_h^T = I`` this is the plain L2 vector mass matrix, built as
+  ``I_3 (x) M`` from the scalar mass matrix ``M``.
 
 For one quadrature point the integrands use, with ``g_i`` the scalar surface
 gradient of basis function i, ``t_c`` the c-th column of the tangential
@@ -74,8 +71,9 @@ class FeSpace:
     def n_dofs(self) -> int:
         return 3 * self.numbering.n_nodes
 
-    def vector_dof(self, component: int, scalar_dof):
-        """Global vector DOF of a scalar DOF and component (blocked layout)."""
+    def vector_dof(self, component, scalar_dof):
+        """Global vector DOF of a scalar DOF and component (blocked layout);
+        broadcasts over arrays of either."""
         return component * self.n_scalar + scalar_dof
 
 
@@ -89,15 +87,11 @@ def build_space(mesh: LinearSurfaceMesh, pmap: ParametricMap, k: int) -> FeSpace
 
 @dataclass(frozen=True)
 class AssembledForms:
-    """Sparse symmetric parts of the penalized forms and their composition."""
+    """The sparse symmetric penalized forms A and B."""
 
     space: FeSpace
     pmap: ParametricMap
     surface: LevelSetSurface
-    a_tilde: sp.csr_matrix
-    k_a: sp.csr_matrix
-    b_tilde: sp.csr_matrix
-    k_b: sp.csr_matrix
     A: sp.csr_matrix
     B: sp.csr_matrix
     eta: float
@@ -110,7 +104,7 @@ class _PointData:
     """Per-(element, quadrature point) geometry shared by all integrands."""
 
     __slots__ = ("w", "mu", "basis", "grads", "P", "n", "n_tilde", "QH", "hh",
-                 "x", "x_lift", "H")
+                 "x", "H")
 
     def __init__(self, space, pmap, surface, elements, rule, normal_map=None):
         ref_fe = reference_triangle(space.degree)
@@ -139,7 +133,7 @@ class _PointData:
         ginv[..., 1, 0] = -g12 / det
 
         # scalar surface gradients J (J^T J)^-1 grad_ref(phi): (ne, nq, nk, 3)
-        grads = np.einsum("eqcr,eqrs,qis->eqic", jac, ginv, fe_grads)
+        grads = fe_grads @ np.swapaxes(jac @ ginv, -1, -2)
 
         p_lift = surface.closest_point(x)
         if normal_map is None:
@@ -152,10 +146,7 @@ class _PointData:
             n_tilde = cross_hi / np.linalg.norm(cross_hi, axis=-1)[..., None]
         H = surface.weingarten(p_lift)                  # (ne, nq, 3, 3)
 
-        eye = np.eye(3)
-        P = eye - n[..., :, None] * n[..., None, :]
-        Hg = np.einsum("eqcd,eqid->eqic", H, grads)
-        QH = np.einsum("eqcd,eqid->eqic", P, Hg)
+        P = np.eye(3) - n[..., :, None] * n[..., None, :]
         self.w = rule.weights
         self.mu = mu
         self.basis = basis
@@ -163,33 +154,44 @@ class _PointData:
         self.P = P
         self.n = n
         self.n_tilde = n_tilde
-        self.QH = QH
+        self.QH = grads @ np.swapaxes(P @ H, -1, -2)   # P_h H g_i: (ne, nq, nk, 3)
         self.hh = np.einsum("eqcd,eqcd->eq", H, H)
         self.x = x
-        self.x_lift = p_lift
         self.H = H
 
 
 def _local_matrices(pd: _PointData, eta: float):
-    wmu = pd.w[None, :] * pd.mu                          # (ne, nq)
-    m, g = pd.basis, pd.grads
+    """Local ``A = a~ + k_a``, (ne, nk, 3, nk, 3), and scalar mass, (ne, nk, nk).
 
-    mass = np.einsum("eq,qi,qj->eqij", wmu, m, m)        # scalar mass density
-    gdot = np.einsum("eqic,eqjc->eqij", g, g)
+    Every term is a quadrature sum of a basis product times a 3x3 tensor,
+    evaluated as one batched matrix product per term.
+    """
+    ne, nq, nk, _ = pd.grads.shape
+    wmu = pd.w * pd.mu                                   # (ne, nq)
+    w = wmu[..., None]
+    g = pd.grads.reshape(ne, nq, nk * 3)
+    # m_i m_j is the same on every element
+    mm = (pd.basis[:, :, None] * pd.basis[:, None, :]).reshape(nq, nk * nk)
 
-    # stiffness: tr(E_T^T E_T) terms
-    t1 = 0.5 * np.einsum("eq,eqid,eqjc->eicjd", wmu, g, g)
-    t2 = 0.5 * np.einsum("eqij,eqcd->eicjd", wmu[..., None, None] * gdot, pd.P)
-    t3 = np.einsum("eq,eqd,qj,eqic->eicjd", wmu, pd.n, m, pd.QH)
-    t3 = t3 + np.einsum("eicjd->ejdic", t3)
-    t4 = np.einsum("eqij,eqc,eqd->eicjd", mass * pd.hh[..., None, None], pd.n, pd.n)
-    tang_mass = np.einsum("eqij,eqcd->eicjd", mass, pd.P)
+    # 1/2 g_i[d] g_j[c], computed as [(i, d), (j, c)]
+    t1 = np.swapaxes(0.5 * w * g, 1, 2) @ g
+    # m_j n_h[d] (P_h H g_i)[c] as [(i, c), (j, d)], plus its transpose
+    mn = (pd.basis[None, :, :, None] * pd.n[:, :, None, :]).reshape(ne, nq, nk * 3)
+    t3 = np.swapaxes(w * pd.QH.reshape(ne, nq, nk * 3), 1, 2) @ mn
+    # 1/2 (g_i . g_j) P_h + m_i m_j (tr H^2 n n^T + P_h + eta n~ n~^T),
+    # both as [(i, j), (c, d)]
+    gdot = (pd.grads @ np.swapaxes(pd.grads, -1, -2)).reshape(ne, nq, nk * nk)
+    nn = pd.n[..., :, None] * pd.n[..., None, :]
+    tt = pd.n_tilde[..., :, None] * pd.n_tilde[..., None, :]
+    T = pd.P + pd.hh[..., None, None] * nn + eta * tt
+    t2 = (np.swapaxes(gdot, 1, 2) @ (0.5 * w * pd.P.reshape(ne, nq, 9))
+          + mm.T @ (w * T.reshape(ne, nq, 9)))
 
-    a_loc = t1 + t2 - t3 + t4 + tang_mass
-    ka_loc = eta * np.einsum("eqij,eqc,eqd->eicjd", mass, pd.n_tilde, pd.n_tilde)
-    bt_loc = tang_mass
-    kb_loc = np.einsum("eqij,eqc,eqd->eicjd", mass, pd.n, pd.n)
-    return a_loc, ka_loc, bt_loc, kb_loc
+    a_loc = (t1.reshape(ne, nk, 3, nk, 3).transpose(0, 1, 4, 3, 2)
+             + t2.reshape(ne, nk, nk, 3, 3).transpose(0, 1, 3, 2, 4)
+             - (t3 + np.swapaxes(t3, 1, 2)).reshape(ne, nk, 3, nk, 3))
+    m_loc = (wmu @ mm).reshape(ne, nk, nk)
+    return a_loc, m_loc
 
 
 def _chunks(n_items: int, size: int = _CHUNK):
@@ -197,10 +199,17 @@ def _chunks(n_items: int, size: int = _CHUNK):
         yield np.arange(start, min(start + size, n_items))
 
 
+def _scatter(blocks: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
+    """The n x n sum of element blocks (ne, p, p) placed at dofs (ne, p)."""
+    rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
 def assemble(space: FeSpace, pmap: ParametricMap, surface: LevelSetSurface,
              eta_coeff: float = 1.0, quad_degree: int | None = None,
              penalty_normal: str = "lifted") -> AssembledForms:
-    """Assemble the four form parts and their compositions A and B.
+    """Assemble ``A = a~ + k_a`` and ``B = I_3 (x) M``, M the scalar mass.
 
     ``penalty_normal`` selects the improved normal of the penalty term:
     ``lifted`` (default) uses the unit normal of the degree-``k_g + 1``
@@ -220,38 +229,24 @@ def assemble(space: FeSpace, pmap: ParametricMap, surface: LevelSetSurface,
     rule = triangle_rule(quad_degree)
     h = mesh_size(space.mesh)
     eta = eta_coeff / h**2
-    n_scalar = space.n_scalar
-    conn = space.numbering.connectivity
-    nk = conn.shape[1]
 
     def work(elements):
-        pd = _PointData(space, pmap, surface, elements, rule, normal_map)
-        locs = _local_matrices(pd, eta)
-        c = np.arange(3)
-        vdofs = c[None, None, :] * n_scalar + conn[elements][:, :, None]  # (ne, nk, 3)
-        rows = np.broadcast_to(vdofs[:, :, :, None, None],
-                               vdofs.shape + (nk, 3)).ravel()
-        cols = np.broadcast_to(vdofs[:, None, None, :, :],
-                               (vdofs.shape[0], nk, 3, nk, 3)).ravel()
-        return rows, cols, [loc.ravel() for loc in locs]
+        return _local_matrices(
+            _PointData(space, pmap, surface, elements, rule, normal_map), eta)
 
     results = map_ordered(work, _chunks(space.mesh.n_triangles))
-    rows = np.concatenate([r for r, _, _ in results])
-    cols = np.concatenate([c for _, c, _ in results])
-    n = space.n_dofs
-
-    def build(part):
-        data = np.concatenate([vals[part] for _, _, vals in results])
-        return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
-    a_tilde, k_a, b_tilde, k_b = (build(i) for i in range(4))
-    A = (a_tilde + k_a).tocsr()
-    B = (b_tilde + k_b).tocsr()
-    if np.any(B.diagonal() <= 0.0):
+    conn = space.numbering.connectivity
+    ne, nk = conn.shape
+    vdofs = space.vector_dof(np.arange(3), conn[:, :, None]).reshape(ne, 3 * nk)
+    A = _scatter(np.concatenate([a for a, _ in results]).reshape(ne, 3 * nk, 3 * nk),
+                 vdofs, space.n_dofs)
+    M = _scatter(np.concatenate([m for _, m in results]), conn, space.n_scalar)
+    if np.any(M.diagonal() <= 0.0):
         raise GeometryError("assembled B has non-positive diagonal entries")
-    return AssembledForms(space=space, pmap=pmap, surface=surface,
-                          a_tilde=a_tilde, k_a=k_a, b_tilde=b_tilde, k_b=k_b,
-                          A=A, B=B, eta=eta, h=h, quad_degree=quad_degree,
+    # b~ + k_b = I_3 (x) M because P_h + n_h n_h^T = I
+    B = sp.kron(sp.identity(3), M, format="csr")
+    return AssembledForms(space=space, pmap=pmap, surface=surface, A=A, B=B,
+                          eta=eta, h=h, quad_degree=quad_degree,
                           normal_map=normal_map)
 
 
@@ -304,69 +299,67 @@ class ExtendedPairings:
     b_vec: np.ndarray
 
 
-def extended_pairings(field, lam: float, space: FeSpace, pmap: ParametricMap,
-                      forms: AssembledForms) -> ExtendedPairings:
-    """Pair an extended field (value + ambient Jacobian) against the basis.
+def extended_pairings(fields, lam: float, space: FeSpace, pmap: ParametricMap,
+                      forms: AssembledForms) -> list[ExtendedPairings]:
+    """Pair extended fields (value + ambient Jacobian) against the basis.
 
-    ``field`` must provide ``value(x)`` and ``extension_jacobian(x)`` for
-    batched points, e.g. a :class:`~veclap.geometry.KillingField`.
+    Each of ``fields`` must provide ``value(x)`` and
+    ``extension_jacobian(x)`` for batched points, e.g. a
+    :class:`~veclap.geometry.KillingField`.  One pass over the elements
+    pairs all of them; the result is in the order of ``fields``.
     """
     rule = triangle_rule(forms.quad_degree)
-    surface = forms.surface
     eta = forms.eta
-    n_scalar = space.n_scalar
-    conn = space.numbering.connectivity
 
     def work(elements):
-        pd = _PointData(space, pmap, surface, elements, rule, forms.normal_map)
-        wmu = pd.w[None, :] * pd.mu
-        # value and ambient Jacobian of the extension at the Gamma_h points
-        u = field.value(pd.x)
-        Ju = field.extension_jacobian(pd.x)
-
-        grad_t = np.einsum("eqab,eqbc,eqcd->eqad", pd.P, Ju, pd.P)
-        E = 0.5 * (grad_t + np.swapaxes(grad_t, -1, -2))
-        uN = np.einsum("eqc,eqc->eq", u, pd.n)
+        pd = _PointData(space, pmap, forms.surface, elements, rule, forms.normal_map)
+        ne, nq, nk, _ = pd.grads.shape
+        wmu = (pd.w * pd.mu)[..., None]                       # (ne, nq, 1)
+        g = pd.grads.transpose(0, 2, 1, 3).reshape(ne, nk, nq * 3)
         H = pd.H  # same lifted-point Weingarten approximation as the assembly
-        W = E - uN[..., None, None] * H                     # E_T of the field
-        Pu = np.einsum("eqcd,eqd->eqc", pd.P, u)
-        un_t = np.einsum("eqc,eqc->eq", u, pd.n_tilde)
+        out = []
+        for fld in fields:
+            # value and ambient Jacobian of the extension at the Gamma_h points
+            u = fld.value(pd.x)
+            grad_t = pd.P @ fld.extension_jacobian(pd.x) @ pd.P
+            uN = np.sum(u * pd.n, axis=-1)
+            W = (0.5 * (grad_t + np.swapaxes(grad_t, -1, -2))
+                 - uN[..., None, None] * H)                     # E_T of the field
+            Pu = (pd.P @ u[..., None])[..., 0]
+            un_t = np.sum(u * pd.n_tilde, axis=-1)
+            trWH = np.sum(W * H, axis=(-2, -1))
 
-        # tr(W S_jd) = (P_h W g_j)[d] - m_j n_h[d] tr(W H)
-        PWg = np.einsum("eqab,eqbc,eqjc->eqja", pd.P, W, pd.grads)
-        trWH = np.einsum("eqcd,eqcd->eq", W, H)
-        stiff = PWg - pd.n[:, :, None, :] * (pd.basis[None, :, :, None]
-                                             * trWH[..., None, None])
-        a_el = np.einsum("eq,eqjd->ejd", wmu, stiff)
-        a_el += np.einsum("eq,eqd,qj->ejd", wmu, Pu, pd.basis)
-        a_el += eta * np.einsum("eq,eq,eqd,qj->ejd", wmu, un_t, pd.n_tilde, pd.basis)
-        # b-pairing integrand reduces to u itself: P_h u (P_h .) + u_N (n_h .)
-        b_el = np.einsum("eq,eqd,qj->ejd", wmu, u, pd.basis)
-
-        a_ee = float(np.einsum("eq,eqcd,eqcd->", wmu, W, W)
-                     + np.einsum("eq,eqc,eqc->", wmu, Pu, Pu)
-                     + eta * np.einsum("eq,eq,eq->", wmu, un_t, un_t))
-        b_ee = float(np.einsum("eq,eqc,eqc->", wmu, u, u))
-
-        a_vec = np.zeros(space.n_dofs)
-        b_vec = np.zeros(space.n_dofs)
-        dofs = (np.arange(3)[None, None, :] * n_scalar + conn[elements][:, :, None])
-        np.add.at(a_vec, dofs.ravel(), a_el.ravel())
-        np.add.at(b_vec, dofs.ravel(), b_el.ravel())
-        return a_vec, b_vec, a_ee, b_ee
+            # tr(W S_jd) = (P_h W g_j)[d] - m_j n_h[d] tr(W H), plus the
+            # tangential mass and the penalty, all paired with phi_j e_d
+            PW = np.swapaxes(wmu[..., None] * (pd.P @ W), -1, -2)
+            a_el = g @ PW.reshape(ne, nq * 3, 3)
+            a_el += pd.basis.T @ (wmu * (Pu + eta * un_t[..., None] * pd.n_tilde
+                                         - trWH[..., None] * pd.n))
+            # b-pairing integrand reduces to u itself: P_h u (P_h .) + u_N (n_h .)
+            b_el = pd.basis.T @ (wmu * u)
+            a_ee = float(np.sum(wmu[..., 0] * (np.sum(W * W, axis=(-2, -1))
+                                               + np.sum(Pu * Pu, axis=-1)
+                                               + eta * un_t * un_t)))
+            b_ee = float(np.sum(wmu * u * u))
+            out.append((a_el, b_el, a_ee, b_ee))
+        return out
 
     results = map_ordered(work, _chunks(space.mesh.n_triangles))
-    a_vec = np.zeros(space.n_dofs)
-    b_vec = np.zeros(space.n_dofs)
-    a_ee = 0.0
-    b_ee = 0.0
-    for av, bv, ae, be in results:
-        a_vec += av
-        b_vec += bv
-        a_ee += ae
-        b_ee += be
-    return ExtendedPairings(lam=lam, r=a_vec - lam * b_vec,
-                            a_ee=a_ee, b_ee=b_ee, a_vec=a_vec, b_vec=b_vec)
+    conn = space.numbering.connectivity
+    dofs = space.vector_dof(np.arange(3), conn[:, :, None]).ravel()
+
+    def scatter(per_chunk):
+        return np.bincount(dofs, np.concatenate([x.ravel() for x in per_chunk]),
+                           minlength=space.n_dofs)
+
+    pairings = []
+    for f in range(len(fields)):
+        a_el, b_el, a_ee, b_ee = zip(*(chunk[f] for chunk in results))
+        a_vec, b_vec = scatter(a_el), scatter(b_el)
+        pairings.append(ExtendedPairings(lam=lam, r=a_vec - lam * b_vec,
+                                         a_ee=sum(a_ee), b_ee=sum(b_ee),
+                                         a_vec=a_vec, b_vec=b_vec))
+    return pairings
 
 
 def write_matrix_market(matrix: sp.spmatrix, path, comment: str = "") -> None:
@@ -379,10 +372,13 @@ def write_matrix_market(matrix: sp.spmatrix, path, comment: str = "") -> None:
     keep = m.row >= m.col
     rows, cols, data = m.row[keep], m.col[keep], m.data[keep]
     order = np.lexsort((rows, cols))
+    entries = np.empty((len(order), 3), dtype=object)
+    entries[:, 0] = rows[order] + 1
+    entries[:, 1] = cols[order] + 1
+    entries[:, 2] = data[order]
     with open(path, "w", encoding="ascii") as f:
         f.write("%%MatrixMarket matrix coordinate real symmetric\n")
         if comment:
             f.write(f"% {comment}\n")
         f.write(f"{m.shape[0]} {m.shape[1]} {len(data)}\n")
-        for i in order:
-            f.write(f"{rows[i] + 1} {cols[i] + 1} {data[i]:.17e}\n")
+        f.write("%d %d %.17e\n" * len(order) % tuple(entries.ravel()))

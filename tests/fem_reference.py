@@ -1,0 +1,141 @@
+"""Per-term einsum reference for the FEM kernels, used only by the tests.
+
+These are the straightforward element integrands of ``veclap.fem`` written
+one term at a time: the point data, the four local form parts
+(``a~``, ``k_a``, ``b~``, ``k_b``) and the pairing of one extended field
+with the basis.  ``veclap.fem`` computes the same sums as batched matrix
+products; the tests compare the two.  The MatrixMarket writer is here as a
+plain per-entry loop, whose bytes the vectorized writer must reproduce.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from veclap.lagrange import reference_triangle
+
+
+class ReferencePointData:
+    """Per-(element, quadrature point) geometry, one einsum per quantity."""
+
+    def __init__(self, space, pmap, surface, elements, rule, normal_map=None):
+        ref_fe = reference_triangle(space.degree)
+        basis = ref_fe.eval_basis(rule.points)
+        fe_grads = ref_fe.eval_grads(rule.points)
+
+        jac = pmap.jacobians(elements, rule.points)
+        x = pmap.evaluate(elements, rule.points)
+        cross = np.cross(jac[..., 0], jac[..., 1])
+        mu = np.linalg.norm(cross, axis=-1)
+        n = cross / mu[..., None]
+
+        g11 = np.einsum("eqc,eqc->eq", jac[..., 0], jac[..., 0])
+        g12 = np.einsum("eqc,eqc->eq", jac[..., 0], jac[..., 1])
+        g22 = np.einsum("eqc,eqc->eq", jac[..., 1], jac[..., 1])
+        det = g11 * g22 - g12 * g12
+        ginv = np.empty(jac.shape[:2] + (2, 2))
+        ginv[..., 0, 0] = g22 / det
+        ginv[..., 1, 1] = g11 / det
+        ginv[..., 0, 1] = -g12 / det
+        ginv[..., 1, 0] = -g12 / det
+        grads = np.einsum("eqcr,eqrs,qis->eqic", jac, ginv, fe_grads)
+
+        p_lift = surface.closest_point(x)
+        if normal_map is None:
+            n_tilde = surface.normal(p_lift)
+        else:
+            jac_hi = normal_map.jacobians(elements, rule.points)
+            cross_hi = np.cross(jac_hi[..., 0], jac_hi[..., 1])
+            n_tilde = cross_hi / np.linalg.norm(cross_hi, axis=-1)[..., None]
+        H = surface.weingarten(p_lift)
+
+        P = np.eye(3) - n[..., :, None] * n[..., None, :]
+        Hg = np.einsum("eqcd,eqid->eqic", H, grads)
+        self.w = rule.weights
+        self.mu = mu
+        self.basis = basis
+        self.grads = grads
+        self.P = P
+        self.n = n
+        self.n_tilde = n_tilde
+        self.QH = np.einsum("eqcd,eqid->eqic", P, Hg)
+        self.hh = np.einsum("eqcd,eqcd->eq", H, H)
+        self.x = x
+        self.H = H
+
+
+def reference_local_matrices(pd: ReferencePointData, eta: float):
+    """Local ``a~``, ``k_a``, ``b~``, ``k_b``, each (ne, nk, 3, nk, 3)."""
+    wmu = pd.w[None, :] * pd.mu
+    m, g = pd.basis, pd.grads
+
+    mass = np.einsum("eq,qi,qj->eqij", wmu, m, m)
+    gdot = np.einsum("eqic,eqjc->eqij", g, g)
+
+    t1 = 0.5 * np.einsum("eq,eqid,eqjc->eicjd", wmu, g, g)
+    t2 = 0.5 * np.einsum("eqij,eqcd->eicjd", wmu[..., None, None] * gdot, pd.P)
+    t3 = np.einsum("eq,eqd,qj,eqic->eicjd", wmu, pd.n, m, pd.QH)
+    t3 = t3 + np.einsum("eicjd->ejdic", t3)
+    t4 = np.einsum("eqij,eqc,eqd->eicjd", mass * pd.hh[..., None, None], pd.n, pd.n)
+    tang_mass = np.einsum("eqij,eqcd->eicjd", mass, pd.P)
+
+    a_loc = t1 + t2 - t3 + t4 + tang_mass
+    ka_loc = eta * np.einsum("eqij,eqc,eqd->eicjd", mass, pd.n_tilde, pd.n_tilde)
+    kb_loc = np.einsum("eqij,eqc,eqd->eicjd", mass, pd.n, pd.n)
+    return a_loc, ka_loc, tang_mass, kb_loc
+
+
+def reference_pairings(field, space, pmap, forms, rule, elements):
+    """``(a_vec, b_vec, a_ee, b_ee)`` of one field over ``elements``."""
+    pd = ReferencePointData(space, pmap, forms.surface, elements, rule,
+                            forms.normal_map)
+    eta = forms.eta
+    wmu = pd.w[None, :] * pd.mu
+    u = field.value(pd.x)
+    Ju = field.extension_jacobian(pd.x)
+
+    grad_t = np.einsum("eqab,eqbc,eqcd->eqad", pd.P, Ju, pd.P)
+    E = 0.5 * (grad_t + np.swapaxes(grad_t, -1, -2))
+    uN = np.einsum("eqc,eqc->eq", u, pd.n)
+    H = pd.H
+    W = E - uN[..., None, None] * H
+    Pu = np.einsum("eqcd,eqd->eqc", pd.P, u)
+    un_t = np.einsum("eqc,eqc->eq", u, pd.n_tilde)
+
+    PWg = np.einsum("eqab,eqbc,eqjc->eqja", pd.P, W, pd.grads)
+    trWH = np.einsum("eqcd,eqcd->eq", W, H)
+    stiff = PWg - pd.n[:, :, None, :] * (pd.basis[None, :, :, None]
+                                         * trWH[..., None, None])
+    a_el = np.einsum("eq,eqjd->ejd", wmu, stiff)
+    a_el += np.einsum("eq,eqd,qj->ejd", wmu, Pu, pd.basis)
+    a_el += eta * np.einsum("eq,eq,eqd,qj->ejd", wmu, un_t, pd.n_tilde, pd.basis)
+    b_el = np.einsum("eq,eqd,qj->ejd", wmu, u, pd.basis)
+
+    a_ee = float(np.einsum("eq,eqcd,eqcd->", wmu, W, W)
+                 + np.einsum("eq,eqc,eqc->", wmu, Pu, Pu)
+                 + eta * np.einsum("eq,eq,eq->", wmu, un_t, un_t))
+    b_ee = float(np.einsum("eq,eqc,eqc->", wmu, u, u))
+
+    a_vec = np.zeros(space.n_dofs)
+    b_vec = np.zeros(space.n_dofs)
+    dofs = (np.arange(3)[None, None, :] * space.n_scalar
+            + space.numbering.connectivity[elements][:, :, None])
+    np.add.at(a_vec, dofs.ravel(), a_el.ravel())
+    np.add.at(b_vec, dofs.ravel(), b_el.ravel())
+    return a_vec, b_vec, a_ee, b_ee
+
+
+def reference_matrix_market_text(matrix, comment: str = "") -> str:
+    """MatrixMarket text of a symmetric matrix, written one line per entry."""
+    m = sp.coo_matrix(matrix)
+    keep = m.row >= m.col
+    rows, cols, data = m.row[keep], m.col[keep], m.data[keep]
+    order = np.lexsort((rows, cols))
+    lines = ["%%MatrixMarket matrix coordinate real symmetric\n"]
+    if comment:
+        lines.append(f"% {comment}\n")
+    lines.append(f"{m.shape[0]} {m.shape[1]} {len(data)}\n")
+    for i in order:
+        lines.append(f"{rows[i] + 1} {cols[i] + 1} {data[i]:.17e}\n")
+    return "".join(lines)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from veclap import analysis
 from veclap.analysis import (
     CSV_COLUMNS,
     ClusterWindow,
@@ -100,7 +101,7 @@ class TestDefectDualNorm:
             pmap = parametric_lift(mesh, 2, S)
             space = build_space(mesh, pmap, 2)
             forms = assemble(space, pmap, S)
-            ep = extended_pairings(KF, 1.0, space, pmap, forms)
+            ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
             errs.append(defect_dual_norm(ep.r, forms.A))
             hs.append(mesh_size(mesh))
         rate = eoc(errs[-2], errs[-1], hs[-2], hs[-1])
@@ -114,7 +115,7 @@ class TestEigenvectorError:
         space = build_space(mesh, pmap, 1)
         forms = assemble(space, pmap, S)
         pairs = solve_smallest(forms.A, forms.B, 3)
-        ep = extended_pairings(KF, 1.0, space, pmap, forms)
+        ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
         with pytest.raises(InputError):
             eigenvector_error(ClusterWindow(50.0, 60.0), pairs, forms, ep)
 
@@ -126,7 +127,7 @@ class TestEigenvectorError:
         space = build_space(mesh, pmap, 1)
         forms = assemble(space, pmap, S)
         pairs = full_spectrum(forms.A, forms.B)
-        ep = extended_pairings(KF, 1.0, space, pmap, forms)
+        ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
         ev = eigenvector_error(ClusterWindow(0.0, math.inf), pairs, forms, ep)
         x = interpolate(KF.value, space, pmap, S)
         interp_sq = ep.a_ee - 2.0 * (ep.a_vec @ x) + x @ (forms.A @ x)
@@ -138,7 +139,7 @@ class TestEigenvectorError:
         space = build_space(mesh, pmap, 1)
         forms = assemble(space, pmap, S)
         pairs = solve_smallest(forms.A, forms.B, 6)
-        ep = extended_pairings(KF, 1.0, space, pmap, forms)
+        ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
         ev = eigenvector_error(ClusterWindow(0.0, 1.5), pairs, forms, ep)
         assert ev.energy_sq_raw >= -1e-9 * ep.a_ee
         assert ev.l2_sq_raw >= -1e-9 * ep.b_ee
@@ -188,20 +189,29 @@ class TestConvergenceStudy:
             StudyConfig(k=1, k_g=1, levels=(3, 1))
 
     def test_one_factorization_per_level(self, monkeypatch):
-        # the iterative eigensolve and the three dual norms share one factor
+        # the iterative eigensolve and the three dual norms share one factor,
+        # and one pass over the elements pairs all three fields
         calls = []
+        passes = []
         splu = spla.splu
+        pair = analysis.extended_pairings
 
         def counting_splu(*args, **kwargs):
             calls.append(1)
             return splu(*args, **kwargs)
 
+        def counting_pairings(*args, **kwargs):
+            passes.append(1)
+            return pair(*args, **kwargs)
+
         monkeypatch.setattr(spla, "splu", counting_splu)
+        monkeypatch.setattr(analysis, "extended_pairings", counting_pairings)
         cfg = StudyConfig(k=1, k_g=1, levels=(1,), fields=("z", "x", "y"),
                           method="iterative")
         rec, = convergence_study(cfg)
         assert rec.solver_method == "iterative" and len(rec.fields) == 3
         assert len(calls) == 1
+        assert len(passes) == 1
 
     def test_dense_guard(self):
         cfg = StudyConfig(k=2, k_g=1, levels=(4,), method="dense")

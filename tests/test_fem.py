@@ -5,10 +5,18 @@ import os
 
 import numpy as np
 import pytest
+from fem_reference import (
+    ReferencePointData,
+    reference_local_matrices,
+    reference_matrix_market_text,
+    reference_pairings,
+)
 
 from veclap.analysis import eoc
 from veclap.errors import InputError
 from veclap.fem import (
+    _local_matrices,
+    _PointData,
     assemble,
     build_space,
     extended_pairings,
@@ -17,6 +25,7 @@ from veclap.fem import (
 )
 from veclap.geometry import KillingField, Sphere
 from veclap.mesh import icosphere, mesh_size, parametric_lift, surface_area
+from veclap.quadrature import triangle_rule
 from veclap.runtime import THREADS_ENV
 
 S = Sphere()
@@ -28,6 +37,14 @@ def setup_forms(k, kg, level, jitter=0.0, **kw):
     pmap = parametric_lift(mesh, kg, S)
     space = build_space(mesh, pmap, k)
     return space, pmap, assemble(space, pmap, S, **kw)
+
+
+def penalty(space, pmap, forms):
+    """The penalty k_a of ``forms`` (assembled with ``eta_coeff=1``).
+
+    ``A(eta_coeff=c) = a~ + c / h^2 K``, so ``A(2) - A(1) = K / h^2 = k_a``.
+    """
+    return assemble(space, pmap, S, eta_coeff=2.0).A - forms.A
 
 
 class ZeroField:
@@ -71,15 +88,14 @@ class TestAssemble:
 
     def test_symmetry(self):
         space, pmap, forms = setup_forms(2, 2, 1)
-        for M in (forms.a_tilde, forms.k_a, forms.b_tilde, forms.k_b):
+        for M in (forms.A, forms.B):
             diff = np.abs((M - M.T).toarray()).max()
             assert diff <= 1e-12 * np.abs(M.toarray()).max()
 
     def test_penalty_parts_psd_and_B_spd(self):
         space, pmap, forms = setup_forms(1, 1, 1)
-        for M in (forms.k_a, forms.k_b):
-            w = np.linalg.eigvalsh(M.toarray())
-            assert w.min() >= -1e-12 * max(w.max(), 1.0)
+        w = np.linalg.eigvalsh(penalty(space, pmap, forms).toarray())
+        assert w.min() >= -1e-12 * max(w.max(), 1.0)
         wb = np.linalg.eigvalsh(forms.B.toarray())
         assert wb.min() > 0
 
@@ -113,16 +129,23 @@ class TestAssemble:
         space, pmap, f1 = setup_forms(1, 1, 1)
         f4 = assemble(space, pmap, S, eta_coeff=4.0)
         assert f4.eta == pytest.approx(4.0 * f1.eta, rel=1e-14)
-        np.testing.assert_allclose(f4.k_a.toarray(), 4.0 * f1.k_a.toarray(),
-                                   rtol=1e-13)
+        # A(4) - A(1) = 3 k_a; relative to the largest entry, because the
+        # difference cancels a~ where k_a itself is tiny
+        k_a = penalty(space, pmap, f1).toarray()
+        diff = (f4.A - f1.A).toarray() - 3.0 * k_a
+        assert np.abs(diff).max() <= 1e-13 * np.abs(3.0 * k_a).max()
 
     def test_thread_count_does_not_change_bits(self):
+        # level 2 has two element chunks, so four threads run them at once
+        fields = [KillingField(axis, S) for axis in "zxy"]
         old = os.environ.get(THREADS_ENV)
         try:
             os.environ[THREADS_ENV] = "1"
-            _, _, f1 = setup_forms(2, 2, 2, jitter=0.3)
+            s1, p1, f1 = setup_forms(2, 2, 2, jitter=0.3)
+            e1 = extended_pairings(fields, 1.0, s1, p1, f1)
             os.environ[THREADS_ENV] = "4"
-            _, _, f4 = setup_forms(2, 2, 2, jitter=0.3)
+            s4, p4, f4 = setup_forms(2, 2, 2, jitter=0.3)
+            e4 = extended_pairings(fields, 1.0, s4, p4, f4)
         finally:
             if old is None:
                 os.environ.pop(THREADS_ENV, None)
@@ -132,6 +155,57 @@ class TestAssemble:
             np.testing.assert_array_equal(a.data, b.data)
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_array_equal(a.indptr, b.indptr)
+        for p1_, p4_ in zip(e1, e4, strict=True):
+            np.testing.assert_array_equal(p1_.a_vec, p4_.a_vec)
+            np.testing.assert_array_equal(p1_.b_vec, p4_.b_vec)
+            assert p1_.a_ee == p4_.a_ee and p1_.b_ee == p4_.b_ee
+
+
+def _all_elements(space, forms):
+    return np.arange(space.mesh.n_triangles), triangle_rule(forms.quad_degree)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+class TestAgainstReference:
+    """Batched kernels against the per-term einsum reference, k = k_g."""
+
+    def test_local_matrices(self, k):
+        space, pmap, forms = setup_forms(k, k, 1, jitter=0.3)
+        elements, rule = _all_elements(space, forms)
+        a_loc, m_loc = _local_matrices(
+            _PointData(space, pmap, S, elements, rule, forms.normal_map), forms.eta)
+        a_t, k_a, b_t, k_b = reference_local_matrices(
+            ReferencePointData(space, pmap, S, elements, rule, forms.normal_map),
+            forms.eta)
+        b_loc = m_loc[:, :, None, :, None] * np.eye(3)[None, None, :, None, :]
+        for new, ref in ((a_loc, a_t + k_a), (b_loc, b_t + k_b)):
+            assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_B_is_identity_times_scalar_mass(self, k):
+        space, _, forms = setup_forms(k, k, 1, jitter=0.3)
+        ns = space.n_scalar
+        M = forms.B[:ns, :ns]
+        for c in range(3):
+            for d in range(3):
+                block = forms.B[c * ns:(c + 1) * ns, d * ns:(d + 1) * ns]
+                assert (block - M).nnz == 0 if c == d else block.nnz == 0
+        assert forms.B.nnz == 3 * M.nnz
+
+    def test_pairings(self, k):
+        space, pmap, forms = setup_forms(k, k, 1, jitter=0.3)
+        elements, rule = _all_elements(space, forms)
+        fields = [KillingField(axis, S) for axis in "zxy"]
+        pairings = extended_pairings(fields, 1.0, space, pmap, forms)
+        for fld, ep in zip(fields, pairings, strict=True):
+            a_vec, b_vec, a_ee, b_ee = reference_pairings(
+                fld, space, pmap, forms, rule, elements)
+            for new, ref in ((ep.a_vec, a_vec), (ep.b_vec, b_vec)):
+                assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert ep.a_ee == pytest.approx(a_ee, rel=1e-13, abs=0.0)
+            assert ep.b_ee == pytest.approx(b_ee, rel=1e-13, abs=0.0)
+            single, = extended_pairings([fld], 1.0, space, pmap, forms)
+            np.testing.assert_array_equal(single.r, ep.r)
+            assert (single.a_ee, single.b_ee) == (ep.a_ee, ep.b_ee)
 
 
 class TestSpectralProperties:
@@ -170,7 +244,7 @@ class TestInterpolate:
         errs, hs = [], []
         for lvl in (2, 3, 4):
             space, pmap, forms = setup_forms(2, 1, lvl, jitter=0.3)
-            ep = extended_pairings(KF, 1.0, space, pmap, forms)
+            ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
             x = interpolate(KF.value, space, pmap, S)
             errs.append(math.sqrt(max(
                 ep.a_ee - 2.0 * (ep.a_vec @ x) + x @ (forms.A @ x), 0.0)))
@@ -183,7 +257,7 @@ class TestInterpolate:
         errs, hs = [], []
         for lvl in (2, 3, 4):
             space, pmap, forms = setup_forms(1, 1, lvl, jitter=0.3)
-            ep = extended_pairings(KF, 1.0, space, pmap, forms)
+            ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
             x = interpolate(KF.value, space, pmap, S)
             errs.append(math.sqrt(max(
                 ep.b_ee - 2.0 * (ep.b_vec @ x) + x @ (forms.B @ x), 0.0)))
@@ -196,7 +270,7 @@ class TestInterpolate:
         for lvl in (1, 2, 3):
             space, pmap, forms = setup_forms(1, 1, lvl)
             x = interpolate(KF.value, space, pmap, S)
-            vals.append(x @ (forms.k_a @ x))
+            vals.append(x @ (penalty(space, pmap, forms) @ x))
         assert vals[2] < vals[1] < vals[0]
         assert vals[2] <= 1e-4
 
@@ -209,7 +283,7 @@ class TestExtendedPairings:
         errs_b, errs_a = [], []
         for lvl in (2, 3):
             space, pmap, forms = setup_forms(1, 1, lvl)
-            ep = extended_pairings(KF, 1.0, space, pmap, forms)
+            ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
             errs_b.append(abs(ep.b_ee - target))
             errs_a.append(abs(ep.a_ee - target))
         assert errs_b[1] < errs_b[0] and errs_a[1] < errs_a[0]
@@ -217,13 +291,13 @@ class TestExtendedPairings:
 
     def test_zero_field(self):
         space, pmap, forms = setup_forms(1, 1, 0)
-        ep = extended_pairings(ZeroField(), 1.0, space, pmap, forms)
+        ep = extended_pairings([ZeroField()], 1.0, space, pmap, forms)[0]
         assert ep.a_ee == 0.0 and ep.b_ee == 0.0
         assert np.all(ep.a_vec == 0.0) and np.all(ep.r == 0.0)
 
     def test_defect_is_a_minus_lambda_b(self):
         space, pmap, forms = setup_forms(1, 1, 1)
-        ep = extended_pairings(KF, 2.5, space, pmap, forms)
+        ep = extended_pairings([KF], 2.5, space, pmap, forms)[0]
         np.testing.assert_allclose(ep.r, ep.a_vec - 2.5 * ep.b_vec, atol=1e-15)
 
 
@@ -247,3 +321,12 @@ def test_matrix_market_export(tmp_path):
     low = sp.coo_matrix((vals, (rows - 1, cols - 1)), shape=(n, n)).tocsr()
     full = low + low.T - sp.diags(low.diagonal())
     assert np.abs((full - forms.A).toarray()).max() <= 1e-13
+
+
+def test_matrix_market_bytes_match_line_loop(tmp_path):
+    _, _, forms = setup_forms(2, 2, 1, jitter=0.3)
+    for name, mat in (("A", forms.A), ("B", forms.B)):
+        path = tmp_path / f"{name}.mtx"
+        write_matrix_market(mat, path, comment=f"{name}_h, level 1")
+        expected = reference_matrix_market_text(mat, comment=f"{name}_h, level 1")
+        assert path.read_bytes() == expected.encode("ascii")
