@@ -8,12 +8,10 @@ abstract nonconforming eigenvalue/eigenvector error bounds on synthetic
 finite-dimensional instances.
 """
 
-from .geometry import KillingField, LevelSetSurface, Sphere, SurfaceFrame, killing_eval, surface_frame
+from .geometry import KillingField, Sphere
 from .mesh import (
-    GeomFrame,
     LinearSurfaceMesh,
     ParametricMap,
-    geom_frame,
     icosphere,
     mesh_size,
     parametric_lift,

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .analysis import ClusterWindow
 from .eigensolve import full_spectrum
 from .errors import InputError
 from .runtime import map_ordered
@@ -55,6 +56,8 @@ __all__ = [
 
 # relative numerical slack for checking exact inequalities in floating point
 _RTOL = 1e-9
+# probe vectors per j for the projection comparison bounds
+_N_PROBE = 12
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +331,9 @@ class FrameworkQuantities:
     discrete: object           # EigenPairs of (A_h, B_h) on V_h
     defect_dual: np.ndarray    # (k_max,) ||d_{lambda_j}(u_j^e, .)||_{V_h'}
     P_h: np.ndarray            # a_h-orthogonal projector onto V_h
-    Q_h: np.ndarray            # b_h-orthogonal projector onto V_h
     P_a: list                  # P_{a_h,j} onto U_j^e, j = 1..k_max
     P_b: list
     approximability_ok: bool   # dim(P_h U_{k_max}^e) == k_max and Theta < 1
-
-    def gamma(self, window, lam: float) -> float:
-        ev = self.discrete.eigenvalues
-        lo, hi = window
-        outside = ev[(ev < lo) | (ev > hi)]
-        if outside.size == 0:
-            return 0.0
-        dist = np.abs(outside - lam)
-        if np.any(dist == 0.0):
-            return math.inf
-        return float(np.max(outside / dist))
 
 
 def _discrete_pairs(inst: SyntheticInstance):
@@ -381,7 +372,6 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
     c_f = math.sqrt(max(sla.eigvalsh(_gram(G_b, big), _gram(G_a, big)).max(), 0.0))
 
     P_h = _projector(G_a, inst.V)
-    Q_h = _projector(G_b, inst.V)
     eye = np.eye(inst.E.shape[0])
     err_gram = _sym((eye - P_h).T @ G_a @ (eye - P_h))
     theta = np.empty(k_max)
@@ -414,7 +404,7 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
         beta_h1=beta_h1, beta_h2=beta_h2, alpha_h=alpha_h, beta_h=beta_h,
         alpha_tilde=alpha_tilde, beta_tilde=beta_tilde,
         alpha_hat=alpha_hat, beta_hat=beta_hat, c_f=c_f, discrete=discrete,
-        defect_dual=defect, P_h=P_h, Q_h=Q_h, P_a=P_a, P_b=P_b,
+        defect_dual=defect, P_h=P_h, P_a=P_a, P_b=P_b,
         approximability_ok=approx_ok)
 
 
@@ -430,7 +420,6 @@ class BoundCheck:
     rhs: float
     hypotheses_met: bool
     passed: bool | None
-    note: str = ""
 
     @property
     def slack(self) -> float:
@@ -444,7 +433,7 @@ class BoundCheckReport:
     checks: list = field(default_factory=list)
     quantities: FrameworkQuantities | None = None
 
-    def add(self, bound, j, lhs, rhs, hypotheses_met, note=""):
+    def add(self, bound, j, lhs, rhs, hypotheses_met):
         passed = None
         if hypotheses_met:
             tol = _RTOL * max(1.0, abs(lhs), abs(rhs))
@@ -452,7 +441,7 @@ class BoundCheckReport:
         self.checks.append(BoundCheck(bound=bound, j=j, lhs=float(lhs),
                                       rhs=float(rhs),
                                       hypotheses_met=hypotheses_met,
-                                      passed=passed, note=note))
+                                      passed=passed))
 
     def violations(self):
         return [c for c in self.checks if c.hypotheses_met and not c.passed]
@@ -503,13 +492,11 @@ def _penalty_condition(inst, q, factor) -> bool:
     return bool(vals.min() >= -1e-9 * scale)
 
 
-def verify_bounds(inst: SyntheticInstance, windows=None,
-                  n_probe: int = 12) -> BoundCheckReport:
+def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     """Check every inequality of the framework on one instance.
 
-    ``windows`` optionally overrides the per-target cluster windows; the
-    default separates each tracked eigenvalue at midpoints between distinct
-    exact values.
+    The cluster window of each tracked eigenvalue extends to the midpoints
+    between distinct exact values.
     """
     spec = inst.spec
     k_max = spec.k_max
@@ -520,8 +507,7 @@ def verify_bounds(inst: SyntheticInstance, windows=None,
     lam = inst.lam
     lam_t = q.discrete.eigenvalues
     G_a, G_b = inst.G_a, inst.G_b
-    if windows is None:
-        windows = _default_windows(lam, k_max)
+    windows = _default_windows(lam, k_max)
 
     half_params = (q.alpha_h < 0.5 and q.beta_h < 0.5
                    and q.alpha_tilde < 0.5 and q.beta_tilde < 0.5)
@@ -570,8 +556,8 @@ def verify_bounds(inst: SyntheticInstance, windows=None,
     for j in range(1, k_max + 1):
         P_aj, P_bj = q.P_a[j - 1], q.P_b[j - 1]
         Zj = inst.extended_eigvecs(j)
-        near = q.P_h @ (Zj @ rng.standard_normal((j, n_probe - n_probe // 3)))
-        far = inst.V @ rng.standard_normal((spec.n_h, n_probe // 3))
+        near = q.P_h @ (Zj @ rng.standard_normal((j, _N_PROBE - _N_PROBE // 3)))
+        far = inst.V @ rng.standard_normal((spec.n_h, _N_PROBE // 3))
         probes = np.concatenate([near, far], axis=1)
         for p in range(probes.shape[1]):
             v = probes[:, p]
@@ -594,7 +580,7 @@ def verify_bounds(inst: SyntheticInstance, windows=None,
         lam_j = lam[j]
         lo, hi = windows[j]
         inside = (lam_t >= lo) & (lam_t <= hi)
-        gamma = q.gamma((lo, hi), lam_j)
+        gamma = ClusterWindow(lo, hi).gamma(lam_t, lam_j)
         u_e = inst.extended_eigvecs(j + 1)[:, -1]
         norm_a_ue = math.sqrt(max(u_e @ (G_a @ u_e), 0.0))
         norm_b_ue = math.sqrt(max(u_e @ (G_b @ u_e), 0.0))
@@ -647,8 +633,7 @@ def verify_bounds(inst: SyntheticInstance, windows=None,
         # values are reported for inspection
         q_val = math.sqrt(float(np.sum((dvals[~inside] / lam_t[~inside]) ** 2)))
         report.add("defect_q_factor_bound", j + 1, q_val,
-                   q.defect_dual[j] / math.sqrt(lam_t[0]), True,
-                   note=f"q={q_val:.6e}")
+                   q.defect_dual[j] / math.sqrt(lam_t[0]), True)
 
     # form-ratio bounds on U_{k_max}^e (exact suprema)
     Z = inst.extended_eigvecs(k_max)

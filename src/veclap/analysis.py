@@ -47,11 +47,8 @@ SECOND_WINDOW = (1.5, 2.5)
 _REFERENCE = (1.0, 1.0, 1.0, 2.0, 2.0, 2.0)
 
 
-def exact_sphere_eigenvalues(m: int, surface: Sphere | None = None) -> np.ndarray:
+def exact_sphere_eigenvalues(m: int) -> np.ndarray:
     """First m exact eigenvalues of the shifted operator on the unit sphere."""
-    surface = surface if surface is not None else Sphere()
-    if abs(surface.radius - 1.0) > 1e-15:
-        raise InputError("reference eigenvalues are known for the unit sphere only")
     if not (1 <= m <= len(_REFERENCE)):
         raise InputError(
             f"no reference value beyond index {len(_REFERENCE)} (requested {m})")
@@ -173,7 +170,7 @@ class ConvergenceRecord:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Parameters of one convergence study.
+    """Parameters of one convergence study on the unit sphere.
 
     The default mesh jitter breaks the icosphere's symmetry-induced
     superconvergence so the observed orders match the generic theory rates;
@@ -188,8 +185,6 @@ class StudyConfig:
     fields: tuple[str, ...] = ("z",)
     method: str = "auto"
     tol: float = 1e-10
-    surface: Sphere = Sphere()
-    area_quad_degree: int | None = None
     jitter: float = 0.3
     mesh_seed: int = 0
 
@@ -201,13 +196,13 @@ class StudyConfig:
         for axis in self.fields:
             if axis not in ("x", "y", "z"):
                 raise InputError(f"unknown Killing field axis {axis!r}")
+        # reject a request beyond the reference spectrum before any meshing
+        exact_sphere_eigenvalues(self.num_eigs)
 
 
-def _area_degree(cfg: StudyConfig) -> int:
-    if cfg.area_quad_degree is not None:
-        return cfg.area_quad_degree
+def _area_degree(k_g: int) -> int:
     # keep geometric quadrature error far below the h^{k_g+1} area signal
-    return 2 * cfg.k_g + 8
+    return 2 * k_g + 8
 
 
 def _guard_size(n: int, method: str) -> str:
@@ -221,7 +216,7 @@ def _guard_size(n: int, method: str) -> str:
 
 
 def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRecord:
-    surface = cfg.surface
+    surface = Sphere()
     mesh = icosphere(level, surface, jitter=cfg.jitter, seed=cfg.mesh_seed)
     pmap = parametric_lift(mesh, cfg.k_g, surface)
     space = build_space(mesh, pmap, cfg.k)
@@ -233,9 +228,9 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
     lu = factorize(forms.A) if method == "iterative" or cfg.fields else None
     pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs,
                            tol=cfg.tol, method=method, lu=lu)
-    exact = exact_sphere_eigenvalues(cfg.num_eigs, surface)
-    area = surface_area(pmap, _area_degree(cfg))
-    exact_area = 4.0 * math.pi * surface.radius**2
+    exact = exact_sphere_eigenvalues(cfg.num_eigs)
+    area = surface_area(pmap, _area_degree(cfg.k_g))
+    exact_area = 4.0 * math.pi
 
     rec = ConvergenceRecord(
         level=level, h=mesh_size(mesh), ndof=space.n_dofs,
@@ -271,7 +266,7 @@ def area_study(k_g: int, levels, surface: Sphere | None = None,
     surface = surface if surface is not None else Sphere()
     if list(levels) != sorted(levels):
         raise InputError("levels must be ascending")
-    degree = quad_degree if quad_degree is not None else 2 * k_g + 8
+    degree = quad_degree if quad_degree is not None else _area_degree(k_g)
     exact_area = 4.0 * math.pi * surface.radius**2
     records = []
     for level in levels:

@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_mesh_args(p):
         p.add_argument("--kg", type=int, required=True, help="geometry degree")
-        p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
         p.add_argument("--jitter", type=float, default=0.3,
                        help="tangential mesh jitter (0 = symmetric icosphere)")
         p.add_argument("--mesh-seed", type=int, default=0)
@@ -99,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("area", help="surface-area error study")
     add_mesh_args(p)
+    p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
     p.add_argument("--levels", type=str, required=True, help="range A..B")
     p.add_argument("--quad-degree", type=int, default=None)
     p.add_argument("--out", type=str, default=None, help="CSV output path")
@@ -112,13 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _study_config(args) -> analysis.StudyConfig:
+def _study_config(args, levels, fields) -> analysis.StudyConfig:
     return analysis.StudyConfig(
-        k=args.k, k_g=args.kg, levels=_parse_levels(args.levels),
-        num_eigs=args.num_eigs, eta_coeff=args.eta,
-        fields=_parse_fields(args.fields), method=args.method, tol=args.tol,
-        surface=Sphere(args.radius), jitter=args.jitter,
-        mesh_seed=args.mesh_seed)
+        k=args.k, k_g=args.kg, levels=levels, num_eigs=args.num_eigs,
+        eta_coeff=args.eta, fields=fields, method=args.method, tol=args.tol,
+        jitter=args.jitter, mesh_seed=args.mesh_seed)
 
 
 def _write_records(records, path) -> None:
@@ -130,7 +128,8 @@ def _write_records(records, path) -> None:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _study_config(args)
+    cfg = _study_config(args, _parse_levels(args.levels),
+                        _parse_fields(args.fields))
 
     hook = None
     if args.export_mesh or args.export_matrices:
@@ -157,11 +156,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = analysis.StudyConfig(
-        k=args.k, k_g=args.kg, levels=(args.level,), num_eigs=args.num_eigs,
-        eta_coeff=args.eta, fields=(), method=args.method, tol=args.tol,
-        surface=Sphere(args.radius), jitter=args.jitter,
-        mesh_seed=args.mesh_seed)
+    cfg = _study_config(args, (args.level,), ())
     rec = analysis.convergence_study(cfg)[0]
     print(f"level {rec.level}: h = {rec.h:.6e}, ndof = {rec.ndof}, "
           f"solver = {rec.solver_method}")

@@ -14,7 +14,7 @@ class InputError(VeclapError, ValueError):
 
 
 class DomainError(InputError):
-    """Point outside the tubular neighborhood where the geometry is defined."""
+    """Invalid geometry input: a non-positive radius or an unknown axis."""
 
 
 class NumericalError(VeclapError, RuntimeError):

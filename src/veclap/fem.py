@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, InputError
-from .geometry import LevelSetSurface
+from .geometry import Sphere
 from .lagrange import NodeNumbering, reference_triangle
 from .mesh import LinearSurfaceMesh, ParametricMap, improved_normal_lift, mesh_size
 from .quadrature import triangle_rule
@@ -91,13 +91,13 @@ class AssembledForms:
 
     space: FeSpace
     pmap: ParametricMap
-    surface: LevelSetSurface
+    surface: Sphere
     A: sp.csr_matrix
     B: sp.csr_matrix
     eta: float
     h: float
     quad_degree: int
-    normal_map: ParametricMap | None  # improved-normal geometry, None = exact
+    normal_map: ParametricMap  # degree-(k_g + 1) lift for the penalty normal
 
 
 class _PointData:
@@ -106,7 +106,7 @@ class _PointData:
     __slots__ = ("w", "mu", "basis", "grads", "P", "n", "n_tilde", "QH", "hh",
                  "x", "H")
 
-    def __init__(self, space, pmap, surface, elements, rule, normal_map=None):
+    def __init__(self, space, pmap, surface, elements, rule, normal_map):
         ref_fe = reference_triangle(space.degree)
         basis = ref_fe.eval_basis(rule.points)          # (nq, nk)
         fe_grads = ref_fe.eval_grads(rule.points)       # (nq, nk, 2)
@@ -136,14 +136,11 @@ class _PointData:
         grads = fe_grads @ np.swapaxes(jac @ ginv, -1, -2)
 
         p_lift = surface.closest_point(x)
-        if normal_map is None:
-            n_tilde = surface.normal(p_lift)
-        else:
-            # unit normal of the one-degree-higher lift at the same
-            # reference point: accurate to one order beyond n_h
-            jac_hi = normal_map.jacobians(elements, rule.points)
-            cross_hi = np.cross(jac_hi[..., 0], jac_hi[..., 1])
-            n_tilde = cross_hi / np.linalg.norm(cross_hi, axis=-1)[..., None]
+        # unit normal of the one-degree-higher lift at the same reference
+        # point: accurate to one order beyond n_h
+        jac_hi = normal_map.jacobians(elements, rule.points)
+        cross_hi = np.cross(jac_hi[..., 0], jac_hi[..., 1])
+        n_tilde = cross_hi / np.linalg.norm(cross_hi, axis=-1)[..., None]
         H = surface.weingarten(p_lift)                  # (ne, nq, 3, 3)
 
         P = np.eye(3) - n[..., :, None] * n[..., None, :]
@@ -206,15 +203,13 @@ def _scatter(blocks: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def assemble(space: FeSpace, pmap: ParametricMap, surface: LevelSetSurface,
-             eta_coeff: float = 1.0, quad_degree: int | None = None,
-             penalty_normal: str = "lifted") -> AssembledForms:
+def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
+             eta_coeff: float = 1.0, quad_degree: int | None = None) -> AssembledForms:
     """Assemble ``A = a~ + k_a`` and ``B = I_3 (x) M``, M the scalar mass.
 
-    ``penalty_normal`` selects the improved normal of the penalty term:
-    ``lifted`` (default) uses the unit normal of the degree-``k_g + 1``
-    parametric lift, which carries the generic one-order-better accuracy;
-    ``exact`` uses the analytic normal at the lifted quadrature points.
+    The penalty term uses the unit normal of the degree-``k_g + 1``
+    parametric lift as its improved normal, which carries the generic
+    one-order-better accuracy.
     """
     min_degree = 2 * (space.degree + pmap.degree)
     if quad_degree is None:
@@ -222,10 +217,7 @@ def assemble(space: FeSpace, pmap: ParametricMap, surface: LevelSetSurface,
     if quad_degree < min_degree:
         raise InputError(
             f"quadrature exactness {quad_degree} below required {min_degree}")
-    if penalty_normal not in ("lifted", "exact"):
-        raise InputError(f"unknown penalty normal mode {penalty_normal!r}")
-    normal_map = (improved_normal_lift(space.mesh, pmap.degree, surface)
-                  if penalty_normal == "lifted" else None)
+    normal_map = improved_normal_lift(space.mesh, pmap.degree, surface)
     rule = triangle_rule(quad_degree)
     h = mesh_size(space.mesh)
     eta = eta_coeff / h**2
@@ -266,7 +258,7 @@ def _node_positions(space: FeSpace, pmap: ParametricMap) -> np.ndarray:
 
 
 def interpolate(field, space: FeSpace, pmap: ParametricMap,
-                surface: LevelSetSurface) -> np.ndarray:
+                surface: Sphere) -> np.ndarray:
     """Componentwise nodal interpolation of the extended field on Gamma_h.
 
     ``field`` is a callable taking points of shape (..., 3) and returning

@@ -1,118 +1,38 @@
-"""Analytic surface geometry: signed distance, closest-point projection,
-normals, tangential projector, Weingarten map, and the rotational Killing
-fields of the sphere together with their constant-normal extensions.
+"""Analytic sphere geometry: closest-point projection, normal and
+Weingarten map, and the rotational Killing fields of the sphere together
+with their constant-normal extensions.
 
-All point-wise quantities are also available in batched form (arrays with a
-trailing axis of length 3) because the assembly loops evaluate them at many
-quadrature points at once.  Everything here is a pure function of immutable
-data and safe to call concurrently.
+Every quantity is evaluated in batched form (arrays with a trailing axis of
+length 3) because the assembly loops evaluate them at many quadrature
+points at once.  Everything here is a pure function of immutable data and
+safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-__all__ = [
-    "LevelSetSurface",
-    "Sphere",
-    "SurfaceFrame",
-    "KillingField",
-    "surface_frame",
-    "killing_eval",
-]
+__all__ = ["Sphere", "KillingField"]
 
 
 @dataclass(frozen=True)
-class SurfaceFrame:
-    """Geometric data of one point in the tubular neighborhood.
-
-    Attributes
-    ----------
-    x : (3,) ndarray
-        The evaluation point.
-    d : float
-        Signed distance to the surface (negative inside).
-    p : (3,) ndarray
-        Closest point on the surface.
-    n : (3,) ndarray
-        Outward unit normal (gradient of ``d``).
-    P : (3, 3) ndarray
-        Orthogonal projector onto the tangent space, ``I - n n^T``.
-    H : (3, 3) ndarray
-        Weingarten map, the Hessian of the signed distance.
-    """
-
-    x: np.ndarray
-    d: float
-    p: np.ndarray
-    n: np.ndarray
-    P: np.ndarray
-    H: np.ndarray
-
-
-class LevelSetSurface:
-    """Interface for closed surfaces given through a signed distance function.
-
-    Implementations provide analytic evaluations of d, p, n, P and H at any
-    point of a tubular neighborhood of half-width ``delta``.  Only the sphere
-    is implemented; the interface exists so other level sets can be added
-    without touching the callers.
-    """
-
-    #: half-width of the tubular neighborhood where the frame is defined
-    delta: float
-
-    def signed_distance(self, x):
-        raise NotImplementedError
-
-    def closest_point(self, x):
-        raise NotImplementedError
-
-    def normal(self, x):
-        raise NotImplementedError
-
-    def projector(self, x):
-        raise NotImplementedError
-
-    def weingarten(self, x):
-        raise NotImplementedError
-
-    def validate_point(self, x):
-        """Raise :class:`DomainError` if a point has no unique closest point."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Sphere(LevelSetSurface):
+class Sphere:
     """Sphere of radius ``r`` centered at the origin (unit sphere by default).
 
-    The signed distance is ``d(x) = |x| - r``, taken negative inside.  The
+    The signed distance is ``d(x) = |x| - r``, taken negative inside; the
     closest-point decomposition ``x = p(x) + d(x) n(x)`` is unique for
-    ``|x| > 0``; we restrict to ``|x| > r/2`` (``delta = r/2``).
+    ``|x| > 0``.
     """
 
     radius: float = 1.0
-    delta: float = field(init=False)
 
     def __post_init__(self):
         if not self.radius > 0.0:
             raise DomainError(f"sphere radius must be positive, got {self.radius}")
-        object.__setattr__(self, "delta", 0.5 * self.radius)
-
-    def validate_point(self, x):
-        r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-        if np.any(r <= 0.5 * self.radius):
-            raise DomainError(
-                "point too close to the center: |x| <= r/2, closest point not unique"
-            )
-
-    def signed_distance(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x, axis=-1) - self.radius
 
     def closest_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -124,11 +44,6 @@ class Sphere(LevelSetSurface):
         r = np.linalg.norm(x, axis=-1, keepdims=True)
         return x / r
 
-    def projector(self, x):
-        n = self.normal(x)
-        eye = np.eye(3)
-        return eye - n[..., :, None] * n[..., None, :]
-
     def weingarten(self, x):
         # Hessian of |x| - r:  (I - x^ x^T / |x|^2) / |x|
         x = np.asarray(x, dtype=float)
@@ -136,26 +51,6 @@ class Sphere(LevelSetSurface):
         n = x / r[..., None]
         eye = np.eye(3)
         return (eye - n[..., :, None] * n[..., None, :]) / r[..., None, None]
-
-
-def surface_frame(surface: LevelSetSurface, x) -> SurfaceFrame:
-    """Evaluate the full geometric frame (d, p, n, P, H) at one point.
-
-    Raises
-    ------
-    DomainError
-        If ``x`` lies outside the tubular neighborhood of unique projection.
-    """
-    x = np.asarray(x, dtype=float)
-    surface.validate_point(x)
-    return SurfaceFrame(
-        x=x,
-        d=float(surface.signed_distance(x)),
-        p=surface.closest_point(x),
-        n=surface.normal(x),
-        P=surface.projector(x),
-        H=surface.weingarten(x),
-    )
 
 
 def _cross_matrix(omega):
@@ -211,20 +106,3 @@ class KillingField:
         scale = self.surface.radius / r
         return _cross_matrix(self.omega) @ (scale[..., None, None] * proj)
 
-
-def killing_eval(field: KillingField, x):
-    """Value and ambient extension Jacobian of a Killing field at one point.
-
-    Returns
-    -------
-    value : (3,) ndarray
-    jacobian : (3, 3) ndarray
-
-    Raises
-    ------
-    DomainError
-        If ``x`` is inside the excluded ball around the center.
-    """
-    x = np.asarray(x, dtype=float)
-    field.surface.validate_point(x)
-    return field.value(x), field.extension_jacobian(x)

@@ -140,9 +140,6 @@ class NodeNumbering:
         n_int = (m - 1) * (m - 2) // 2
         n_loc = 3 + 3 * n_edge + n_int
         self.degree = m
-        self.n_vertices = nv
-        self.n_edges = ne
-        self.n_triangles = nt
         self.n_nodes = nv + ne * n_edge + nt * n_int
 
         conn = np.empty((nt, n_loc), dtype=np.int64)

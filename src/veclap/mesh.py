@@ -14,19 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, InputError
-from .geometry import LevelSetSurface, Sphere
+from .errors import InputError
+from .geometry import Sphere
 from .lagrange import NodeNumbering, reference_triangle
 from .quadrature import triangle_rule
 
 __all__ = [
     "LinearSurfaceMesh",
     "ParametricMap",
-    "GeomFrame",
     "icosphere",
     "parametric_lift",
     "improved_normal_lift",
-    "geom_frame",
     "mesh_size",
     "surface_area",
     "write_off",
@@ -66,10 +64,6 @@ class ParametricMap:
     numbering: NodeNumbering
     coeffs: np.ndarray  # (n_nodes, 3) lifted node positions
 
-    def element_coeffs(self) -> np.ndarray:
-        """Per-element coefficient blocks, shape (nt, n_loc, 3)."""
-        return self.coeffs[self.numbering.connectivity]
-
     def evaluate(self, elements, ref_points) -> np.ndarray:
         """Map reference points to the curved surface.
 
@@ -93,16 +87,6 @@ class ParametricMap:
         grads = ref.eval_grads(np.atleast_2d(ref_points))
         c = self.coeffs[self.numbering.connectivity[np.atleast_1d(elements)]]
         return np.einsum("qlr,elc->eqcr", grads, c)
-
-
-@dataclass(frozen=True)
-class GeomFrame:
-    """Geometry of one quadrature point on a curved element."""
-
-    x: np.ndarray        # physical point on Gamma_h
-    jacobian: np.ndarray  # (3, 2)
-    normal: np.ndarray    # discrete unit normal n_h
-    area_factor: float    # mu = sqrt(det(J^T J))
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +134,7 @@ def _subdivide(vertices, triangles):
     return np.concatenate([vertices, mid], axis=0), new_tris, edges
 
 
-def icosphere(level: int, surface: LevelSetSurface | None = None,
+def icosphere(level: int, surface: Sphere | None = None,
               jitter: float = 0.0, seed: int = 0) -> LinearSurfaceMesh:
     """Icosahedral sphere triangulation with 20 * 4^level triangles.
 
@@ -194,7 +178,7 @@ def icosphere(level: int, surface: LevelSetSurface | None = None,
 
 
 def parametric_lift(mesh: LinearSurfaceMesh, k_g: int,
-                    surface: LevelSetSurface | None = None) -> ParametricMap:
+                    surface: Sphere | None = None) -> ParametricMap:
     """Degree-``k_g`` lift of the flat mesh through the closest-point map."""
     surface = surface if surface is not None else Sphere()
     if not (1 <= k_g <= 4):
@@ -202,32 +186,18 @@ def parametric_lift(mesh: LinearSurfaceMesh, k_g: int,
     return _lift(mesh, k_g, surface)
 
 
-def _lift(mesh: LinearSurfaceMesh, degree: int, surface: LevelSetSurface) -> ParametricMap:
+def _lift(mesh: LinearSurfaceMesh, degree: int, surface: Sphere) -> ParametricMap:
     numbering = NodeNumbering(mesh.vertices, mesh.triangles, degree)
     coeffs = surface.closest_point(numbering.coords)
     return ParametricMap(mesh=mesh, degree=degree, numbering=numbering, coeffs=coeffs)
 
 
 def improved_normal_lift(mesh: LinearSurfaceMesh, k_g: int,
-                         surface: LevelSetSurface) -> ParametricMap:
+                         surface: Sphere) -> ParametricMap:
     """One-degree-higher lift whose discrete normal serves as the improved
     penalty normal (one order more accurate than the normal of the
     degree-``k_g`` surface)."""
     return _lift(mesh, k_g + 1, surface)
-
-
-def geom_frame(pmap: ParametricMap, element: int, ref_point) -> GeomFrame:
-    """Evaluate the geometric frame of one element at one reference point."""
-    ref_point = np.asarray(ref_point, dtype=float)
-    if ref_point.min() < 0.0 or ref_point.sum() > 1.0:
-        raise InputError(f"reference point {ref_point} outside the reference triangle")
-    x = pmap.evaluate(np.array([element]), ref_point[None, :])[0, 0]
-    jac = pmap.jacobians(np.array([element]), ref_point[None, :])[0, 0]
-    cross = np.cross(jac[:, 0], jac[:, 1])
-    mu = np.linalg.norm(cross)
-    if not mu > 0.0:
-        raise GeometryError(f"degenerate Jacobian on element {element}")
-    return GeomFrame(x=x, jacobian=jac, normal=cross / mu, area_factor=mu)
 
 
 def mesh_size(mesh: LinearSurfaceMesh) -> float:

@@ -28,9 +28,6 @@ class QuadratureRule:
     weights: np.ndarray  # (nq,)
     degree: int
 
-    def __len__(self):
-        return self.weights.size
-
 
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadratureRule:

@@ -19,7 +19,7 @@ from veclap.lagrange import reference_triangle
 class ReferencePointData:
     """Per-(element, quadrature point) geometry, one einsum per quantity."""
 
-    def __init__(self, space, pmap, surface, elements, rule, normal_map=None):
+    def __init__(self, space, pmap, surface, elements, rule, normal_map):
         ref_fe = reference_triangle(space.degree)
         basis = ref_fe.eval_basis(rule.points)
         fe_grads = ref_fe.eval_grads(rule.points)
@@ -42,12 +42,9 @@ class ReferencePointData:
         grads = np.einsum("eqcr,eqrs,qis->eqic", jac, ginv, fe_grads)
 
         p_lift = surface.closest_point(x)
-        if normal_map is None:
-            n_tilde = surface.normal(p_lift)
-        else:
-            jac_hi = normal_map.jacobians(elements, rule.points)
-            cross_hi = np.cross(jac_hi[..., 0], jac_hi[..., 1])
-            n_tilde = cross_hi / np.linalg.norm(cross_hi, axis=-1)[..., None]
+        jac_hi = normal_map.jacobians(elements, rule.points)
+        cross_hi = np.cross(jac_hi[..., 0], jac_hi[..., 1])
+        n_tilde = cross_hi / np.linalg.norm(cross_hi, axis=-1)[..., None]
         H = surface.weingarten(p_lift)
 
         P = np.eye(3) - n[..., :, None] * n[..., None, :]

@@ -45,9 +45,13 @@ class TestExactEigenvalues:
         with pytest.raises(InputError, match="reference"):
             exact_sphere_eigenvalues(7)
 
-    def test_unit_sphere_only(self):
-        with pytest.raises(InputError):
-            exact_sphere_eigenvalues(3, Sphere(2.0))
+    def test_config_beyond_reference_fails_before_assembly(self, monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled a level of an invalid study")
+
+        monkeypatch.setattr(analysis, "assemble", no_assembly)
+        with pytest.raises(InputError, match="reference"):
+            StudyConfig(k=1, k_g=1, levels=(1,), num_eigs=7)
 
 
 class TestClusterWindow:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from veclap import cli
+from veclap import analysis, cli
 from veclap.errors import NumericalError
 from veclap.runtime import THREADS_ENV
 
@@ -53,6 +53,26 @@ class TestSolve:
 
     def test_invalid_level_exit_2(self, capsys):
         assert cli.main(["solve", "--level", "9", "--k", "1", "--kg", "1"]) == 2
+
+    def test_num_eigs_beyond_reference_exits_2_before_assembly(self, monkeypatch,
+                                                               capsys):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled a level of an invalid study")
+
+        monkeypatch.setattr(analysis, "assemble", no_assembly)
+        assert cli.main(["solve", "--level", "3", "--k", "2", "--kg", "2",
+                         "--num-eigs", "7"]) == 2
+        assert "reference" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--level", "1"],
+        ["converge", "--levels", "1..2"],
+    ], ids=["solve", "converge"])
+    def test_radius_is_not_an_option(self, command, capsys):
+        # the reference spectrum is the unit sphere's; only area takes a radius
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--k", "1", "--kg", "1", "--radius", "2"])
+        assert exc.value.code == 2
 
 
 class TestConverge:
@@ -116,6 +136,17 @@ class TestArea:
         errs = [float(r["area_err"]) for r in rows]
         assert errs[2] < errs[0]
         assert float(rows[-1]["area_eoc"]) > 3.0
+
+    def test_area_radius(self, tmp_path):
+        # area errors scale with r^2 against the exact 4 pi r^2
+        paths = [tmp_path / f"r{r}.csv" for r in ("1", "2")]
+        for r, path in zip(("1", "2"), paths):
+            assert cli.main(["area", "--kg", "2", "--levels", "1..2",
+                             "--radius", r, "--out", str(path)]) == 0
+        unit, double = (read_csv_rows(p) for p in paths)
+        for a, b in zip(unit, double):
+            assert float(b["area_err"]) == pytest.approx(4.0 * float(a["area_err"]),
+                                                         rel=1e-8)
 
 
 class TestAbstract:

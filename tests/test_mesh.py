@@ -1,4 +1,5 @@
-"""Mesh module: icosphere hierarchy, parametric lift, frames, areas, OFF."""
+"""Mesh module: icosphere hierarchy, parametric lift, element geometry,
+areas, OFF."""
 
 import math
 
@@ -6,13 +7,15 @@ import numpy as np
 import pytest
 
 from veclap.analysis import eoc
-from veclap.errors import InputError
+from veclap.errors import GeometryError, InputError
+from veclap.fem import _PointData, assemble, build_space
 from veclap.geometry import Sphere
 from veclap.lagrange import NodeNumbering, reference_triangle
+from veclap.quadrature import triangle_rule
 from veclap.mesh import (
     LinearSurfaceMesh,
-    geom_frame,
     icosphere,
+    improved_normal_lift,
     mesh_size,
     parametric_lift,
     surface_area,
@@ -144,39 +147,38 @@ class TestParametricLift:
         assert abs(a2 - four_pi) < abs(a1 - four_pi)
 
 
+def point_data(pm, elements):
+    """The assembly's per-quadrature-point geometry of a k_g = 1 map."""
+    return _PointData(build_space(pm.mesh, pm, 1), pm, S, np.asarray(elements),
+                      triangle_rule(4), improved_normal_lift(pm.mesh, 1, S))
+
+
 class TestGeomFrame:
+    """Element geometry (normal n_h, area factor mu) at quadrature points."""
+
     def test_unit_simplex_triangle(self):
         # flat triangle with vertices e1, e2, e3: normal (1,1,1)/sqrt(3),
         # area factor sqrt(3)
         eye = np.eye(3)
         mesh = LinearSurfaceMesh(vertices=eye, triangles=np.array([[0, 1, 2]]),
                                  level=0)
-        pm = parametric_lift(mesh, 1, S)
-        g = geom_frame(pm, 0, [1.0 / 3.0, 1.0 / 3.0])
-        np.testing.assert_allclose(g.normal, np.full(3, 1 / math.sqrt(3)),
-                                   atol=1e-14)
-        assert g.area_factor == pytest.approx(math.sqrt(3.0), rel=1e-14)
+        pd = point_data(parametric_lift(mesh, 1, S), [0])
+        assert np.abs(pd.n[0] - 1 / math.sqrt(3)).max() <= 1e-14
+        np.testing.assert_allclose(pd.mu[0], math.sqrt(3.0), rtol=1e-14)
 
     def test_affine_frame_constant(self):
-        pm = parametric_lift(icosphere(0), 1, S)
-        f1 = geom_frame(pm, 4, [0.3, 0.5])
-        f2 = geom_frame(pm, 4, [1 / 3, 1 / 3])
-        np.testing.assert_allclose(f1.normal, f2.normal, atol=1e-14)
-        assert f1.area_factor == pytest.approx(f2.area_factor, rel=1e-13)
-
-    def test_outside_reference_triangle(self):
-        pm = parametric_lift(icosphere(0), 1, S)
-        with pytest.raises(InputError):
-            geom_frame(pm, 0, [0.7, 0.7])
+        pd = point_data(parametric_lift(icosphere(0), 1, S), [4])
+        assert np.abs(pd.n[0] - pd.n[0, 0]).max() <= 1e-14
+        assert np.abs(pd.mu[0] - pd.mu[0, 0]).max() <= 1e-13 * pd.mu[0, 0]
 
     def test_degenerate_element(self):
-        from veclap.errors import GeometryError
+        # the assembly's point data rejects a zero area factor
         v = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 0]])  # repeated vertex
         mesh = LinearSurfaceMesh(vertices=v, triangles=np.array([[0, 1, 2]]),
                                  level=0)
         pm = parametric_lift(mesh, 1, S)
         with pytest.raises(GeometryError):
-            geom_frame(pm, 0, [1 / 3, 1 / 3])
+            assemble(build_space(mesh, pm, 1), pm, S)
 
     def test_normal_accuracy_rate(self):
         # max |n_h - n(p(x))| over quadrature points decays ~ h^{k_g}
