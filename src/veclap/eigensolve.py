@@ -4,15 +4,18 @@ problem A x = lambda B x.
 Two routes:
 
 * dense: LAPACK generalized symmetric solver (Cholesky reduction of B,
-  tridiagonalization, implicit-shift QL/QR), used as the oracle and for the
-  full spectrum;
+  tridiagonalization, then divide and conquer for the full spectrum or
+  bisection and inverse iteration for the m smallest pairs), used as the
+  oracle and for the full spectrum;
 * iterative: ARPACK's implicitly restarted Lanczos method in shift-invert
   mode with shift sigma = 0 (valid because A is SPD) and B-inner products,
   applying A^-1 through a sparse LU factor of A.
 
-``factorize`` builds that factor; a caller that also needs A^-1 elsewhere
-passes the same factor to ``solve_smallest``, so A is factorized once.
-Both routes return B-orthonormal eigenvectors sorted ascending.  The
+``factorize`` builds that factor with a symmetric fill-reducing ordering
+(minimum degree on A + A^T) and diagonal pivots; elimination without
+pivoting is stable because A is SPD.  A caller that also needs A^-1
+elsewhere passes the same factor to ``solve_smallest``, so A is factorized
+once.  Both routes return B-orthonormal eigenvectors sorted ascending.  The
 Lanczos start vector is a fixed function of the problem size, so repeated
 solves are bitwise reproducible.
 """
@@ -86,21 +89,30 @@ def resolve_method(n: int, method: str) -> str:
 
 
 def factorize(A):
-    """Sparse LU factor of A (``splu``'s default column ordering); its
-    ``solve`` applies A^-1."""
+    """Sparse LU factor of the SPD matrix A; its ``solve`` applies A^-1.
+
+    The ordering is symmetric minimum degree on A + A^T and the pivots stay
+    on the diagonal, so L and U^T share one sparsity pattern, that of a
+    Cholesky factor of the permuted A.  On a matrix that is not SPD the
+    factor may be inaccurate; ``solve_smallest``'s residual gate catches
+    that.
+    """
     try:
-        return spla.splu(sp.csc_matrix(A))
+        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise InputError("A is singular") from exc
 
 
 def _dense_solve(A, B, m) -> tuple[np.ndarray, np.ndarray]:
+    """The m smallest pairs; the subset driver computes only those."""
     Ad, Bd = _dense(A), _dense(B)
+    subset = [0, m - 1] if m < Ad.shape[0] else None
     try:
-        w, X = sla.eigh(Ad, Bd)
+        return sla.eigh(Ad, Bd, subset_by_index=subset)
     except sla.LinAlgError as exc:
         raise InputError("B is not symmetric positive definite") from exc
-    return w[:m], X[:, :m]
 
 
 def _shift_invert_solve(A, B, m, lu) -> tuple[np.ndarray, np.ndarray, int]:
