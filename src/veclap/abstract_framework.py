@@ -317,10 +317,6 @@ def _orth_union(*bases, tol=1e-11) -> np.ndarray:
 class FrameworkQuantities:
     theta: np.ndarray          # (k_max,) Theta_{h,j}
     phi: np.ndarray            # (k_max,) Phi_{h,m}
-    alpha_h1: float
-    alpha_h2: float
-    beta_h1: float
-    beta_h2: float
     alpha_h: float             # tight constant of the combined a-consistency
     beta_h: float
     alpha_tilde: float
@@ -354,10 +350,6 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
     dB_tilde = inst.B_tilde - inst.B_e
     dA = dA_tilde + inst.K_a
     dB = dB_tilde + inst.K_b
-    alpha_h1 = sup_bilinear(dA_tilde, Z_full, G_a, Z_full, G_a)
-    alpha_h2 = sup_bilinear(inst.K_a, Z_full, G_a, Z_full, G_a)
-    beta_h1 = sup_bilinear(dB_tilde, Z_full, G_b, Z_full, G_b)
-    beta_h2 = sup_bilinear(inst.K_b, Z_full, G_b, Z_full, G_b)
     alpha_h = sup_bilinear(dA, Z_full, G_a, Z_full, G_a)
     beta_h = sup_bilinear(dB, Z_full, G_b, Z_full, G_b)
     big = _orth_union(inst.V, Z_full)
@@ -400,8 +392,7 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
         defect[j] = math.sqrt(max(float(r @ np.linalg.solve(A_v, r)), 0.0))
 
     return FrameworkQuantities(
-        theta=theta, phi=phi, alpha_h1=alpha_h1, alpha_h2=alpha_h2,
-        beta_h1=beta_h1, beta_h2=beta_h2, alpha_h=alpha_h, beta_h=beta_h,
+        theta=theta, phi=phi, alpha_h=alpha_h, beta_h=beta_h,
         alpha_tilde=alpha_tilde, beta_tilde=beta_tilde,
         alpha_hat=alpha_hat, beta_hat=beta_hat, c_f=c_f, discrete=discrete,
         defect_dual=defect, P_h=P_h, P_a=P_a, P_b=P_b,
@@ -653,10 +644,8 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     sup_ext_b = math.sqrt(max(sla.eigvalsh(_gram(G_b, EU), _gram(inst.M_b, U_k)).max(), 0.0))
     report.add("extension_norm_a", None, sup_ext_a, 1.0 + q.alpha_h, half_params)
     report.add("extension_norm_b", None, sup_ext_b, 1.0 + q.beta_h, half_params)
-    lift_a = _sym(inst.E_linv.T @ inst.M_a @ inst.E_linv)
-    lift_b = _sym(inst.E_linv.T @ inst.M_b @ inst.E_linv)
-    sup_l_a = math.sqrt(max(sla.eigvalsh(_gram(lift_a, EU), _gram(G_a, EU)).max(), 0.0))
-    sup_l_b = math.sqrt(max(sla.eigvalsh(_gram(lift_b, EU), _gram(G_b, EU)).max(), 0.0))
+    sup_l_a = math.sqrt(max(sla.eigvalsh(_gram(inst.A_e, EU), _gram(G_a, EU)).max(), 0.0))
+    sup_l_b = math.sqrt(max(sla.eigvalsh(_gram(inst.B_e, EU), _gram(G_b, EU)).max(), 0.0))
     report.add("lifting_norm_a", None, sup_l_a, 1.0 + q.alpha_h, half_params)
     report.add("lifting_norm_b", None, sup_l_b, 1.0 + q.beta_h, half_params)
 

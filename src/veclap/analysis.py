@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolve import DENSE_LIMIT, EigenPairs, factorize, resolve_method, solve_smallest
+from .eigensolve import EigenPairs, factorize, solve_smallest
 from .errors import InputError
 from .fem import AssembledForms, ExtendedPairings, assemble, build_space, extended_pairings
 from .geometry import KillingField, Sphere
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 ITERATIVE_DOF_LIMIT = 200_000
+# eta_coeff / h^2 must exceed the largest requested exact eigenvalue by this
+# factor, so the penalty's normal modes stay above every requested pair
+PENALTY_MARGIN = 1.25
 KILLING_WINDOW = (0.0, 1.5)
 SECOND_WINDOW = (1.5, 2.5)
 
@@ -164,7 +167,6 @@ class ConvergenceRecord:
     area: float
     area_error: float
     fields: list[FieldErrors] = field(default_factory=list)
-    solver_method: str = ""
     solver_iterations: int = 0
 
 
@@ -175,6 +177,12 @@ class StudyConfig:
     The default mesh jitter breaks the icosphere's symmetry-induced
     superconvergence so the observed orders match the generic theory rates;
     set ``jitter=0`` for the fully symmetric hierarchy.
+
+    The normal penalty is ``eta_coeff / h^2``.  Its normal modes sit near
+    that value, so each level must have ``eta_coeff / h^2`` at least
+    ``PENALTY_MARGIN`` times the largest requested exact eigenvalue; a level
+    below that floor is rejected before assembly.  With the default
+    ``eta_coeff`` and jitter, levels 0 and 1 are below it.
     """
 
     k: int
@@ -183,7 +191,6 @@ class StudyConfig:
     num_eigs: int = 6
     eta_coeff: float = 1.0
     fields: tuple[str, ...] = ("z",)
-    method: str = "auto"
     tol: float = 1e-10
     jitter: float = 0.3
     mesh_seed: int = 0
@@ -205,39 +212,50 @@ def _area_degree(k_g: int) -> int:
     return 2 * k_g + 8
 
 
-def _guard_size(n: int, method: str) -> str:
-    """The solver route for n DOFs, rejected before assembly if too large."""
-    resolved = resolve_method(n, method)
-    if resolved == "dense" and n > DENSE_LIMIT:
-        raise InputError(f"dense solver limited to {DENSE_LIMIT} DOFs, got {n}")
+def _guard_size(n: int) -> None:
+    """Reject a level of n DOFs before assembly if it is too large."""
     if n > ITERATIVE_DOF_LIMIT:
         raise InputError(f"problem size {n} exceeds the {ITERATIVE_DOF_LIMIT} DOF guard")
-    return resolved
+
+
+def _guard_penalty(eta_coeff: float, lam_max: float, level: int, h: float) -> None:
+    """Reject a level whose penalty eta_h = eta_coeff / h^2 would put normal
+    modes among the requested eigenpairs, whose largest exact value is
+    lam_max."""
+    eta_h = eta_coeff / h**2
+    floor = PENALTY_MARGIN * lam_max
+    if eta_h < floor:
+        smallest = math.ceil(floor * h**2 * 1e3) / 1e3  # rounded up: it passes
+        raise InputError(
+            f"level {level}: penalty eta_h = {eta_h:.4g} is below {floor:g} "
+            f"({PENALTY_MARGIN:g} x the largest requested eigenvalue); "
+            f"use --eta {smallest:g} or more, or a finer level")
 
 
 def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRecord:
     surface = Sphere()
     mesh = icosphere(level, surface, jitter=cfg.jitter, seed=cfg.mesh_seed)
+    h = mesh_size(mesh)
+    exact = exact_sphere_eigenvalues(cfg.num_eigs)
+    _guard_penalty(cfg.eta_coeff, float(exact.max()), level, h)
     pmap = parametric_lift(mesh, cfg.k_g, surface)
     space = build_space(mesh, pmap, cfg.k)
-    method = _guard_size(space.n_dofs, cfg.method)
+    _guard_size(space.n_dofs)
     forms = assemble(space, pmap, surface, eta_coeff=cfg.eta_coeff)
     if on_assembled is not None:
         on_assembled(level, mesh, forms)
-    # one factor of A serves the iterative eigensolve and every dual norm
-    lu = factorize(forms.A) if method == "iterative" or cfg.fields else None
-    pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs,
-                           tol=cfg.tol, method=method, lu=lu)
-    exact = exact_sphere_eigenvalues(cfg.num_eigs)
+    # one factor of A serves the eigensolve and every dual norm
+    lu = factorize(forms.A)
+    pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs, tol=cfg.tol, lu=lu)
     area = surface_area(pmap, _area_degree(cfg.k_g))
     exact_area = 4.0 * math.pi
 
     rec = ConvergenceRecord(
-        level=level, h=mesh_size(mesh), ndof=space.n_dofs,
+        level=level, h=h, ndof=space.n_dofs,
         eigenvalues=pairs.eigenvalues, exact=exact,
         errors=np.abs(pairs.eigenvalues - exact),
         area=area, area_error=abs(area - exact_area),
-        solver_method=pairs.method, solver_iterations=pairs.iterations)
+        solver_iterations=pairs.iterations)
     window = ClusterWindow(*KILLING_WINDOW)
     pairings = (extended_pairings([KillingField(axis, surface) for axis in cfg.fields],
                                   1.0, space, pmap, forms) if cfg.fields else [])

@@ -74,9 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, required=True, help="FE degree")
         p.add_argument("--num-eigs", type=int, default=6)
         p.add_argument("--eta", type=float, default=1.0,
-                       help="penalty coefficient (eta = coeff / h^2)")
-        p.add_argument("--method", choices=("auto", "dense", "iterative"),
-                       default="auto")
+                       help="penalty coefficient (eta = coeff / h^2); a level "
+                            f"where eta is below {analysis.PENALTY_MARGIN:g} x "
+                            "the largest requested exact eigenvalue exits 2 "
+                            "before assembly")
         p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("converge", help="convergence study over levels")
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _study_config(args, levels, fields) -> analysis.StudyConfig:
     return analysis.StudyConfig(
         k=args.k, k_g=args.kg, levels=levels, num_eigs=args.num_eigs,
-        eta_coeff=args.eta, fields=fields, method=args.method, tol=args.tol,
+        eta_coeff=args.eta, fields=fields, tol=args.tol,
         jitter=args.jitter, mesh_seed=args.mesh_seed)
 
 
@@ -158,8 +159,7 @@ def _cmd_converge(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _study_config(args, (args.level,), ())
     rec = analysis.convergence_study(cfg)[0]
-    print(f"level {rec.level}: h = {rec.h:.6e}, ndof = {rec.ndof}, "
-          f"solver = {rec.solver_method}")
+    print(f"level {rec.level}: h = {rec.h:.6e}, ndof = {rec.ndof}")
     print(f"{'j':>3s} {'lambda_h':>24s} {'lambda_exact':>14s} {'error':>13s}")
     for j, (lam_h, lam, err) in enumerate(
             zip(rec.eigenvalues, rec.exact, rec.errors), start=1):

@@ -1,21 +1,19 @@
 """Smallest eigenpairs of the symmetric positive-definite generalized
 problem A x = lambda B x.
 
-Two routes:
-
-* dense: LAPACK generalized symmetric solver (Cholesky reduction of B,
-  tridiagonalization, then divide and conquer for the full spectrum or
-  bisection and inverse iteration for the m smallest pairs), used as the
-  oracle and for the full spectrum;
-* iterative: ARPACK's implicitly restarted Lanczos method in shift-invert
-  mode with shift sigma = 0 (valid because A is SPD) and B-inner products,
-  applying A^-1 through a sparse LU factor of A.
+``solve_smallest`` has one route: ARPACK's implicitly restarted Lanczos
+method in shift-invert mode with shift sigma = 0 (valid because A is SPD)
+and B-inner products, applying A^-1 through a sparse LU factor of A.
+``full_spectrum`` is the dense LAPACK generalized symmetric solver
+(Cholesky reduction of B, tridiagonalization, divide and conquer) for the
+complete spectrum of a small pencil; it serves the abstract framework and
+is the oracle of the tests.
 
 ``factorize`` builds that factor with a symmetric fill-reducing ordering
 (minimum degree on A + A^T) and diagonal pivots; elimination without
 pivoting is stable because A is SPD.  A caller that also needs A^-1
 elsewhere passes the same factor to ``solve_smallest``, so A is factorized
-once.  Both routes return B-orthonormal eigenvectors sorted ascending.  The
+once.  Both return B-orthonormal eigenvectors sorted ascending.  The
 Lanczos start vector is a fixed function of the problem size, so repeated
 solves are bitwise reproducible.
 """
@@ -31,8 +29,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, InputError
 
-__all__ = ["EigenPairs", "factorize", "resolve_method", "solve_smallest",
-           "full_spectrum"]
+__all__ = ["EigenPairs", "factorize", "solve_smallest", "full_spectrum"]
 
 DENSE_LIMIT = 3000
 
@@ -50,12 +47,6 @@ class EigenPairs:
     @property
     def m(self) -> int:
         return self.eigenvalues.size
-
-
-def _as_operator(M):
-    if sp.issparse(M):
-        return M.tocsr()
-    return np.asarray(M, dtype=float)
 
 
 def _dense(M):
@@ -78,16 +69,6 @@ def _check_pencil(A, B, m):
         raise InputError(f"requested {m} pairs from problem of size {A.shape[0]}")
 
 
-def resolve_method(n: int, method: str) -> str:
-    """The route ``method`` selects for a problem of size n; ``auto`` picks
-    dense for n <= DENSE_LIMIT."""
-    if method == "auto":
-        return "dense" if n <= DENSE_LIMIT else "iterative"
-    if method not in ("dense", "iterative"):
-        raise InputError(f"unknown method {method!r}")
-    return method
-
-
 def factorize(A):
     """Sparse LU factor of the SPD matrix A; its ``solve`` applies A^-1.
 
@@ -105,12 +86,10 @@ def factorize(A):
         raise InputError("A is singular") from exc
 
 
-def _dense_solve(A, B, m) -> tuple[np.ndarray, np.ndarray]:
-    """The m smallest pairs; the subset driver computes only those."""
+def _dense_solve(A, B) -> tuple[np.ndarray, np.ndarray]:
     Ad, Bd = _dense(A), _dense(B)
-    subset = [0, m - 1] if m < Ad.shape[0] else None
     try:
-        return sla.eigh(Ad, Bd, subset_by_index=subset)
+        return sla.eigh(Ad, Bd)
     except sla.LinAlgError as exc:
         raise InputError("B is not symmetric positive definite") from exc
 
@@ -118,7 +97,7 @@ def _dense_solve(A, B, m) -> tuple[np.ndarray, np.ndarray]:
 def _shift_invert_solve(A, B, m, lu) -> tuple[np.ndarray, np.ndarray, int]:
     n = A.shape[0]
     if m >= n:
-        raise InputError(f"the iterative solver needs fewer than {n} pairs, got {m}")
+        raise InputError(f"the shift-invert solver needs fewer than {n} pairs, got {m}")
     solves = 0
 
     def apply_inverse(x):
@@ -137,45 +116,32 @@ def _shift_invert_solve(A, B, m, lu) -> tuple[np.ndarray, np.ndarray, int]:
     return w, X, solves
 
 
-def solve_smallest(A, B, m: int, tol: float = 1e-10,
-                   method: str = "auto", lu=None) -> EigenPairs:
+def solve_smallest(A, B, m: int, tol: float = 1e-10, lu=None) -> EigenPairs:
     """Compute the m smallest eigenpairs of A x = lambda B x (A, B SPD).
 
-    ``method`` is one of ``dense``, ``iterative``, ``auto`` (see
-    ``resolve_method``).  The iterative route uses ``lu``, a
-    ``factorize(A)`` the caller already holds, or factorizes A itself, and
-    raises ConvergenceError if any relative residual exceeds ``tol``.
+    A and B are sparse.  ``lu`` is a ``factorize(A)`` the caller already
+    holds; without it, A is factorized here.  Raises ConvergenceError if
+    any relative residual exceeds ``tol``.
     """
-    A = _as_operator(A)
-    B = _as_operator(B)
+    A, B = sp.csr_matrix(A), sp.csr_matrix(B)
     _check_pencil(A, B, m)
-    method = resolve_method(A.shape[0], method)
-
-    if method == "dense":
-        w, X = _dense_solve(A, B, m)
-        res = _residuals(A, B, w, X)
-        iterations = 0
-    else:
-        A, B = sp.csr_matrix(A), sp.csr_matrix(B)
-        w, X, iterations = _shift_invert_solve(
-            A, B, m, lu if lu is not None else factorize(A))
-        res = _residuals(A, B, w, X)
-        if np.any(res > tol):
-            raise ConvergenceError(
-                f"shift-invert Lanczos residual {res.max():.3e} exceeds {tol:.1e}",
-                residuals=res)
+    w, X, iterations = _shift_invert_solve(
+        A, B, m, lu if lu is not None else factorize(A))
+    res = _residuals(A, B, w, X)
+    if np.any(res > tol):
+        raise ConvergenceError(
+            f"shift-invert Lanczos residual {res.max():.3e} exceeds {tol:.1e}",
+            residuals=res)
     return EigenPairs(eigenvalues=w, vectors=X, residuals=res,
-                      method=method, iterations=iterations)
+                      method="iterative", iterations=iterations)
 
 
 def full_spectrum(A, B) -> EigenPairs:
     """Complete B-orthonormal eigenbasis (dense only, n <= 3000)."""
-    A = _as_operator(A)
-    B = _as_operator(B)
     _check_pencil(A, B, 1)
     n = A.shape[0]
     if n > DENSE_LIMIT:
         raise InputError(f"full spectrum limited to n <= {DENSE_LIMIT}, got {n}")
-    w, X = _dense_solve(A, B, n)
+    w, X = _dense_solve(A, B)
     return EigenPairs(eigenvalues=w, vectors=X,
                       residuals=_residuals(A, B, w, X), method="dense", iterations=0)

@@ -89,13 +89,10 @@ def build_space(mesh: LinearSurfaceMesh, pmap: ParametricMap, k: int) -> FeSpace
 class AssembledForms:
     """The sparse symmetric penalized forms A and B."""
 
-    space: FeSpace
-    pmap: ParametricMap
     surface: Sphere
     A: sp.csr_matrix
     B: sp.csr_matrix
     eta: float
-    h: float
     quad_degree: int
     normal_map: ParametricMap  # degree-(k_g + 1) lift for the penalty normal
 
@@ -237,9 +234,8 @@ def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
         raise GeometryError("assembled B has non-positive diagonal entries")
     # b~ + k_b = I_3 (x) M because P_h + n_h n_h^T = I
     B = sp.kron(sp.identity(3), M, format="csr")
-    return AssembledForms(space=space, pmap=pmap, surface=surface, A=A, B=B,
-                          eta=eta, h=h, quad_degree=quad_degree,
-                          normal_map=normal_map)
+    return AssembledForms(surface=surface, A=A, B=B, eta=eta,
+                          quad_degree=quad_degree, normal_map=normal_map)
 
 
 def _node_positions(space: FeSpace, pmap: ParametricMap) -> np.ndarray:

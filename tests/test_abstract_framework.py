@@ -112,9 +112,6 @@ class TestMonteCarloOracle:
         inst, q = self.inst, self.q
         Z = inst.extended_eigvecs(3)
         pairs = [
-            (inst.A_tilde - inst.A_e, Z, inst.G_a, q.alpha_h1),
-            (inst.K_a, Z, inst.G_a, q.alpha_h2),
-            (inst.B_tilde - inst.B_e, Z, inst.G_b, q.beta_h1),
             (inst.G_a - inst.A_e, Z, inst.G_a, q.alpha_h),
             (inst.G_b - inst.B_e, Z, inst.G_b, q.beta_h),
         ]

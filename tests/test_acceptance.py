@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from veclap import cli
 from veclap.abstract_framework import compute_quantities, rembest_instance, sweep
 from veclap.analysis import eoc
-from veclap.eigensolve import solve_smallest
+from veclap.eigensolve import full_spectrum, solve_smallest
 from veclap.runtime import THREADS_ENV
 
 from helpers import level_seconds, records_for, run_level
@@ -44,7 +44,7 @@ class TestCriterion1ExactSpectrum:
 
 class TestCriterion2EigenvalueRateLinear:
     def test_k1_kg1_rates(self):
-        recs = records_for(1, 1, (1, 2, 3, 4))
+        recs = records_for(1, 1, (2, 3, 4))
         r1 = last_eoc(recs, lambda r: r.errors[0])
         r4 = last_eoc(recs, lambda r: r.errors[3])
         ok = 1.7 <= r1 <= 2.5 and 1.7 <= r4 <= 2.5
@@ -53,7 +53,7 @@ class TestCriterion2EigenvalueRateLinear:
 
 class TestCriterion3EigenvalueRateQuadratic:
     def test_k2_kg2_rate(self):
-        recs = records_for(2, 2, (1, 2, 3))
+        recs = records_for(2, 2, (2, 3))
         r4 = last_eoc(recs, lambda r: r.errors[3])
         report(3, r4 >= 2.8, f"EOC(|l4-2|)={r4:.2f} (required >= 2.8)")
 
@@ -141,10 +141,9 @@ class TestCriterion9SolverOracle:
             r = rng.standard_normal((n, n))
             B = r @ r.T + n * np.eye(n)
             m = int(rng.integers(2, 9))
-            dense = solve_smallest(A, B, m, method="dense")
-            it = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), m,
-                                method="iterative")
-            rel = np.abs(dense.eigenvalues - it.eigenvalues) / dense.eigenvalues
+            dense = full_spectrum(A, B).eigenvalues[:m]
+            it = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), m)
+            rel = np.abs(dense - it.eigenvalues) / dense
             orth = np.abs(it.vectors.T @ B @ it.vectors - np.eye(m)).max()
             worst_val = max(worst_val, rel.max())
             worst_orth = max(worst_orth, orth)
@@ -155,7 +154,7 @@ class TestCriterion9SolverOracle:
 
 class TestCriterion10Determinism:
     def test_csv_bytes_across_thread_counts(self, tmp_path):
-        args = ["converge", "--k", "1", "--kg", "1", "--levels", "1..3",
+        args = ["converge", "--k", "1", "--kg", "1", "--levels", "2..4",
                 "--num-eigs", "6", "--fields", "all"]
         old = os.environ.get(THREADS_ENV)
         try:

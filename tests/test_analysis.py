@@ -25,12 +25,16 @@ from veclap.analysis import (
 )
 from veclap.eigensolve import full_spectrum, solve_smallest
 from veclap.errors import InputError
-from veclap.fem import assemble, build_space, extended_pairings, interpolate
+from veclap.fem import _node_positions, assemble, build_space, extended_pairings, interpolate
 from veclap.geometry import KillingField, Sphere
 from veclap.mesh import icosphere, mesh_size, parametric_lift
 
 S = Sphere()
 KF = KillingField("z", S)
+
+
+def no_assembly(*args, **kwargs):
+    raise AssertionError("assembled a level of an invalid study")
 
 
 class TestExactEigenvalues:
@@ -46,12 +50,51 @@ class TestExactEigenvalues:
             exact_sphere_eigenvalues(7)
 
     def test_config_beyond_reference_fails_before_assembly(self, monkeypatch):
-        def no_assembly(*args, **kwargs):
-            raise AssertionError("assembled a level of an invalid study")
-
         monkeypatch.setattr(analysis, "assemble", no_assembly)
         with pytest.raises(InputError, match="reference"):
             StudyConfig(k=1, k_g=1, levels=(1,), num_eigs=7)
+
+
+def normal_shares(eta_coeff: float) -> np.ndarray:
+    """Nodal normal share sum (u.n)^2 / sum |u|^2 of every pair of the full
+    discrete spectrum at (k, k_g, level) = (2, 2, 1)."""
+    mesh = icosphere(1, S, jitter=0.3, seed=0)
+    pmap = parametric_lift(mesh, 2, S)
+    space = build_space(mesh, pmap, 2)
+    forms = assemble(space, pmap, S, eta_coeff=eta_coeff)
+    pairs = full_spectrum(forms.A, forms.B)
+    x = _node_positions(space, pmap)
+    n = x / np.linalg.norm(x, axis=1, keepdims=True)
+    u = pairs.vectors.reshape(3, space.n_scalar, -1)   # component-blocked
+    u_n = np.einsum("cpm,pc->pm", u, n)
+    return (u_n**2).sum(axis=0) / (u**2).sum(axis=(0, 1))
+
+
+class TestPenaltyFloor:
+    def test_default_eta_fails_at_level_1_before_assembly(self, monkeypatch):
+        # eta_h = 1 / h^2 = 1.47 < 1.25 x 2; the smallest passing coefficient
+        # is 1.25 x 2 x h^2 = 1.697, rounded up
+        monkeypatch.setattr(analysis, "assemble", no_assembly)
+        with pytest.raises(InputError, match=r"level 1: .*--eta 1\.698"):
+            convergence_study(StudyConfig(k=2, k_g=2, levels=(1,)))
+
+    def test_passing_eta_gives_second_cluster(self):
+        rec, = convergence_study(StudyConfig(k=2, k_g=2, levels=(1,), eta_coeff=4.0,
+                                             fields=()))
+        assert np.all((rec.eigenvalues[3:6] >= 1.99) & (rec.eigenvalues[3:6] <= 2.01))
+
+    def test_floor_scales_with_request(self):
+        # three pairs need only 1.25 x 1, which level 1 meets at eta_coeff = 1
+        rec, = convergence_study(StudyConfig(k=1, k_g=1, levels=(1,), num_eigs=3,
+                                             fields=()))
+        assert rec.eigenvalues.shape == (3,)
+
+    def test_rejected_level_has_normal_modes(self):
+        # below the floor, pairs 4-6 are the penalty's normal modes; above
+        # it, the first six pairs are tangential
+        low = normal_shares(1.0)
+        assert low[:3].max() <= 0.01 and low[3:6].min() >= 0.99
+        assert normal_shares(4.0)[:6].max() <= 0.01
 
 
 class TestClusterWindow:
@@ -159,7 +202,7 @@ class TestEoc:
 
 @pytest.fixture(scope="module")
 def study():
-    cfg = StudyConfig(k=1, k_g=1, levels=(1, 2, 3), num_eigs=6)
+    cfg = StudyConfig(k=1, k_g=1, levels=(1, 2, 3), num_eigs=6, eta_coeff=4.0)
     return convergence_study(cfg)
 
 
@@ -211,16 +254,17 @@ class TestConvergenceStudy:
         monkeypatch.setattr(spla, "splu", counting_splu)
         monkeypatch.setattr(analysis, "extended_pairings", counting_pairings)
         cfg = StudyConfig(k=1, k_g=1, levels=(1,), fields=("z", "x", "y"),
-                          method="iterative")
+                          eta_coeff=4.0)
         rec, = convergence_study(cfg)
-        assert rec.solver_method == "iterative" and len(rec.fields) == 3
+        assert len(rec.fields) == 3
         assert len(calls) == 1
         assert len(passes) == 1
 
-    def test_dense_guard(self):
-        cfg = StudyConfig(k=2, k_g=1, levels=(4,), method="dense")
-        with pytest.raises(InputError):
-            convergence_study(cfg)
+    def test_size_guard_before_assembly(self, monkeypatch):
+        # (3,3,5) has 276,486 DOFs, above ITERATIVE_DOF_LIMIT
+        monkeypatch.setattr(analysis, "assemble", no_assembly)
+        with pytest.raises(InputError, match="DOF guard"):
+            convergence_study(StudyConfig(k=3, k_g=3, levels=(5,)))
 
     def test_rows_and_csv(self, study):
         rows = records_to_rows(study)

@@ -43,7 +43,7 @@ class TestParsing:
 
 class TestSolve:
     def test_prints_positive_eigenvalues(self, capsys):
-        code = cli.main(["solve", "--level", "0", "--k", "1", "--kg", "1",
+        code = cli.main(["solve", "--level", "2", "--k", "1", "--kg", "1",
                          "--num-eigs", "6"])
         assert code == 0
         out = capsys.readouterr().out
@@ -73,13 +73,30 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             cli.main(command + ["--k", "1", "--kg", "1", "--radius", "2"])
         assert exc.value.code == 2
+        # one eigensolver route: there is no solver choice either
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--k", "1", "--kg", "1", "--method", "iterative"])
+        assert exc.value.code == 2
+
+    def test_penalty_floor_exits_2_before_assembly(self, monkeypatch, capsys):
+        # at level 1, eta = 1 / h^2 = 1.47 lies below 1.25 x lambda_6 = 2.5
+        args = ["solve", "--level", "1", "--k", "2", "--kg", "2"]
+
+        def no_assembly(*a, **kw):
+            raise AssertionError("assembled a level below the penalty floor")
+
+        monkeypatch.setattr(analysis, "assemble", no_assembly)
+        assert cli.main(args) == 2
+        assert "--eta" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert cli.main(args + ["--eta", "4"]) == 0
 
 
 class TestConverge:
     def test_csv_lambda1_tends_to_one(self, tmp_path, capsys):
         out = tmp_path / "study.csv"
         code = cli.main(["converge", "--k", "1", "--kg", "1", "--levels",
-                         "1..3", "--num-eigs", "6", "--out", str(out)])
+                         "1..3", "--num-eigs", "6", "--eta", "4", "--out", str(out)])
         assert code == 0
         rows = read_csv_rows(out)
         j1 = [r for r in rows if r["j"] == "1"]
@@ -91,7 +108,7 @@ class TestConverge:
         mesh_dir = tmp_path / "meshes"
         mat_dir = tmp_path / "mats"
         code = cli.main(["converge", "--k", "1", "--kg", "1", "--levels",
-                         "0..1", "--num-eigs", "3",
+                         "0..1", "--num-eigs", "3", "--eta", "4",
                          "--out", str(tmp_path / "s.csv"),
                          "--export-mesh", str(mesh_dir),
                          "--export-matrices", str(mat_dir)])
@@ -105,7 +122,7 @@ class TestConverge:
 
     def test_determinism_across_thread_counts(self, tmp_path):
         args = ["converge", "--k", "1", "--kg", "1", "--levels", "1..3",
-                "--num-eigs", "6", "--fields", "all"]
+                "--num-eigs", "6", "--fields", "all", "--eta", "4"]
         old = os.environ.get(THREADS_ENV)
         try:
             os.environ[THREADS_ENV] = "1"

@@ -1,4 +1,4 @@
-"""Generalized symmetric eigensolver: dense oracle, iterative path, guards."""
+"""Generalized symmetric eigensolver: dense oracle, shift-invert route, guards."""
 
 import functools
 
@@ -22,17 +22,17 @@ def random_spd_pencil(rng, n, spread=50.0):
 
 class TestDense:
     def test_diagonal_problem(self):
-        ep = solve_smallest(np.diag([3.0, 1.0, 2.0]), np.eye(3), 2, method="dense")
-        np.testing.assert_allclose(ep.eigenvalues, [1.0, 2.0], atol=1e-14)
+        ep = full_spectrum(np.diag([3.0, 1.0, 2.0]), np.eye(3))
+        np.testing.assert_allclose(ep.eigenvalues[:2], [1.0, 2.0], atol=1e-14)
         # eigenvectors are signed coordinate vectors
-        np.testing.assert_allclose(np.abs(ep.vectors),
+        np.testing.assert_allclose(np.abs(ep.vectors[:, :2]),
                                    [[0, 0], [1, 0], [0, 1]], atol=1e-14)
 
     def test_identity_pencil(self):
         rng = np.random.default_rng(1)
         A, _ = random_spd_pencil(rng, 12)
-        ep = solve_smallest(A, A.copy(), 3, method="dense")
-        np.testing.assert_allclose(ep.eigenvalues, 1.0, atol=1e-12)
+        ep = full_spectrum(A, A.copy())
+        np.testing.assert_allclose(ep.eigenvalues[:3], 1.0, atol=1e-12)
 
     def test_two_by_two(self):
         ep = full_spectrum(np.array([[2.0, 0.0], [0.0, 8.0]]), 2.0 * np.eye(2))
@@ -40,7 +40,7 @@ class TestDense:
 
     def test_b_not_spd(self):
         with pytest.raises(InputError):
-            solve_smallest(np.eye(3), np.diag([1.0, -1.0, 1.0]), 1, method="dense")
+            full_spectrum(np.eye(3), np.diag([1.0, -1.0, 1.0]))
 
     def test_shape_mismatch(self):
         with pytest.raises(InputError):
@@ -94,15 +94,9 @@ class TestIterative:
             n = int(rng.integers(30, 120))
             A, B = random_spd_pencil(rng, n)
             m = int(rng.integers(2, 8))
-            dense = solve_smallest(A, B, m, method="dense")
-            # m < n: the dense route computes only the m requested pairs
-            full = full_spectrum(A, B).eigenvalues[:m]
-            assert (np.abs(dense.eigenvalues - full) / full).max() <= 1e-12
-            gram = dense.vectors.T @ B @ dense.vectors
-            assert np.abs(gram - np.eye(m)).max() <= 1e-10
-            it = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), m,
-                                method="iterative")
-            rel = np.abs(dense.eigenvalues - it.eigenvalues) / dense.eigenvalues
+            dense = full_spectrum(A, B).eigenvalues[:m]
+            it = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), m)
+            rel = np.abs(dense - it.eigenvalues) / dense
             assert rel.max() <= 1e-9
             gram = it.vectors.T @ B @ it.vectors
             assert np.abs(gram - np.eye(m)).max() <= 1e-9
@@ -110,8 +104,7 @@ class TestIterative:
     def test_residual_contract(self):
         rng = np.random.default_rng(9)
         A, B = random_spd_pencil(rng, 80)
-        ep = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 4,
-                            tol=1e-11, method="iterative")
+        ep = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 4, tol=1e-11)
         assert ep.residuals.max() <= 1e-11
         assert ep.method == "iterative" and ep.iterations > 0
 
@@ -119,8 +112,7 @@ class TestIterative:
         # X^T B X = I and X^T A X = diag(lambda) within 1e-8 scaled
         rng = np.random.default_rng(14)
         A, B = random_spd_pencil(rng, 90)
-        ep = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 5,
-                            method="iterative")
+        ep = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 5)
         m = ep.m
         assert np.abs(ep.vectors.T @ B @ ep.vectors - np.eye(m)).max() <= 1e-8
         diag_dev = np.abs(ep.vectors.T @ A @ ep.vectors
@@ -130,8 +122,8 @@ class TestIterative:
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(10)
         A, B = random_spd_pencil(rng, 60)
-        e1 = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 3, method="iterative")
-        e2 = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 3, method="iterative")
+        e1 = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 3)
+        e2 = solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 3)
         np.testing.assert_array_equal(e1.eigenvalues, e2.eigenvalues)
         np.testing.assert_array_equal(e1.vectors, e2.vectors)
 
@@ -141,8 +133,7 @@ class TestIterative:
         rng = np.random.default_rng(11)
         A, B = random_spd_pencil(rng, 100)
         with pytest.raises(ConvergenceError) as err:
-            solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 5,
-                           tol=1e-14, method="iterative")
+            solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 5, tol=1e-14)
         assert isinstance(err.value.__cause__, spla.ArpackNoConvergence)
         assert err.value.residuals is not None
 
@@ -151,22 +142,16 @@ class TestIterative:
         rng = np.random.default_rng(11)
         A, B = random_spd_pencil(rng, 100)
         with pytest.raises(ConvergenceError) as err:
-            solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 5,
-                           tol=0.0, method="iterative")
+            solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 5, tol=0.0)
         assert err.value.residuals.shape == (5,)
 
 
 class TestInvariants:
-    def test_auto_method_switch(self):
-        rng = np.random.default_rng(12)
-        A, B = random_spd_pencil(rng, 20)
-        assert solve_smallest(A, B, 2, method="auto").method == "dense"
-
     def test_scaling_invariance(self):
         rng = np.random.default_rng(13)
         A, B = random_spd_pencil(rng, 50)
-        base = solve_smallest(A, B, 4, method="dense")
-        scaled = solve_smallest(3.7 * A, 3.7 * B, 4, method="dense")
+        base = solve_smallest(A, B, 4)
+        scaled = solve_smallest(3.7 * A, 3.7 * B, 4)
         rel = np.abs(base.eigenvalues - scaled.eigenvalues) / base.eigenvalues
         assert rel.max() <= 1e-12
 
@@ -197,7 +182,7 @@ class TestInvariants:
         pmap = parametric_lift(mesh, 2, s)
         space = build_space(mesh, pmap, 1)
         forms = assemble(space, pmap, s)
-        dense = solve_smallest(forms.A, forms.B, 6, method="dense")
-        it = solve_smallest(forms.A, forms.B, 6, method="iterative")
-        rel = np.abs(dense.eigenvalues - it.eigenvalues) / dense.eigenvalues
+        dense = full_spectrum(forms.A, forms.B).eigenvalues[:6]
+        it = solve_smallest(forms.A, forms.B, 6)
+        rel = np.abs(dense - it.eigenvalues) / dense
         assert rel.max() <= 1e-8
