@@ -22,9 +22,14 @@ the lifted point:
         + tr(H^2) m_i m_j n_h[c] n_h[d]
 
 which follows from expanding E_T(u) = sym(P_h grad(u) P_h) - (u.n_h) H.
+
+Analytic extended fields are paired with the basis in the same quadrature:
+``assemble(..., fields=...)`` builds the point data of each element chunk
+once and computes the local matrices and the pairings of every field from
+it, and ``extended_pairings`` runs the same per-chunk kernel on its own.
 The element loop runs over fixed-size chunks merged in chunk order, so the
-assembled triplets (and therefore the CSR matrices) are bitwise independent
-of the worker-thread count.
+assembled triplets (and therefore the CSR matrices and the pairings) are
+bitwise independent of the worker-thread count.
 """
 
 from __future__ import annotations
@@ -86,8 +91,27 @@ def build_space(mesh: LinearSurfaceMesh, pmap: ParametricMap, k: int) -> FeSpace
 
 
 @dataclass(frozen=True)
+class ExtendedPairings:
+    """Quadrature pairings of an analytic extended field with the FE basis.
+
+    ``a_vec[i] = a_h(u^e, phi_i)`` and ``b_vec[i] = b_h(u^e, phi_i)`` with the
+    penalized forms; ``r = a_vec - lam * b_vec`` is the defect functional
+    ``d_lam(u^e, .)`` on the space, and ``a_ee``/``b_ee`` are the diagonal
+    values ``a_h(u^e, u^e)``, ``b_h(u^e, u^e)``.
+    """
+
+    lam: float
+    r: np.ndarray
+    a_ee: float
+    b_ee: float
+    a_vec: np.ndarray
+    b_vec: np.ndarray
+
+
+@dataclass(frozen=True)
 class AssembledForms:
-    """The sparse symmetric penalized forms A and B."""
+    """The sparse symmetric penalized forms A and B, and the pairings (with
+    ``lam = 1``) of the fields requested from :func:`assemble`."""
 
     surface: Sphere
     A: sp.csr_matrix
@@ -95,6 +119,7 @@ class AssembledForms:
     eta: float
     quad_degree: int
     normal_map: ParametricMap  # degree-(k_g + 1) lift for the penalty normal
+    pairings: tuple[ExtendedPairings, ...] = ()
 
 
 class _PointData:
@@ -188,6 +213,42 @@ def _local_matrices(pd: _PointData, eta: float):
     return a_loc, m_loc
 
 
+def _field_pairings(pd: _PointData, fields, eta: float) -> list[tuple]:
+    """Per-element pairings of each field with the basis, in the order of
+    ``fields``: ``(a_el, b_el, a_ee, b_ee)`` with ``a_el``/``b_el`` of shape
+    (ne, nk, 3) and the chunk's share of the diagonal values."""
+    ne, nq, nk, _ = pd.grads.shape
+    wmu = (pd.w * pd.mu)[..., None]                       # (ne, nq, 1)
+    g = pd.grads.transpose(0, 2, 1, 3).reshape(ne, nk, nq * 3)
+    H = pd.H  # same lifted-point Weingarten approximation as the assembly
+    out = []
+    for fld in fields:
+        # value and ambient Jacobian of the extension at the Gamma_h points
+        u = fld.value(pd.x)
+        grad_t = pd.P @ fld.extension_jacobian(pd.x) @ pd.P
+        uN = np.sum(u * pd.n, axis=-1)
+        W = (0.5 * (grad_t + np.swapaxes(grad_t, -1, -2))
+             - uN[..., None, None] * H)                     # E_T of the field
+        Pu = (pd.P @ u[..., None])[..., 0]
+        un_t = np.sum(u * pd.n_tilde, axis=-1)
+        trWH = np.sum(W * H, axis=(-2, -1))
+
+        # tr(W S_jd) = (P_h W g_j)[d] - m_j n_h[d] tr(W H), plus the
+        # tangential mass and the penalty, all paired with phi_j e_d
+        PW = np.swapaxes(wmu[..., None] * (pd.P @ W), -1, -2)
+        a_el = g @ PW.reshape(ne, nq * 3, 3)
+        a_el += pd.basis.T @ (wmu * (Pu + eta * un_t[..., None] * pd.n_tilde
+                                     - trWH[..., None] * pd.n))
+        # b-pairing integrand reduces to u itself: P_h u (P_h .) + u_N (n_h .)
+        b_el = pd.basis.T @ (wmu * u)
+        a_ee = float(np.sum(wmu[..., 0] * (np.sum(W * W, axis=(-2, -1))
+                                           + np.sum(Pu * Pu, axis=-1)
+                                           + eta * un_t * un_t)))
+        b_ee = float(np.sum(wmu * u * u))
+        out.append((a_el, b_el, a_ee, b_ee))
+    return out
+
+
 def _chunks(n_items: int, size: int = _CHUNK):
     for start in range(0, n_items, size):
         yield np.arange(start, min(start + size, n_items))
@@ -195,18 +256,44 @@ def _chunks(n_items: int, size: int = _CHUNK):
 
 def _scatter(blocks: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
     """The n x n sum of element blocks (ne, p, p) placed at dofs (ne, p)."""
+    # in the CSR index dtype, so scipy does not copy the index triplets
+    dofs = dofs.astype(np.int32 if n < 2**31 else np.int64)
     rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
     cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def _gather_pairings(per_chunk, lam: float, space: FeSpace) -> list[ExtendedPairings]:
+    """Sum the chunks' :func:`_field_pairings`, in chunk order, per field."""
+    conn = space.numbering.connectivity
+    dofs = space.vector_dof(np.arange(3), conn[:, :, None]).ravel()
+
+    def scatter(blocks):
+        return np.bincount(dofs, np.concatenate([x.ravel() for x in blocks]),
+                           minlength=space.n_dofs)
+
+    pairings = []
+    for per_field in zip(*per_chunk):
+        a_el, b_el, a_ee, b_ee = zip(*per_field)
+        a_vec, b_vec = scatter(a_el), scatter(b_el)
+        pairings.append(ExtendedPairings(lam=lam, r=a_vec - lam * b_vec,
+                                         a_ee=sum(a_ee), b_ee=sum(b_ee),
+                                         a_vec=a_vec, b_vec=b_vec))
+    return pairings
+
+
 def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
-             eta_coeff: float = 1.0, quad_degree: int | None = None) -> AssembledForms:
-    """Assemble ``A = a~ + k_a`` and ``B = I_3 (x) M``, M the scalar mass.
+             eta_coeff: float = 1.0, quad_degree: int | None = None,
+             fields=()) -> AssembledForms:
+    """Assemble ``A = a~ + k_a`` and ``B = I_3 (x) M``, M the scalar mass,
+    and pair each of ``fields`` against the basis in the same element pass.
 
     The penalty term uses the unit normal of the degree-``k_g + 1``
     parametric lift as its improved normal, which carries the generic
-    one-order-better accuracy.
+    one-order-better accuracy.  ``fields`` are as in
+    :func:`extended_pairings`; their pairings, with ``lam = 1``, are
+    ``AssembledForms.pairings`` in the order of ``fields``, and equal
+    ``extended_pairings(fields, 1.0, ...)`` bit for bit.
     """
     min_degree = 2 * (space.degree + pmap.degree)
     if quad_degree is None:
@@ -220,22 +307,45 @@ def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
     eta = eta_coeff / h**2
 
     def work(elements):
-        return _local_matrices(
-            _PointData(space, pmap, surface, elements, rule, normal_map), eta)
+        pd = _PointData(space, pmap, surface, elements, rule, normal_map)
+        return _local_matrices(pd, eta) + (_field_pairings(pd, fields, eta),)
 
     results = map_ordered(work, _chunks(space.mesh.n_triangles))
     conn = space.numbering.connectivity
     ne, nk = conn.shape
     vdofs = space.vector_dof(np.arange(3), conn[:, :, None]).reshape(ne, 3 * nk)
-    A = _scatter(np.concatenate([a for a, _ in results]).reshape(ne, 3 * nk, 3 * nk),
+    A = _scatter(np.concatenate([a for a, _, _ in results]).reshape(ne, 3 * nk, 3 * nk),
                  vdofs, space.n_dofs)
-    M = _scatter(np.concatenate([m for _, m in results]), conn, space.n_scalar)
+    M = _scatter(np.concatenate([m for _, m, _ in results]), conn, space.n_scalar)
     if np.any(M.diagonal() <= 0.0):
         raise GeometryError("assembled B has non-positive diagonal entries")
     # b~ + k_b = I_3 (x) M because P_h + n_h n_h^T = I
     B = sp.kron(sp.identity(3), M, format="csr")
+    pairings = _gather_pairings([p for _, _, p in results], 1.0, space)
     return AssembledForms(surface=surface, A=A, B=B, eta=eta,
-                          quad_degree=quad_degree, normal_map=normal_map)
+                          quad_degree=quad_degree, normal_map=normal_map,
+                          pairings=tuple(pairings))
+
+
+def extended_pairings(fields, lam: float, space: FeSpace, pmap: ParametricMap,
+                      forms: AssembledForms) -> list[ExtendedPairings]:
+    """Pair extended fields (value + ambient Jacobian) against the basis.
+
+    Each of ``fields`` must provide ``value(x)`` and
+    ``extension_jacobian(x)`` for batched points, e.g. a
+    :class:`~veclap.geometry.KillingField`.  One pass over the elements
+    pairs all of them; the result is in the order of ``fields``.  It runs
+    the per-chunk kernel of ``assemble(..., fields=...)`` on its own, for
+    fields not known at assembly time or another ``lam``.
+    """
+    rule = triangle_rule(forms.quad_degree)
+
+    def work(elements):
+        pd = _PointData(space, pmap, forms.surface, elements, rule, forms.normal_map)
+        return _field_pairings(pd, fields, forms.eta)
+
+    return _gather_pairings(map_ordered(work, _chunks(space.mesh.n_triangles)),
+                            lam, space)
 
 
 def _node_positions(space: FeSpace, pmap: ParametricMap) -> np.ndarray:
@@ -267,87 +377,6 @@ def interpolate(field, space: FeSpace, pmap: ParametricMap,
     for c in range(3):
         coeff[c * space.n_scalar:(c + 1) * space.n_scalar] = values[:, c]
     return coeff
-
-
-@dataclass(frozen=True)
-class ExtendedPairings:
-    """Quadrature pairings of an analytic extended field with the FE basis.
-
-    ``a_vec[i] = a_h(u^e, phi_i)`` and ``b_vec[i] = b_h(u^e, phi_i)`` with the
-    penalized forms; ``r = a_vec - lam * b_vec`` is the defect functional
-    ``d_lam(u^e, .)`` on the space, and ``a_ee``/``b_ee`` are the diagonal
-    values ``a_h(u^e, u^e)``, ``b_h(u^e, u^e)``.
-    """
-
-    lam: float
-    r: np.ndarray
-    a_ee: float
-    b_ee: float
-    a_vec: np.ndarray
-    b_vec: np.ndarray
-
-
-def extended_pairings(fields, lam: float, space: FeSpace, pmap: ParametricMap,
-                      forms: AssembledForms) -> list[ExtendedPairings]:
-    """Pair extended fields (value + ambient Jacobian) against the basis.
-
-    Each of ``fields`` must provide ``value(x)`` and
-    ``extension_jacobian(x)`` for batched points, e.g. a
-    :class:`~veclap.geometry.KillingField`.  One pass over the elements
-    pairs all of them; the result is in the order of ``fields``.
-    """
-    rule = triangle_rule(forms.quad_degree)
-    eta = forms.eta
-
-    def work(elements):
-        pd = _PointData(space, pmap, forms.surface, elements, rule, forms.normal_map)
-        ne, nq, nk, _ = pd.grads.shape
-        wmu = (pd.w * pd.mu)[..., None]                       # (ne, nq, 1)
-        g = pd.grads.transpose(0, 2, 1, 3).reshape(ne, nk, nq * 3)
-        H = pd.H  # same lifted-point Weingarten approximation as the assembly
-        out = []
-        for fld in fields:
-            # value and ambient Jacobian of the extension at the Gamma_h points
-            u = fld.value(pd.x)
-            grad_t = pd.P @ fld.extension_jacobian(pd.x) @ pd.P
-            uN = np.sum(u * pd.n, axis=-1)
-            W = (0.5 * (grad_t + np.swapaxes(grad_t, -1, -2))
-                 - uN[..., None, None] * H)                     # E_T of the field
-            Pu = (pd.P @ u[..., None])[..., 0]
-            un_t = np.sum(u * pd.n_tilde, axis=-1)
-            trWH = np.sum(W * H, axis=(-2, -1))
-
-            # tr(W S_jd) = (P_h W g_j)[d] - m_j n_h[d] tr(W H), plus the
-            # tangential mass and the penalty, all paired with phi_j e_d
-            PW = np.swapaxes(wmu[..., None] * (pd.P @ W), -1, -2)
-            a_el = g @ PW.reshape(ne, nq * 3, 3)
-            a_el += pd.basis.T @ (wmu * (Pu + eta * un_t[..., None] * pd.n_tilde
-                                         - trWH[..., None] * pd.n))
-            # b-pairing integrand reduces to u itself: P_h u (P_h .) + u_N (n_h .)
-            b_el = pd.basis.T @ (wmu * u)
-            a_ee = float(np.sum(wmu[..., 0] * (np.sum(W * W, axis=(-2, -1))
-                                               + np.sum(Pu * Pu, axis=-1)
-                                               + eta * un_t * un_t)))
-            b_ee = float(np.sum(wmu * u * u))
-            out.append((a_el, b_el, a_ee, b_ee))
-        return out
-
-    results = map_ordered(work, _chunks(space.mesh.n_triangles))
-    conn = space.numbering.connectivity
-    dofs = space.vector_dof(np.arange(3), conn[:, :, None]).ravel()
-
-    def scatter(per_chunk):
-        return np.bincount(dofs, np.concatenate([x.ravel() for x in per_chunk]),
-                           minlength=space.n_dofs)
-
-    pairings = []
-    for f in range(len(fields)):
-        a_el, b_el, a_ee, b_ee = zip(*(chunk[f] for chunk in results))
-        a_vec, b_vec = scatter(a_el), scatter(b_el)
-        pairings.append(ExtendedPairings(lam=lam, r=a_vec - lam * b_vec,
-                                         a_ee=sum(a_ee), b_ee=sum(b_ee),
-                                         a_vec=a_vec, b_vec=b_vec))
-    return pairings
 
 
 def write_matrix_market(matrix: sp.spmatrix, path, comment: str = "") -> None:

@@ -64,6 +64,11 @@ class ParametricMap:
     numbering: NodeNumbering
     coeffs: np.ndarray  # (n_nodes, 3) lifted node positions
 
+    def _element_coeffs(self, elements) -> np.ndarray:
+        """Node coefficients of each element as rows, shape (ne * 3, nl)."""
+        c = self.coeffs[self.numbering.connectivity[np.atleast_1d(elements)]]
+        return c.transpose(0, 2, 1).reshape(-1, c.shape[1])
+
     def evaluate(self, elements, ref_points) -> np.ndarray:
         """Map reference points to the curved surface.
 
@@ -76,17 +81,18 @@ class ParametricMap:
         -------
         (ne, nq, 3) array of physical points on Gamma_h.
         """
-        ref = reference_triangle(self.degree)
-        phi = ref.eval_basis(np.atleast_2d(ref_points))
-        c = self.coeffs[self.numbering.connectivity[np.atleast_1d(elements)]]
-        return np.einsum("ql,elc->eqc", phi, c)
+        phi = reference_triangle(self.degree).eval_basis(np.atleast_2d(ref_points))
+        # one GEMM: (ne * 3, nl) @ (nl, nq); contiguous, as field kernels reuse it
+        x = self._element_coeffs(elements) @ phi.T
+        return np.ascontiguousarray(x.reshape(-1, 3, phi.shape[0]).transpose(0, 2, 1))
 
     def jacobians(self, elements, ref_points) -> np.ndarray:
-        """Jacobians of the map, shape (ne, nq, 3, 2)."""
-        ref = reference_triangle(self.degree)
-        grads = ref.eval_grads(np.atleast_2d(ref_points))
-        c = self.coeffs[self.numbering.connectivity[np.atleast_1d(elements)]]
-        return np.einsum("qlr,elc->eqcr", grads, c)
+        """Jacobians of the map, shape (ne, nq, 3, 2) (a strided view)."""
+        grads = reference_triangle(self.degree).eval_grads(np.atleast_2d(ref_points))
+        nq, nl, _ = grads.shape
+        # one GEMM: (ne * 3, nl) @ (nl, nq * 2)
+        jac = self._element_coeffs(elements) @ grads.transpose(1, 0, 2).reshape(nl, nq * 2)
+        return jac.reshape(-1, 3, nq, 2).transpose(0, 2, 1, 3)
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,11 @@
 """Per-term einsum reference for the FEM kernels, used only by the tests.
 
 These are the straightforward element integrands of ``veclap.fem`` written
-one term at a time: the point data, the four local form parts
-(``a~``, ``k_a``, ``b~``, ``k_b``) and the pairing of one extended field
-with the basis.  ``veclap.fem`` computes the same sums as batched matrix
-products; the tests compare the two.  The MatrixMarket writer is here as a
+one term at a time: the parametric map's points and Jacobians, the point
+data, the four local form parts (``a~``, ``k_a``, ``b~``, ``k_b``) and the
+pairing of one extended field with the basis.  ``veclap.mesh`` and
+``veclap.fem`` compute the same sums as (batched) matrix products; the
+tests compare the two.  The MatrixMarket writer is here as a
 plain per-entry loop, whose bytes the vectorized writer must reproduce.
 """
 
@@ -16,6 +17,22 @@ import scipy.sparse as sp
 from veclap.lagrange import reference_triangle
 
 
+def _element_coeffs(pmap, elements):
+    return pmap.coeffs[pmap.numbering.connectivity[np.atleast_1d(elements)]]
+
+
+def reference_evaluate(pmap, elements, ref_points):
+    """``ParametricMap.evaluate`` as one einsum: (ne, nq, 3)."""
+    phi = reference_triangle(pmap.degree).eval_basis(np.atleast_2d(ref_points))
+    return np.einsum("ql,elc->eqc", phi, _element_coeffs(pmap, elements))
+
+
+def reference_jacobians(pmap, elements, ref_points):
+    """``ParametricMap.jacobians`` as one einsum: (ne, nq, 3, 2)."""
+    grads = reference_triangle(pmap.degree).eval_grads(np.atleast_2d(ref_points))
+    return np.einsum("qlr,elc->eqcr", grads, _element_coeffs(pmap, elements))
+
+
 class ReferencePointData:
     """Per-(element, quadrature point) geometry, one einsum per quantity."""
 
@@ -24,8 +41,8 @@ class ReferencePointData:
         basis = ref_fe.eval_basis(rule.points)
         fe_grads = ref_fe.eval_grads(rule.points)
 
-        jac = pmap.jacobians(elements, rule.points)
-        x = pmap.evaluate(elements, rule.points)
+        jac = reference_jacobians(pmap, elements, rule.points)
+        x = reference_evaluate(pmap, elements, rule.points)
         cross = np.cross(jac[..., 0], jac[..., 1])
         mu = np.linalg.norm(cross, axis=-1)
         n = cross / mu[..., None]
@@ -42,7 +59,7 @@ class ReferencePointData:
         grads = np.einsum("eqcr,eqrs,qis->eqic", jac, ginv, fe_grads)
 
         p_lift = surface.closest_point(x)
-        jac_hi = normal_map.jacobians(elements, rule.points)
+        jac_hi = reference_jacobians(normal_map, elements, rule.points)
         cross_hi = np.cross(jac_hi[..., 0], jac_hi[..., 1])
         n_tilde = cross_hi / np.linalg.norm(cross_hi, axis=-1)[..., None]
         H = surface.weingarten(p_lift)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from veclap import analysis
+from veclap import analysis, fem
 from veclap.analysis import (
     CSV_COLUMNS,
     ClusterWindow,
@@ -237,28 +237,30 @@ class TestConvergenceStudy:
 
     def test_one_factorization_per_level(self, monkeypatch):
         # the iterative eigensolve and the three dual norms share one factor,
-        # and one pass over the elements pairs all three fields
+        # and one pass over the elements assembles the forms and pairs all
+        # three fields: one point-data build per element chunk
         calls = []
-        passes = []
+        builds = []
         splu = spla.splu
-        pair = analysis.extended_pairings
 
         def counting_splu(*args, **kwargs):
             calls.append(1)
             return splu(*args, **kwargs)
 
-        def counting_pairings(*args, **kwargs):
-            passes.append(1)
-            return pair(*args, **kwargs)
+        class CountingPointData(fem._PointData):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(spla, "splu", counting_splu)
-        monkeypatch.setattr(analysis, "extended_pairings", counting_pairings)
-        cfg = StudyConfig(k=1, k_g=1, levels=(1,), fields=("z", "x", "y"),
+        monkeypatch.setattr(fem, "_PointData", CountingPointData)
+        cfg = StudyConfig(k=1, k_g=1, levels=(3,), fields=("z", "x", "y"),
                           eta_coeff=4.0)
         rec, = convergence_study(cfg)
         assert len(rec.fields) == 3
         assert len(calls) == 1
-        assert len(passes) == 1
+        n_triangles = icosphere(3, S).n_triangles      # 1280: five chunks
+        assert len(builds) == math.ceil(n_triangles / fem._CHUNK) == 5
 
     def test_size_guard_before_assembly(self, monkeypatch):
         # (3,3,5) has 276,486 DOFs, above ITERATIVE_DOF_LIMIT

@@ -47,6 +47,14 @@ def penalty(space, pmap, forms):
     return assemble(space, pmap, S, eta_coeff=2.0).A - forms.A
 
 
+def assert_same_pairings(p, q):
+    """``p`` and ``q`` are bitwise equal."""
+    assert p.lam == q.lam
+    for name in ("r", "a_vec", "b_vec"):
+        np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+    assert p.a_ee == q.a_ee and p.b_ee == q.b_ee
+
+
 class ZeroField:
     def value(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -136,16 +144,17 @@ class TestAssemble:
         assert np.abs(diff).max() <= 1e-13 * np.abs(3.0 * k_a).max()
 
     def test_thread_count_does_not_change_bits(self):
-        # level 2 has two element chunks, so four threads run them at once
+        # level 2 has two element chunks, so four threads run them at once;
+        # the fused pass pairs the fields, and the standalone pass again
         fields = [KillingField(axis, S) for axis in "zxy"]
         old = os.environ.get(THREADS_ENV)
         try:
             os.environ[THREADS_ENV] = "1"
-            s1, p1, f1 = setup_forms(2, 2, 2, jitter=0.3)
-            e1 = extended_pairings(fields, 1.0, s1, p1, f1)
+            s1, p1, f1 = setup_forms(2, 2, 2, jitter=0.3, fields=fields)
+            e1 = extended_pairings(fields, 1.0, s1, p1, f1) + list(f1.pairings)
             os.environ[THREADS_ENV] = "4"
-            s4, p4, f4 = setup_forms(2, 2, 2, jitter=0.3)
-            e4 = extended_pairings(fields, 1.0, s4, p4, f4)
+            s4, p4, f4 = setup_forms(2, 2, 2, jitter=0.3, fields=fields)
+            e4 = extended_pairings(fields, 1.0, s4, p4, f4) + list(f4.pairings)
         finally:
             if old is None:
                 os.environ.pop(THREADS_ENV, None)
@@ -155,10 +164,12 @@ class TestAssemble:
             np.testing.assert_array_equal(a.data, b.data)
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_array_equal(a.indptr, b.indptr)
+        assert len(e1) == 6
         for p1_, p4_ in zip(e1, e4, strict=True):
-            np.testing.assert_array_equal(p1_.a_vec, p4_.a_vec)
-            np.testing.assert_array_equal(p1_.b_vec, p4_.b_vec)
-            assert p1_.a_ee == p4_.a_ee and p1_.b_ee == p4_.b_ee
+            assert_same_pairings(p1_, p4_)
+
+    def test_no_fields_no_pairings(self):
+        assert setup_forms(1, 1, 0)[2].pairings == ()
 
 
 def _all_elements(space, forms):
@@ -206,6 +217,13 @@ class TestAgainstReference:
             single, = extended_pairings([fld], 1.0, space, pmap, forms)
             np.testing.assert_array_equal(single.r, ep.r)
             assert (single.a_ee, single.b_ee) == (ep.a_ee, ep.b_ee)
+
+    def test_fused_pairings_match_standalone(self, k):
+        fields = [KillingField(axis, S) for axis in "zxy"]
+        space, pmap, forms = setup_forms(k, k, 1, jitter=0.3, fields=fields)
+        standalone = extended_pairings(fields, 1.0, space, pmap, forms)
+        for fused, alone in zip(forms.pairings, standalone, strict=True):
+            assert_same_pairings(fused, alone)
 
 
 class TestSpectralProperties:

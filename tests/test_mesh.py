@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from fem_reference import reference_evaluate, reference_jacobians
 
 from veclap.analysis import eoc
 from veclap.errors import GeometryError, InputError
@@ -145,6 +146,29 @@ class TestParametricLift:
         a2 = surface_area(parametric_lift(m, 2, S), 10)
         four_pi = 4.0 * math.pi
         assert abs(a2 - four_pi) < abs(a1 - four_pi)
+
+
+@pytest.mark.parametrize("kg", [1, 2, 3, 4])
+class TestMapAgainstReference:
+    """The map's single-GEMM points and Jacobians against the einsum reference."""
+
+    def test_evaluate_and_jacobians(self, kg):
+        pm = parametric_lift(icosphere(1, S, jitter=0.3), kg, S)
+        elements = np.arange(pm.mesh.n_triangles)
+        pts = triangle_rule(4 * kg).points  # the assembly's rule at k = k_g
+        pairs = ((pm.evaluate(elements, pts), reference_evaluate(pm, elements, pts)),
+                 (pm.jacobians(elements, pts), reference_jacobians(pm, elements, pts)))
+        for new, ref in pairs:
+            assert new.shape == ref.shape
+            assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_surface_area(self, kg):
+        pm = parametric_lift(icosphere(1, S, jitter=0.3), kg, S)
+        rule = triangle_rule(2 * kg + 8)
+        jac = reference_jacobians(pm, np.arange(pm.mesh.n_triangles), rule.points)
+        mu = np.linalg.norm(np.cross(jac[..., 0], jac[..., 1]), axis=-1)
+        ref = float(np.einsum("q,eq->", rule.weights, mu))
+        assert surface_area(pm, 2 * kg + 8) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def point_data(pm, elements):
