@@ -1,6 +1,8 @@
 """Convergence diagnostics: eigenvalue errors and orders, eigenvector
-projection errors against the Killing fields, defect dual norms, gap
-parameters, and the area-error study, with a CSV export of everything.
+projection errors against the Killing fields, gap parameters, and the
+area-error study, with a CSV export of everything a study measures.
+``defect_dual_norm`` evaluates the dual norm of a defect functional; no
+study level computes it.
 
 The reference spectrum is the unit sphere's: the eigenvalue 1 with
 multiplicity 3 (the rotational Killing fields) followed by the eigenvalue 2
@@ -56,7 +58,8 @@ def exact_sphere_eigenvalues(m: int) -> np.ndarray:
     """First m exact eigenvalues of the shifted operator on the unit sphere."""
     if not (1 <= m <= len(_REFERENCE)):
         raise InputError(
-            f"no reference value beyond index {len(_REFERENCE)} (requested {m})")
+            f"the number of eigenvalues must be in [1, {len(_REFERENCE)}] (the "
+            f"reference spectrum has {len(_REFERENCE)} values), got {m}")
     return np.array(_REFERENCE[:m])
 
 
@@ -127,17 +130,16 @@ def eigenvector_error(window: ClusterWindow, pairs: EigenPairs,
                             energy_sq_raw=float(e_sq), l2_sq_raw=float(l_sq))
 
 
-def defect_dual_norm(r, A, lu=None) -> float:
+def defect_dual_norm(r, A) -> float:
     """Dual norm of a defect functional over the discrete space.
 
-    Computes sqrt(r^T A^-1 r) with one SPD solve; equivalent to the
-    root-sum-square of the functional over an a_h-orthonormal eigenbasis.
-    ``lu`` is a ``factorize(A)`` to reuse: a convergence level passes the
-    factor its eigensolve used, so A is factorized once per level.  Without
-    it, A is factorized here.
+    Computes sqrt(r^T A^-1 r) with one factorization of A and one SPD
+    solve; equivalent to the root-sum-square of the functional over an
+    a_h-orthonormal eigenbasis.  For a field's pairings ``ep``, the defect
+    ``d_lam(u^e, .)`` is ``r = ep.a_vec - lam * ep.b_vec``.
     """
     r = np.asarray(r, dtype=float)
-    x = (lu if lu is not None else factorize(A)).solve(r)
+    x = factorize(A).solve(r)
     return math.sqrt(max(float(r @ x), 0.0))
 
 
@@ -146,14 +148,6 @@ def eoc(err_coarse: float, err_fine: float, h_coarse: float, h_fine: float) -> f
     if err_coarse <= 0.0 or err_fine <= 0.0:
         return math.nan
     return math.log(err_coarse / err_fine) / math.log(h_coarse / h_fine)
-
-
-@dataclass
-class FieldErrors:
-    axis: str
-    energy: float
-    l2: float
-    defect_dual: float
 
 
 @dataclass
@@ -168,7 +162,7 @@ class ConvergenceRecord:
     errors: np.ndarray
     area: float
     area_error: float
-    fields: list[FieldErrors] = field(default_factory=list)
+    fields: list[EigenvectorError] = field(default_factory=list)  # per requested field
 
 
 @dataclass(frozen=True)
@@ -197,8 +191,7 @@ class StudyConfig:
     mesh_seed: int = 0
 
     def __post_init__(self):
-        if list(self.levels) != sorted(self.levels):
-            raise InputError("levels must be ascending")
+        _check_levels(self.levels)
         if not (1 <= self.k <= 4 and 1 <= self.k_g <= 4):
             raise InputError("k and k_g must be in [1, 4]")
         for axis in self.fields:
@@ -206,6 +199,14 @@ class StudyConfig:
                 raise InputError(f"unknown Killing field axis {axis!r}")
         # reject a request beyond the reference spectrum before any meshing
         exact_sphere_eigenvalues(self.num_eigs)
+
+
+def _check_levels(levels) -> None:
+    """Reject levels that are not strictly ascending, before any meshing:
+    an EOC needs two distinct mesh sizes."""
+    levels = list(levels)
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise InputError(f"levels must be strictly ascending, got {levels}")
 
 
 def _area_degree(k_g: int) -> int:
@@ -246,23 +247,16 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
                      fields=[KillingField(axis, surface) for axis in cfg.fields])
     if on_assembled is not None:
         on_assembled(level, mesh, forms)
-    # one factor of A serves the eigensolve and every dual norm
-    lu = factorize(forms.A)
-    pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs, tol=cfg.tol, lu=lu)
+    pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs, tol=cfg.tol)
     area = surface_area(pmap, _area_degree(cfg.k_g))
     exact_area = 4.0 * math.pi
-
-    rec = ConvergenceRecord(
+    window = ClusterWindow(*KILLING_WINDOW)
+    return ConvergenceRecord(
         level=level, h=h, ndof=space.n_dofs,
         eigenvalues=pairs.eigenvalues, exact=exact,
         errors=np.abs(pairs.eigenvalues - exact),
-        area=area, area_error=abs(area - exact_area))
-    window = ClusterWindow(*KILLING_WINDOW)
-    for axis, ep in zip(cfg.fields, forms.pairings, strict=True):
-        ev = eigenvector_error(window, pairs, forms, ep)
-        rec.fields.append(FieldErrors(axis=axis, energy=ev.energy, l2=ev.l2,
-                                      defect_dual=defect_dual_norm(ep.r, forms.A, lu)))
-    return rec
+        area=area, area_error=abs(area - exact_area),
+        fields=[eigenvector_error(window, pairs, forms, ep) for ep in forms.pairings])
 
 
 def convergence_study(cfg: StudyConfig, on_assembled=None) -> list[ConvergenceRecord]:
@@ -281,8 +275,7 @@ def area_study(k_g: int, levels, surface: Sphere | None = None,
                mesh_seed: int = 0) -> list[ConvergenceRecord]:
     """Area-error-only records (no assembly or solve)."""
     surface = surface if surface is not None else Sphere()
-    if list(levels) != sorted(levels):
-        raise InputError("levels must be ascending")
+    _check_levels(levels)
     degree = quad_degree if quad_degree is not None else _area_degree(k_g)
     exact_area = 4.0 * math.pi * surface.radius**2
     records = []

@@ -11,11 +11,9 @@ is the oracle of the tests.
 
 ``factorize`` builds that factor with a symmetric fill-reducing ordering
 (minimum degree on A + A^T) and diagonal pivots; elimination without
-pivoting is stable because A is SPD.  A caller that also needs A^-1
-elsewhere passes the same factor to ``solve_smallest``, so A is factorized
-once.  Both return B-orthonormal eigenvectors sorted ascending.  The
-Lanczos start vector is a fixed function of the problem size, so repeated
-solves are bitwise reproducible.
+pivoting is stable because A is SPD.  Both solvers return B-orthonormal
+eigenvectors sorted ascending.  The Lanczos start vector is a fixed
+function of the problem size, so repeated solves are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -116,17 +114,15 @@ def _shift_invert_solve(A, B, m, lu) -> tuple[np.ndarray, np.ndarray, int]:
     return w, X, solves
 
 
-def solve_smallest(A, B, m: int, tol: float = 1e-10, lu=None) -> EigenPairs:
+def solve_smallest(A, B, m: int, tol: float = 1e-10) -> EigenPairs:
     """Compute the m smallest eigenpairs of A x = lambda B x (A, B SPD).
 
-    A and B are sparse.  ``lu`` is a ``factorize(A)`` the caller already
-    holds; without it, A is factorized here.  Raises ConvergenceError if
-    any relative residual exceeds ``tol``.
+    A and B are sparse; A is factorized once, here.  Raises
+    ConvergenceError if any relative residual exceeds ``tol``.
     """
     A, B = sp.csr_matrix(A), sp.csr_matrix(B)
     _check_pencil(A, B, m)
-    w, X, iterations = _shift_invert_solve(
-        A, B, m, lu if lu is not None else factorize(A))
+    w, X, iterations = _shift_invert_solve(A, B, m, factorize(A))
     res = _residuals(A, B, w, X)
     if np.any(res > tol):
         raise ConvergenceError(

@@ -95,13 +95,11 @@ class ExtendedPairings:
     """Quadrature pairings of an analytic extended field with the FE basis.
 
     ``a_vec[i] = a_h(u^e, phi_i)`` and ``b_vec[i] = b_h(u^e, phi_i)`` with the
-    penalized forms; ``r = a_vec - lam * b_vec`` is the defect functional
-    ``d_lam(u^e, .)`` on the space, and ``a_ee``/``b_ee`` are the diagonal
-    values ``a_h(u^e, u^e)``, ``b_h(u^e, u^e)``.
+    penalized forms, and ``a_ee``/``b_ee`` are the diagonal values
+    ``a_h(u^e, u^e)``, ``b_h(u^e, u^e)``.  The defect functional
+    ``d_lam(u^e, .)`` on the space is ``a_vec - lam * b_vec``.
     """
 
-    lam: float
-    r: np.ndarray
     a_ee: float
     b_ee: float
     a_vec: np.ndarray
@@ -110,8 +108,8 @@ class ExtendedPairings:
 
 @dataclass(frozen=True)
 class AssembledForms:
-    """The sparse symmetric penalized forms A and B, and the pairings (with
-    ``lam = 1``) of the fields requested from :func:`assemble`."""
+    """The sparse symmetric penalized forms A and B, and the pairings of the
+    fields requested from :func:`assemble`."""
 
     surface: Sphere
     A: sp.csr_matrix
@@ -263,7 +261,7 @@ def _scatter(blocks: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _gather_pairings(per_chunk, lam: float, space: FeSpace) -> list[ExtendedPairings]:
+def _gather_pairings(per_chunk, space: FeSpace) -> list[ExtendedPairings]:
     """Sum the chunks' :func:`_field_pairings`, in chunk order, per field."""
     conn = space.numbering.connectivity
     dofs = space.vector_dof(np.arange(3), conn[:, :, None]).ravel()
@@ -275,10 +273,8 @@ def _gather_pairings(per_chunk, lam: float, space: FeSpace) -> list[ExtendedPair
     pairings = []
     for per_field in zip(*per_chunk):
         a_el, b_el, a_ee, b_ee = zip(*per_field)
-        a_vec, b_vec = scatter(a_el), scatter(b_el)
-        pairings.append(ExtendedPairings(lam=lam, r=a_vec - lam * b_vec,
-                                         a_ee=sum(a_ee), b_ee=sum(b_ee),
-                                         a_vec=a_vec, b_vec=b_vec))
+        pairings.append(ExtendedPairings(a_ee=sum(a_ee), b_ee=sum(b_ee),
+                                         a_vec=scatter(a_el), b_vec=scatter(b_el)))
     return pairings
 
 
@@ -291,9 +287,9 @@ def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
     The penalty term uses the unit normal of the degree-``k_g + 1``
     parametric lift as its improved normal, which carries the generic
     one-order-better accuracy.  ``fields`` are as in
-    :func:`extended_pairings`; their pairings, with ``lam = 1``, are
+    :func:`extended_pairings`; their pairings are
     ``AssembledForms.pairings`` in the order of ``fields``, and equal
-    ``extended_pairings(fields, 1.0, ...)`` bit for bit.
+    ``extended_pairings(fields, ...)`` bit for bit.
     """
     min_degree = 2 * (space.degree + pmap.degree)
     if quad_degree is None:
@@ -321,13 +317,13 @@ def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
         raise GeometryError("assembled B has non-positive diagonal entries")
     # b~ + k_b = I_3 (x) M because P_h + n_h n_h^T = I
     B = sp.kron(sp.identity(3), M, format="csr")
-    pairings = _gather_pairings([p for _, _, p in results], 1.0, space)
+    pairings = _gather_pairings([p for _, _, p in results], space)
     return AssembledForms(surface=surface, A=A, B=B, eta=eta,
                           quad_degree=quad_degree, normal_map=normal_map,
                           pairings=tuple(pairings))
 
 
-def extended_pairings(fields, lam: float, space: FeSpace, pmap: ParametricMap,
+def extended_pairings(fields, space: FeSpace, pmap: ParametricMap,
                       forms: AssembledForms) -> list[ExtendedPairings]:
     """Pair extended fields (value + ambient Jacobian) against the basis.
 
@@ -336,7 +332,7 @@ def extended_pairings(fields, lam: float, space: FeSpace, pmap: ParametricMap,
     :class:`~veclap.geometry.KillingField`.  One pass over the elements
     pairs all of them; the result is in the order of ``fields``.  It runs
     the per-chunk kernel of ``assemble(..., fields=...)`` on its own, for
-    fields not known at assembly time or another ``lam``.
+    fields not known at assembly time.
     """
     rule = triangle_rule(forms.quad_degree)
 
@@ -345,7 +341,7 @@ def extended_pairings(fields, lam: float, space: FeSpace, pmap: ParametricMap,
         return _field_pairings(pd, fields, forms.eta)
 
     return _gather_pairings(map_ordered(work, _chunks(space.mesh.n_triangles)),
-                            lam, space)
+                            space)
 
 
 def _node_positions(space: FeSpace, pmap: ParametricMap) -> np.ndarray:

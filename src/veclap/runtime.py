@@ -1,8 +1,9 @@
 """Worker-thread configuration.
 
-The element loops are data-parallel over fixed-size chunks; the environment
-variable ``VECLAP_THREADS`` sets how many chunks run concurrently.  Results
-are merged in chunk order, so output bytes do not depend on the setting.
+The element loops (over fixed-size chunks) and the levels of a convergence
+study are data-parallel; the environment variable ``VECLAP_THREADS`` sets
+how many items run concurrently.  Results are merged in item order, so
+output bytes do not depend on the setting.
 """
 
 from __future__ import annotations

@@ -4,11 +4,13 @@ identities, hypothesis gating, and seeded sweeps."""
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from veclap import abstract_framework
 from veclap.abstract_framework import (
     InstanceSpec,
     compute_quantities,
@@ -19,6 +21,7 @@ from veclap.abstract_framework import (
     write_jsonl,
 )
 from veclap.errors import InputError
+from veclap.runtime import THREADS_ENV
 
 
 class TestRembest:
@@ -228,3 +231,19 @@ class TestSweeps:
     def test_mode_guard(self):
         with pytest.raises(InputError):
             sweep(1, 0, "bogus")
+
+    def test_instances_run_in_order_on_the_calling_thread(self, monkeypatch):
+        # each instance is small GIL-bound LAPACK work, so the sweep ignores
+        # the worker-thread setting
+        monkeypatch.setenv(THREADS_ENV, "4")
+        seen = []
+        verify = abstract_framework.verify_bounds
+
+        def recording_verify(inst):
+            seen.append((inst.seed, threading.get_ident()))
+            return verify(inst)
+
+        monkeypatch.setattr(abstract_framework, "verify_bounds", recording_verify)
+        reports = sweep(3, 77, "exact")
+        assert [r.seed for r in reports] == [77, 78, 79]
+        assert seen == [(seed, threading.get_ident()) for seed in (77, 78, 79)]

@@ -148,8 +148,8 @@ class TestDefectDualNorm:
             pmap = parametric_lift(mesh, 2, S)
             space = build_space(mesh, pmap, 2)
             forms = assemble(space, pmap, S)
-            ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
-            errs.append(defect_dual_norm(ep.r, forms.A))
+            ep = extended_pairings([KF], space, pmap, forms)[0]
+            errs.append(defect_dual_norm(ep.a_vec - ep.b_vec, forms.A))
             hs.append(mesh_size(mesh))
         rate = eoc(errs[-2], errs[-1], hs[-2], hs[-1])
         assert rate >= 2.0 - 0.3
@@ -162,7 +162,7 @@ class TestEigenvectorError:
         space = build_space(mesh, pmap, 1)
         forms = assemble(space, pmap, S)
         pairs = solve_smallest(forms.A, forms.B, 3)
-        ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
+        ep = extended_pairings([KF], space, pmap, forms)[0]
         with pytest.raises(InputError):
             eigenvector_error(ClusterWindow(50.0, 60.0), pairs, forms, ep)
 
@@ -174,7 +174,7 @@ class TestEigenvectorError:
         space = build_space(mesh, pmap, 1)
         forms = assemble(space, pmap, S)
         pairs = full_spectrum(forms.A, forms.B)
-        ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
+        ep = extended_pairings([KF], space, pmap, forms)[0]
         ev = eigenvector_error(ClusterWindow(0.0, math.inf), pairs, forms, ep)
         x = interpolate(KF.value, space, pmap, S)
         interp_sq = ep.a_ee - 2.0 * (ep.a_vec @ x) + x @ (forms.A @ x)
@@ -186,7 +186,7 @@ class TestEigenvectorError:
         space = build_space(mesh, pmap, 1)
         forms = assemble(space, pmap, S)
         pairs = solve_smallest(forms.A, forms.B, 6)
-        ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
+        ep = extended_pairings([KF], space, pmap, forms)[0]
         ev = eigenvector_error(ClusterWindow(0.0, 1.5), pairs, forms, ep)
         assert ev.energy_sq_raw >= -1e-9 * ep.a_ee
         assert ev.l2_sq_raw >= -1e-9 * ep.b_ee
@@ -236,9 +236,12 @@ class TestConvergenceStudy:
             StudyConfig(k=1, k_g=1, levels=(3, 1))
 
     def test_one_factorization_per_level(self, monkeypatch):
-        # the iterative eigensolve and the three dual norms share one factor,
-        # and one pass over the elements assembles the forms and pairs all
-        # three fields: one point-data build per element chunk
+        # a level computes no defect dual norm, so the eigensolve's factor is
+        # the only one; one pass over the elements assembles the forms and
+        # pairs all three fields: one point-data build per element chunk
+        def no_dual_norm(*args, **kwargs):
+            raise AssertionError("a study level computed a defect dual norm")
+
         calls = []
         builds = []
         splu = spla.splu
@@ -252,6 +255,7 @@ class TestConvergenceStudy:
                 builds.append(1)
                 super().__init__(*args, **kwargs)
 
+        monkeypatch.setattr(analysis, "defect_dual_norm", no_dual_norm)
         monkeypatch.setattr(spla, "splu", counting_splu)
         monkeypatch.setattr(fem, "_PointData", CountingPointData)
         cfg = StudyConfig(k=1, k_g=1, levels=(3,), fields=("z", "x", "y"),

@@ -6,9 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from veclap import analysis, cli
+from veclap import abstract_framework, analysis, cli
 from veclap.errors import NumericalError
 from veclap.runtime import THREADS_ENV
+
+
+def no_meshing(*args, **kwargs):
+    raise AssertionError("meshed a level of an invalid study")
 
 
 def read_csv_rows(path):
@@ -63,6 +67,12 @@ class TestSolve:
         assert cli.main(["solve", "--level", "3", "--k", "2", "--kg", "2",
                          "--num-eigs", "7"]) == 2
         assert "reference" in capsys.readouterr().err
+
+    def test_num_eigs_zero_names_the_valid_range(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(["solve", "--level", "2", "--k", "1", "--kg", "1",
+                         "--num-eigs", "0"]) == 2
+        assert "[1, 6]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["solve", "--level", "1"],
@@ -136,6 +146,18 @@ class TestConverge:
                 os.environ[THREADS_ENV] = old
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", [
+        ["converge", "--k", "1", "--kg", "1", "--levels", "2,2"],
+        ["converge", "--k", "1", "--kg", "1", "--levels", "3,2"],
+        ["area", "--kg", "1", "--levels", "1,1"],
+    ], ids=["converge-repeated", "converge-descending", "area-repeated"])
+    def test_levels_not_strictly_ascending_exit_2_before_meshing(
+            self, command, monkeypatch, capsys):
+        # a repeated level has no EOC against itself
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(command) == 2
+        assert "strictly ascending" in capsys.readouterr().err
+
     def test_repeat_run_byte_identical(self, tmp_path):
         args = ["area", "--kg", "2", "--levels", "1..3"]
         assert cli.main(args + ["--out", str(tmp_path / "a.csv")]) == 0
@@ -184,6 +206,17 @@ class TestAbstract:
         assert cli.main(["abstract", "--trials", "1", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert out.count("\n") >= 10
+
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_2(self, trials, monkeypatch, capsys):
+        def no_instance(*args, **kwargs):
+            raise AssertionError("built an instance of an empty sweep")
+
+        monkeypatch.setattr(abstract_framework, "make_instance", no_instance)
+        assert cli.main(["abstract", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trials" in captured.err
 
 
 class TestExitCodes:

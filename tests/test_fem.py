@@ -49,8 +49,7 @@ def penalty(space, pmap, forms):
 
 def assert_same_pairings(p, q):
     """``p`` and ``q`` are bitwise equal."""
-    assert p.lam == q.lam
-    for name in ("r", "a_vec", "b_vec"):
+    for name in ("a_vec", "b_vec"):
         np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
     assert p.a_ee == q.a_ee and p.b_ee == q.b_ee
 
@@ -151,10 +150,10 @@ class TestAssemble:
         try:
             os.environ[THREADS_ENV] = "1"
             s1, p1, f1 = setup_forms(2, 2, 2, jitter=0.3, fields=fields)
-            e1 = extended_pairings(fields, 1.0, s1, p1, f1) + list(f1.pairings)
+            e1 = extended_pairings(fields, s1, p1, f1) + list(f1.pairings)
             os.environ[THREADS_ENV] = "4"
             s4, p4, f4 = setup_forms(2, 2, 2, jitter=0.3, fields=fields)
-            e4 = extended_pairings(fields, 1.0, s4, p4, f4) + list(f4.pairings)
+            e4 = extended_pairings(fields, s4, p4, f4) + list(f4.pairings)
         finally:
             if old is None:
                 os.environ.pop(THREADS_ENV, None)
@@ -206,7 +205,7 @@ class TestAgainstReference:
         space, pmap, forms = setup_forms(k, k, 1, jitter=0.3)
         elements, rule = _all_elements(space, forms)
         fields = [KillingField(axis, S) for axis in "zxy"]
-        pairings = extended_pairings(fields, 1.0, space, pmap, forms)
+        pairings = extended_pairings(fields, space, pmap, forms)
         for fld, ep in zip(fields, pairings, strict=True):
             a_vec, b_vec, a_ee, b_ee = reference_pairings(
                 fld, space, pmap, forms, rule, elements)
@@ -214,14 +213,13 @@ class TestAgainstReference:
                 assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
             assert ep.a_ee == pytest.approx(a_ee, rel=1e-13, abs=0.0)
             assert ep.b_ee == pytest.approx(b_ee, rel=1e-13, abs=0.0)
-            single, = extended_pairings([fld], 1.0, space, pmap, forms)
-            np.testing.assert_array_equal(single.r, ep.r)
-            assert (single.a_ee, single.b_ee) == (ep.a_ee, ep.b_ee)
+            single, = extended_pairings([fld], space, pmap, forms)
+            assert_same_pairings(single, ep)
 
     def test_fused_pairings_match_standalone(self, k):
         fields = [KillingField(axis, S) for axis in "zxy"]
         space, pmap, forms = setup_forms(k, k, 1, jitter=0.3, fields=fields)
-        standalone = extended_pairings(fields, 1.0, space, pmap, forms)
+        standalone = extended_pairings(fields, space, pmap, forms)
         for fused, alone in zip(forms.pairings, standalone, strict=True):
             assert_same_pairings(fused, alone)
 
@@ -262,7 +260,7 @@ class TestInterpolate:
         errs, hs = [], []
         for lvl in (2, 3, 4):
             space, pmap, forms = setup_forms(2, 1, lvl, jitter=0.3)
-            ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
+            ep = extended_pairings([KF], space, pmap, forms)[0]
             x = interpolate(KF.value, space, pmap, S)
             errs.append(math.sqrt(max(
                 ep.a_ee - 2.0 * (ep.a_vec @ x) + x @ (forms.A @ x), 0.0)))
@@ -275,7 +273,7 @@ class TestInterpolate:
         errs, hs = [], []
         for lvl in (2, 3, 4):
             space, pmap, forms = setup_forms(1, 1, lvl, jitter=0.3)
-            ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
+            ep = extended_pairings([KF], space, pmap, forms)[0]
             x = interpolate(KF.value, space, pmap, S)
             errs.append(math.sqrt(max(
                 ep.b_ee - 2.0 * (ep.b_vec @ x) + x @ (forms.B @ x), 0.0)))
@@ -301,7 +299,7 @@ class TestExtendedPairings:
         errs_b, errs_a = [], []
         for lvl in (2, 3):
             space, pmap, forms = setup_forms(1, 1, lvl)
-            ep = extended_pairings([KF], 1.0, space, pmap, forms)[0]
+            ep = extended_pairings([KF], space, pmap, forms)[0]
             errs_b.append(abs(ep.b_ee - target))
             errs_a.append(abs(ep.a_ee - target))
         assert errs_b[1] < errs_b[0] and errs_a[1] < errs_a[0]
@@ -309,14 +307,9 @@ class TestExtendedPairings:
 
     def test_zero_field(self):
         space, pmap, forms = setup_forms(1, 1, 0)
-        ep = extended_pairings([ZeroField()], 1.0, space, pmap, forms)[0]
+        ep = extended_pairings([ZeroField()], space, pmap, forms)[0]
         assert ep.a_ee == 0.0 and ep.b_ee == 0.0
-        assert np.all(ep.a_vec == 0.0) and np.all(ep.r == 0.0)
-
-    def test_defect_is_a_minus_lambda_b(self):
-        space, pmap, forms = setup_forms(1, 1, 1)
-        ep = extended_pairings([KF], 2.5, space, pmap, forms)[0]
-        np.testing.assert_allclose(ep.r, ep.a_vec - 2.5 * ep.b_vec, atol=1e-15)
+        assert np.all(ep.a_vec == 0.0) and np.all(ep.b_vec == 0.0)
 
 
 def test_matrix_market_export(tmp_path):
