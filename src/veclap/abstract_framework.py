@@ -695,6 +695,8 @@ def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]
         raise InputError(f"mode must be 'exact' or 'perturbed', got {mode!r}")
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     reports = []
     for inst_seed in range(seed, seed + trials):
         spec = _sweep_spec(np.random.default_rng(inst_seed), mode)

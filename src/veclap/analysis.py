@@ -197,6 +197,9 @@ class StudyConfig:
         for axis in self.fields:
             if axis not in ("x", "y", "z"):
                 raise InputError(f"unknown Killing field axis {axis!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise InputError(f"tol must be a finite number above 0, got {self.tol}")
+        _check_seed(self.mesh_seed)
         # reject a request beyond the reference spectrum before any meshing
         exact_sphere_eigenvalues(self.num_eigs)
 
@@ -207,6 +210,11 @@ def _check_levels(levels) -> None:
     levels = list(levels)
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise InputError(f"levels must be strictly ascending, got {levels}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InputError(f"mesh seed must be non-negative, got {seed}")
 
 
 def _area_degree(k_g: int) -> int:
@@ -266,8 +274,8 @@ def convergence_study(cfg: StudyConfig, on_assembled=None) -> list[ConvergenceRe
     ``on_assembled(level, mesh, forms)`` hook fires once per level, which
     the CLI uses for mesh and matrix export.
     """
-    return map_ordered(lambda lvl: _run_level(cfg, lvl, on_assembled),
-                       cfg.levels)
+    return list(map_ordered(lambda lvl: _run_level(cfg, lvl, on_assembled),
+                            cfg.levels))
 
 
 def area_study(k_g: int, levels, surface: Sphere | None = None,
@@ -276,6 +284,7 @@ def area_study(k_g: int, levels, surface: Sphere | None = None,
     """Area-error-only records (no assembly or solve)."""
     surface = surface if surface is not None else Sphere()
     _check_levels(levels)
+    _check_seed(mesh_seed)
     degree = quad_degree if quad_degree is not None else _area_degree(k_g)
     exact_area = 4.0 * math.pi * surface.radius**2
     records = []

@@ -27,9 +27,14 @@ Analytic extended fields are paired with the basis in the same quadrature:
 ``assemble(..., fields=...)`` builds the point data of each element chunk
 once and computes the local matrices and the pairings of every field from
 it, and ``extended_pairings`` runs the same per-chunk kernel on its own.
-The element loop runs over fixed-size chunks merged in chunk order, so the
-assembled triplets (and therefore the CSR matrices and the pairings) are
-bitwise independent of the worker-thread count.
+
+The element loop keeps its memory bounded: a chunk's size is set by the
+element's largest temporary (at most 256 elements, fewer at high degree),
+and each chunk's blocks are added straight into the preallocated ``data``
+arrays of the CSR matrices, whose patterns come from the connectivity, as
+soon as the chunk is done.  Chunks are added in chunk order, and their
+size depends only on the element and the quadrature rule, so the matrices
+and the pairings are bitwise independent of the worker-thread count.
 """
 
 from __future__ import annotations
@@ -56,9 +61,6 @@ __all__ = [
     "extended_pairings",
     "write_matrix_market",
 ]
-
-_CHUNK = 256  # elements per work item; fixed so chunking never affects output
-
 
 @dataclass(frozen=True)
 class FeSpace:
@@ -247,35 +249,97 @@ def _field_pairings(pd: _PointData, fields, eta: float) -> list[tuple]:
     return out
 
 
-def _chunks(n_items: int, size: int = _CHUNK):
-    for start in range(0, n_items, size):
-        yield np.arange(start, min(start + size, n_items))
+def _chunk_size(nq: int, nk: int) -> int:
+    """Elements per work item of the element loop, for ``nq`` quadrature
+    points and ``nk`` basis functions.  It keeps the largest per-chunk
+    temporary, ``gdot`` of (size, nq, nk^2) doubles, under 8 MB, and depends
+    only on the element and the rule, never on the thread count."""
+    return min(256, 2**20 // (nq * nk * nk))
 
 
-def _scatter(blocks: np.ndarray, dofs: np.ndarray, n: int) -> sp.csr_matrix:
-    """The n x n sum of element blocks (ne, p, p) placed at dofs (ne, p)."""
-    # in the CSR index dtype, so scipy does not copy the index triplets
-    dofs = dofs.astype(np.int32 if n < 2**31 else np.int64)
-    rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+def _chunks(space: FeSpace, rule) -> list[np.ndarray]:
+    n = space.mesh.n_triangles
+    size = _chunk_size(rule.weights.size, space.numbering.connectivity.shape[1])
+    return [np.arange(start, min(start + size, n)) for start in range(0, n, size)]
 
 
-def _gather_pairings(per_chunk, space: FeSpace) -> list[ExtendedPairings]:
-    """Sum the chunks' :func:`_field_pairings`, in chunk order, per field."""
-    conn = space.numbering.connectivity
-    dofs = space.vector_dof(np.arange(3), conn[:, :, None]).ravel()
+def _add_at(target: np.ndarray, positions: np.ndarray, values: np.ndarray) -> None:
+    """``target[positions] += values`` with repeated positions summed, in
+    the C order of ``values``.  Raveled, because ``np.add.at`` has a fast
+    path for one-dimensional indices only (about 6x faster on a chunk)."""
+    np.add.at(target, positions.ravel(), values.ravel())
 
-    def scatter(blocks):
-        return np.bincount(dofs, np.concatenate([x.ravel() for x in blocks]),
-                           minlength=space.n_dofs)
 
-    pairings = []
-    for per_field in zip(*per_chunk):
-        a_el, b_el, a_ee, b_ee = zip(*per_field)
-        pairings.append(ExtendedPairings(a_ee=sum(a_ee), b_ee=sum(b_ee),
-                                         a_vec=scatter(a_el), b_vec=scatter(b_el)))
-    return pairings
+class _CsrPattern:
+    """CSR patterns of the scalar mass ``M`` and of ``A``, and the position
+    of every element block entry in their ``data`` arrays.
+
+    ``M`` holds one dense (nk, nk) block per element at its connectivity.
+    ``A`` is the 3 x 3 blocked copy of that pattern in the component-blocked
+    layout: row ``c * n + s`` holds the columns ``d * n + t``, t in row s of
+    ``M``, for d = 0, 1, 2 in turn.  Both have sorted indices and no
+    duplicates.
+    """
+
+    def __init__(self, conn: np.ndarray, n: int):
+        ne, nk = conn.shape
+        keys = (conn[:, :, None].astype(np.int64) * n + conn[:, None, :]).ravel()
+        keys, position = np.unique(keys, return_inverse=True)
+        nnz = keys.size
+        # in the CSR index dtype, so scipy keeps the arrays without a copy
+        idx = np.int32 if 9 * nnz < 2**31 else np.int64
+        rows = keys // n
+        self.conn = conn
+        self.position = position.reshape(ne, nk, nk)  # of entry (e, i, j) in M.data
+        self.m_indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.m_indptr[1:])
+        self.m_indices = (keys % n).astype(idx)
+        self.row_len = np.diff(self.m_indptr)
+        self.nnz = nnz
+        block_row = np.empty(3 * nnz, dtype=idx)  # block row c = 0 of A
+        for d in range(3):
+            block_row[self._a_position(np.arange(nnz), rows, 0, d)] = (
+                self.m_indices + d * n)
+        self.a_indices = np.tile(block_row, 3)
+        self.a_indptr = np.concatenate(
+            [c * 3 * nnz + 3 * self.m_indptr[:-1] for c in range(3)]
+            + [np.array([9 * nnz], dtype=idx)])
+
+    def _a_position(self, p, s, c, d):
+        """Position in ``A.data`` of entry ``p`` of ``M``, in row ``s``,
+        within block (c, d): row ``c * n + s`` of ``A`` starts at
+        ``3 c nnz + 3 indptr[s]`` and holds the d-th copy of row s next."""
+        return 3 * self.nnz * c + 2 * self.m_indptr[s] + self.row_len[s] * d + p
+
+    def a_positions(self, elements) -> np.ndarray:
+        """Positions in ``A.data`` of the elements' (ne, nk, 3, nk, 3) blocks."""
+        comp = np.arange(3)
+        return self._a_position(self.position[elements][:, :, None, :, None],
+                                self.conn[elements][:, :, None, None, None],
+                                comp[:, None, None], comp)
+
+
+class _PairingSums:
+    """The chunks' :func:`_field_pairings` summed per field, in the order
+    the chunks are added."""
+
+    def __init__(self, space: FeSpace, n_fields: int):
+        self.space = space
+        self.sums = [[np.zeros(space.n_dofs), np.zeros(space.n_dofs), 0.0, 0.0]
+                     for _ in range(n_fields)]
+
+    def add(self, elements, per_field) -> None:
+        conn = self.space.numbering.connectivity[elements]
+        dofs = self.space.vector_dof(np.arange(3), conn[:, :, None]).ravel()
+        for acc, (a_el, b_el, a_ee, b_ee) in zip(self.sums, per_field, strict=True):
+            _add_at(acc[0], dofs, a_el)
+            _add_at(acc[1], dofs, b_el)
+            acc[2] += a_ee
+            acc[3] += b_ee
+
+    def result(self) -> list[ExtendedPairings]:
+        return [ExtendedPairings(a_ee=a_ee, b_ee=b_ee, a_vec=a_vec, b_vec=b_vec)
+                for a_vec, b_vec, a_ee, b_ee in self.sums]
 
 
 def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
@@ -306,21 +370,25 @@ def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
         pd = _PointData(space, pmap, surface, elements, rule, normal_map)
         return _local_matrices(pd, eta) + (_field_pairings(pd, fields, eta),)
 
-    results = map_ordered(work, _chunks(space.mesh.n_triangles))
-    conn = space.numbering.connectivity
-    ne, nk = conn.shape
-    vdofs = space.vector_dof(np.arange(3), conn[:, :, None]).reshape(ne, 3 * nk)
-    A = _scatter(np.concatenate([a for a, _, _ in results]).reshape(ne, 3 * nk, 3 * nk),
-                 vdofs, space.n_dofs)
-    M = _scatter(np.concatenate([m for _, m, _ in results]), conn, space.n_scalar)
+    pattern = _CsrPattern(space.numbering.connectivity, space.n_scalar)
+    a_data = np.zeros(9 * pattern.nnz)
+    m_data = np.zeros(pattern.nnz)
+    pairings = _PairingSums(space, len(fields))
+    chunks = _chunks(space, rule)
+    for elements, (a_loc, m_loc, per_field) in zip(chunks, map_ordered(work, chunks)):
+        _add_at(a_data, pattern.a_positions(elements), a_loc)
+        _add_at(m_data, pattern.position[elements], m_loc)
+        pairings.add(elements, per_field)
+    n = space.n_scalar
+    A = sp.csr_matrix((a_data, pattern.a_indices, pattern.a_indptr), shape=(3 * n, 3 * n))
+    M = sp.csr_matrix((m_data, pattern.m_indices, pattern.m_indptr), shape=(n, n))
     if np.any(M.diagonal() <= 0.0):
         raise GeometryError("assembled B has non-positive diagonal entries")
     # b~ + k_b = I_3 (x) M because P_h + n_h n_h^T = I
     B = sp.kron(sp.identity(3), M, format="csr")
-    pairings = _gather_pairings([p for _, _, p in results], space)
     return AssembledForms(surface=surface, A=A, B=B, eta=eta,
                           quad_degree=quad_degree, normal_map=normal_map,
-                          pairings=tuple(pairings))
+                          pairings=tuple(pairings.result()))
 
 
 def extended_pairings(fields, space: FeSpace, pmap: ParametricMap,
@@ -340,8 +408,11 @@ def extended_pairings(fields, space: FeSpace, pmap: ParametricMap,
         pd = _PointData(space, pmap, forms.surface, elements, rule, forms.normal_map)
         return _field_pairings(pd, fields, forms.eta)
 
-    return _gather_pairings(map_ordered(work, _chunks(space.mesh.n_triangles)),
-                            space)
+    pairings = _PairingSums(space, len(fields))
+    chunks = _chunks(space, rule)
+    for elements, per_field in zip(chunks, map_ordered(work, chunks)):
+        pairings.add(elements, per_field)
+    return pairings.result()
 
 
 def _node_positions(space: FeSpace, pmap: ParametricMap) -> np.ndarray:

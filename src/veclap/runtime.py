@@ -1,6 +1,6 @@
 """Worker-thread configuration.
 
-The element loops (over fixed-size chunks) and the levels of a convergence
+The element loops (over element chunks) and the levels of a convergence
 study are data-parallel; the environment variable ``VECLAP_THREADS`` sets
 how many items run concurrently.  Results are merged in item order, so
 output bytes do not depend on the setting.
@@ -9,6 +9,7 @@ output bytes do not depend on the setting.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 THREADS_ENV = "VECLAP_THREADS"
@@ -24,10 +25,21 @@ def worker_count() -> int:
 
 
 def map_ordered(fn, items):
-    """Apply ``fn`` over ``items``, preserving order; threaded when configured."""
-    items = list(items)
+    """Apply ``fn`` over ``items`` and yield the results in order; threaded
+    when configured.
+
+    With n worker threads at most n items run or wait to be read at once,
+    so a consumer that reads each result as it comes holds only a few.
+    """
     n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+    if n <= 1:
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+        pending = deque()
+        for item in items:
+            if len(pending) == n:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()

@@ -5,8 +5,10 @@ one term at a time: the parametric map's points and Jacobians, the point
 data, the four local form parts (``a~``, ``k_a``, ``b~``, ``k_b``) and the
 pairing of one extended field with the basis.  ``veclap.mesh`` and
 ``veclap.fem`` compute the same sums as (batched) matrix products; the
-tests compare the two.  The MatrixMarket writer is here as a
-plain per-entry loop, whose bytes the vectorized writer must reproduce.
+tests compare the two.  The global matrices are summed here from COO
+triplets, against which the direct CSR accumulation of ``veclap.fem`` is
+checked.  The MatrixMarket writer is here as a plain per-entry loop, whose
+bytes the vectorized writer must reproduce.
 """
 
 from __future__ import annotations
@@ -138,6 +140,14 @@ def reference_pairings(field, space, pmap, forms, rule, elements):
     np.add.at(a_vec, dofs.ravel(), a_el.ravel())
     np.add.at(b_vec, dofs.ravel(), b_el.ravel())
     return a_vec, b_vec, a_ee, b_ee
+
+
+def reference_scatter(blocks, dofs, n):
+    """The n x n CSR sum of element blocks (ne, p, p) placed at dofs (ne, p),
+    through COO triplets."""
+    rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def reference_matrix_market_text(matrix, comment: str = "") -> str:

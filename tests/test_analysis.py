@@ -28,6 +28,7 @@ from veclap.errors import InputError
 from veclap.fem import _node_positions, assemble, build_space, extended_pairings, interpolate
 from veclap.geometry import KillingField, Sphere
 from veclap.mesh import icosphere, mesh_size, parametric_lift
+from veclap.quadrature import triangle_rule
 
 S = Sphere()
 KF = KillingField("z", S)
@@ -263,8 +264,10 @@ class TestConvergenceStudy:
         rec, = convergence_study(cfg)
         assert len(rec.fields) == 3
         assert len(calls) == 1
-        n_triangles = icosphere(3, S).n_triangles      # 1280: five chunks
-        assert len(builds) == math.ceil(n_triangles / fem._CHUNK) == 5
+        # 1280 triangles in chunks of 256 linear elements on the degree-4 rule
+        chunk = fem._chunk_size(triangle_rule(4).weights.size, 3)
+        n_triangles = icosphere(3, S).n_triangles
+        assert len(builds) == math.ceil(n_triangles / chunk) == 5
 
     def test_size_guard_before_assembly(self, monkeypatch):
         # (3,3,5) has 276,486 DOFs, above ITERATIVE_DOF_LIMIT

@@ -101,6 +101,14 @@ class TestSolve:
         monkeypatch.undo()
         assert cli.main(args + ["--eta", "4"]) == 0
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tol_exits_2_before_meshing(self, tol, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(["solve", "--k", "1", "--kg", "1", "--level", "2",
+                         "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert "tol" in err and "Traceback" not in err
+
 
 class TestConverge:
     def test_csv_lambda1_tends_to_one(self, tmp_path, capsys):
@@ -164,6 +172,18 @@ class TestConverge:
         assert cli.main(args + ["--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", [
+        ["converge", "--k", "1", "--kg", "1", "--levels", "2..3"],
+        ["solve", "--k", "1", "--kg", "1", "--level", "2"],
+        ["area", "--kg", "1", "--levels", "1..2"],
+    ], ids=["converge", "solve", "area"])
+    def test_negative_mesh_seed_exits_2_before_meshing(self, command, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(command + ["--mesh-seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
 
 class TestArea:
     def test_area_csv(self, tmp_path):
@@ -217,6 +237,15 @@ class TestAbstract:
         assert cli.main(["abstract", "--trials", trials]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "trials" in captured.err
+
+    def test_negative_seed_exits_2(self, monkeypatch, capsys):
+        def no_instance(*args, **kwargs):
+            raise AssertionError("built an instance of a sweep with a negative seed")
+
+        monkeypatch.setattr(abstract_framework, "make_instance", no_instance)
+        assert cli.main(["abstract", "--trials", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed" in captured.err
 
 
 class TestExitCodes:

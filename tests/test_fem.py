@@ -2,16 +2,20 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from fem_reference import (
     ReferencePointData,
     reference_local_matrices,
     reference_matrix_market_text,
     reference_pairings,
+    reference_scatter,
 )
 
+from veclap import fem
 from veclap.analysis import eoc
 from veclap.errors import InputError
 from veclap.fem import (
@@ -143,29 +147,74 @@ class TestAssemble:
         assert np.abs(diff).max() <= 1e-13 * np.abs(3.0 * k_a).max()
 
     def test_thread_count_does_not_change_bits(self):
-        # level 2 has two element chunks, so four threads run them at once;
-        # the fused pass pairs the fields, and the standalone pass again
+        # level 2 has several element chunks (small ones at k = 4), so four
+        # threads run them at once; the fused pass pairs the fields, and the
+        # standalone pass again
         fields = [KillingField(axis, S) for axis in "zxy"]
-        old = os.environ.get(THREADS_ENV)
+        for k, n_chunks in ((2, 2), (4, 6)):
+            old = os.environ.get(THREADS_ENV)
+            try:
+                os.environ[THREADS_ENV] = "1"
+                s1, p1, f1 = setup_forms(k, k, 2, jitter=0.3, fields=fields)
+                e1 = extended_pairings(fields, s1, p1, f1) + list(f1.pairings)
+                os.environ[THREADS_ENV] = "4"
+                s4, p4, f4 = setup_forms(k, k, 2, jitter=0.3, fields=fields)
+                e4 = extended_pairings(fields, s4, p4, f4) + list(f4.pairings)
+            finally:
+                if old is None:
+                    os.environ.pop(THREADS_ENV, None)
+                else:
+                    os.environ[THREADS_ENV] = old
+            assert len(fem._chunks(s1, triangle_rule(f1.quad_degree))) == n_chunks
+            for a, b in ((f1.A, f4.A), (f1.B, f4.B)):
+                np.testing.assert_array_equal(a.data, b.data)
+                np.testing.assert_array_equal(a.indices, b.indices)
+                np.testing.assert_array_equal(a.indptr, b.indptr)
+            assert len(e1) == 6
+            for p1_, p4_ in zip(e1, e4, strict=True):
+                assert_same_pairings(p1_, p4_)
+
+    @pytest.mark.parametrize("k, level, n_fields, bound_mb", [
+        (4, 2, 0, 45),
+        (2, 4, 3, 50),
+    ])
+    def test_peak_memory(self, k, level, n_fields, bound_mb):
+        # the element loop holds a few chunks' temporaries and the outputs;
+        # collecting every chunk's blocks and COO triplets peaked at 88 MB
+        # and 65 MB here
+        mesh = icosphere(level, S, jitter=0.3)
+        pmap = parametric_lift(mesh, k, S)
+        space = build_space(mesh, pmap, k)
+        fields = [KillingField(axis, S) for axis in "zxy"[:n_fields]]
+        tracemalloc.start()
         try:
-            os.environ[THREADS_ENV] = "1"
-            s1, p1, f1 = setup_forms(2, 2, 2, jitter=0.3, fields=fields)
-            e1 = extended_pairings(fields, s1, p1, f1) + list(f1.pairings)
-            os.environ[THREADS_ENV] = "4"
-            s4, p4, f4 = setup_forms(2, 2, 2, jitter=0.3, fields=fields)
-            e4 = extended_pairings(fields, s4, p4, f4) + list(f4.pairings)
+            assemble(space, pmap, S, fields=fields)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            if old is None:
-                os.environ.pop(THREADS_ENV, None)
-            else:
-                os.environ[THREADS_ENV] = old
-        for a, b in ((f1.A, f4.A), (f1.B, f4.B)):
-            np.testing.assert_array_equal(a.data, b.data)
-            np.testing.assert_array_equal(a.indices, b.indices)
-            np.testing.assert_array_equal(a.indptr, b.indptr)
-        assert len(e1) == 6
-        for p1_, p4_ in zip(e1, e4, strict=True):
-            assert_same_pairings(p1_, p4_)
+            tracemalloc.stop()
+        assert peak <= bound_mb * 2**20
+
+    @pytest.mark.parametrize("k, level", [(2, 2), (4, 1)])
+    def test_csr_matches_coo_reference(self, k, level):
+        space, pmap, forms = setup_forms(k, k, level, jitter=0.3)
+        conn = space.numbering.connectivity
+        ne, nk = conn.shape
+        rule = triangle_rule(forms.quad_degree)
+        local = [_local_matrices(_PointData(space, pmap, S, elements, rule,
+                                            forms.normal_map), forms.eta)
+                 for elements in fem._chunks(space, rule)]
+        vdofs = space.vector_dof(np.arange(3), conn[:, :, None]).reshape(ne, 3 * nk)
+        ref_A = reference_scatter(
+            np.concatenate([a for a, _ in local]).reshape(ne, 3 * nk, 3 * nk),
+            vdofs, space.n_dofs)
+        ref_M = reference_scatter(np.concatenate([m for _, m in local]), conn,
+                                  space.n_scalar)
+        ref_B = sp.kron(sp.identity(3), ref_M, format="csr")
+        for new, ref in ((forms.A, ref_A), (forms.B, ref_B)):
+            assert new.has_canonical_format
+            np.testing.assert_array_equal(new.indptr, ref.indptr)
+            np.testing.assert_array_equal(new.indices, ref.indices)
+            assert np.abs(new.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
     def test_no_fields_no_pairings(self):
         assert setup_forms(1, 1, 0)[2].pairings == ()
@@ -217,8 +266,9 @@ class TestAgainstReference:
             assert_same_pairings(single, ep)
 
     def test_fused_pairings_match_standalone(self, k):
+        # level 2 has at least two element chunks for every k
         fields = [KillingField(axis, S) for axis in "zxy"]
-        space, pmap, forms = setup_forms(k, k, 1, jitter=0.3, fields=fields)
+        space, pmap, forms = setup_forms(k, k, 2, jitter=0.3, fields=fields)
         standalone = extended_pairings(fields, space, pmap, forms)
         for fused, alone in zip(forms.pairings, standalone, strict=True):
             assert_same_pairings(fused, alone)
@@ -327,7 +377,6 @@ def test_matrix_market_export(tmp_path):
     assert rows.min() >= 1 and cols.min() >= 1  # 1-based
     assert np.all(rows >= cols)                 # lower triangle
     # reconstruct and compare against the assembled matrix
-    import scipy.sparse as sp
     vals = np.array([float(e[2]) for e in entries])
     low = sp.coo_matrix((vals, (rows - 1, cols - 1)), shape=(n, n)).tocsr()
     full = low + low.T - sp.diags(low.diagonal())
