@@ -6,9 +6,9 @@ study level computes it.
 
 The reference spectrum is the unit sphere's: the eigenvalue 1 with
 multiplicity 3 (the rotational Killing fields) followed by the eigenvalue 2
-with multiplicity 3.  No closed-form reference is known beyond index 6, so
-requesting more reference values is an error, and eigenvector errors are
-reported for the Killing fields only.
+with multiplicity 3.  The closed-form reference is not implemented beyond
+index 6, so requesting more reference values is an error, and eigenvector
+errors are reported for the Killing fields only.
 """
 
 from __future__ import annotations
@@ -199,6 +199,9 @@ class StudyConfig:
                 raise InputError(f"unknown Killing field axis {axis!r}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise InputError(f"tol must be a finite number above 0, got {self.tol}")
+        if not (math.isfinite(self.eta_coeff) and self.eta_coeff > 0.0):
+            raise InputError(
+                f"eta_coeff must be a finite number above 0, got {self.eta_coeff}")
         _check_seed(self.mesh_seed)
         # reject a request beyond the reference spectrum before any meshing
         exact_sphere_eigenvalues(self.num_eigs)
@@ -285,6 +288,8 @@ def area_study(k_g: int, levels, surface: Sphere | None = None,
     surface = surface if surface is not None else Sphere()
     _check_levels(levels)
     _check_seed(mesh_seed)
+    if quad_degree is not None and quad_degree < 0:
+        raise InputError(f"quadrature degree must be >= 0, got {quad_degree}")
     degree = quad_degree if quad_degree is not None else _area_degree(k_g)
     exact_area = 4.0 * math.pi * surface.radius**2
     records = []

@@ -26,7 +26,7 @@ from .errors import InputError, NumericalError, VeclapError
 from .fem import write_matrix_market
 from .geometry import Sphere
 from .mesh import write_off
-from .runtime import THREADS_ENV
+from .runtime import worker_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -202,13 +202,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if os.environ.get(THREADS_ENV):
-        try:
-            int(os.environ[THREADS_ENV])
-        except ValueError:
-            print(f"error: {THREADS_ENV} must be an integer", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        worker_count()  # a malformed VECLAP_THREADS fails before any work
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

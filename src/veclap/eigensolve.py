@@ -117,10 +117,11 @@ def _shift_invert_solve(A, B, m, lu) -> tuple[np.ndarray, np.ndarray, int]:
 def solve_smallest(A, B, m: int, tol: float = 1e-10) -> EigenPairs:
     """Compute the m smallest eigenpairs of A x = lambda B x (A, B SPD).
 
-    A and B are sparse; A is factorized once, here.  Raises
-    ConvergenceError if any relative residual exceeds ``tol``.
+    A and B are sparse, in any format (or dense), and are used as given:
+    the CSC copy that ``factorize`` makes of A, once, here, is the only
+    conversion.  Raises ConvergenceError if any relative residual exceeds
+    ``tol``.
     """
-    A, B = sp.csr_matrix(A), sp.csr_matrix(B)
     _check_pencil(A, B, m)
     w, X, iterations = _shift_invert_solve(A, B, m, factorize(A))
     res = _residuals(A, B, w, X)

@@ -3,13 +3,16 @@ penalized bilinear forms.
 
 The discrete space is the degree-k continuous scalar Lagrange space on the
 flat mesh pushed through the parametric map, taken component-wise for vector
-fields (3 x scalar DOFs, blocked by component).  Assembled matrices:
+fields (3 x scalar DOFs, numbered node-major: the three components of a
+node are consecutive).  Assembled matrices:
 
 * ``A = a~ + k_a``: tangential-symmetric-gradient stiffness plus tangential
-  mass, plus the normal-component penalty scaled ``eta = eta_coeff / h^2``;
+  mass, plus the normal-component penalty scaled ``eta = eta_coeff / h^2``.
+  Every entry of the scalar mass ``M`` carries one dense 3 x 3 block of it,
+  so ``A`` is a BSR matrix with 3 x 3 blocks on the pattern of ``M``;
 * ``B = b~ + k_b``: tangential plus normal mass.  Because
   ``P_h + n_h n_h^T = I`` this is the plain L2 vector mass matrix, built as
-  ``I_3 (x) M`` from the scalar mass matrix ``M``.
+  ``M (x) I_3`` from the scalar mass matrix ``M``.
 
 For one quadrature point the integrands use, with ``g_i`` the scalar surface
 gradient of basis function i, ``t_c`` the c-th column of the tangential
@@ -31,8 +34,8 @@ it, and ``extended_pairings`` runs the same per-chunk kernel on its own.
 The element loop keeps its memory bounded: a chunk's size is set by the
 element's largest temporary (at most 256 elements, fewer at high degree),
 and each chunk's blocks are added straight into the preallocated ``data``
-arrays of the CSR matrices, whose patterns come from the connectivity, as
-soon as the chunk is done.  Chunks are added in chunk order, and their
+arrays of ``A`` and ``M``, whose one pattern comes from the connectivity,
+as soon as the chunk is done.  Chunks are added in chunk order, and their
 size depends only on the element and the quadrature rule, so the matrices
 and the pairings are bitwise independent of the worker-thread count.
 """
@@ -79,9 +82,10 @@ class FeSpace:
         return 3 * self.numbering.n_nodes
 
     def vector_dof(self, component, scalar_dof):
-        """Global vector DOF of a scalar DOF and component (blocked layout);
+        """Global vector DOF of a scalar DOF and component (node-major: a
+        coefficient vector is the C-order ravel of an (n_scalar, 3) array);
         broadcasts over arrays of either."""
-        return component * self.n_scalar + scalar_dof
+        return 3 * scalar_dof + component
 
 
 def build_space(mesh: LinearSurfaceMesh, pmap: ParametricMap, k: int) -> FeSpace:
@@ -111,10 +115,14 @@ class ExtendedPairings:
 @dataclass(frozen=True)
 class AssembledForms:
     """The sparse symmetric penalized forms A and B, and the pairings of the
-    fields requested from :func:`assemble`."""
+    fields requested from :func:`assemble`.
+
+    ``A`` is a BSR matrix of 3 x 3 blocks whose ``indptr`` and ``indices``
+    are those of the scalar mass ``M``; ``B = M (x) I_3`` is CSR.
+    """
 
     surface: Sphere
-    A: sp.csr_matrix
+    A: sp.bsr_matrix
     B: sp.csr_matrix
     eta: float
     quad_degree: int
@@ -180,7 +188,7 @@ class _PointData:
 
 
 def _local_matrices(pd: _PointData, eta: float):
-    """Local ``A = a~ + k_a``, (ne, nk, 3, nk, 3), and scalar mass, (ne, nk, nk).
+    """Local ``A = a~ + k_a``, (ne, nk, nk, 3, 3), and scalar mass, (ne, nk, nk).
 
     Every term is a quadrature sum of a basis product times a 3x3 tensor,
     evaluated as one batched matrix product per term.
@@ -206,9 +214,10 @@ def _local_matrices(pd: _PointData, eta: float):
     t2 = (np.swapaxes(gdot, 1, 2) @ (0.5 * w * pd.P.reshape(ne, nq, 9))
           + mm.T @ (w * T.reshape(ne, nq, 9)))
 
-    a_loc = (t1.reshape(ne, nk, 3, nk, 3).transpose(0, 1, 4, 3, 2)
-             + t2.reshape(ne, nk, nk, 3, 3).transpose(0, 1, 3, 2, 4)
-             - (t3 + np.swapaxes(t3, 1, 2)).reshape(ne, nk, 3, nk, 3))
+    a_loc = (t1.reshape(ne, nk, 3, nk, 3).transpose(0, 1, 3, 4, 2)
+             + t2.reshape(ne, nk, nk, 3, 3)
+             - (t3 + np.swapaxes(t3, 1, 2)).reshape(ne, nk, 3, nk, 3)
+             .transpose(0, 1, 3, 2, 4))
     m_loc = (wmu @ mm).reshape(ne, nk, nk)
     return a_loc, m_loc
 
@@ -271,52 +280,24 @@ def _add_at(target: np.ndarray, positions: np.ndarray, values: np.ndarray) -> No
 
 
 class _CsrPattern:
-    """CSR patterns of the scalar mass ``M`` and of ``A``, and the position
-    of every element block entry in their ``data`` arrays.
-
-    ``M`` holds one dense (nk, nk) block per element at its connectivity.
-    ``A`` is the 3 x 3 blocked copy of that pattern in the component-blocked
-    layout: row ``c * n + s`` holds the columns ``d * n + t``, t in row s of
-    ``M``, for d = 0, 1, 2 in turn.  Both have sorted indices and no
-    duplicates.
+    """CSR pattern of the scalar mass ``M``, which holds one dense (nk, nk)
+    block per element at its connectivity, and the position of every
+    element entry in its ``data`` array.  The indices are sorted, with no
+    duplicates.  ``A`` shares the pattern, with a 3 x 3 block per entry.
     """
 
     def __init__(self, conn: np.ndarray, n: int):
         ne, nk = conn.shape
         keys = (conn[:, :, None].astype(np.int64) * n + conn[:, None, :]).ravel()
         keys, position = np.unique(keys, return_inverse=True)
-        nnz = keys.size
-        # in the CSR index dtype, so scipy keeps the arrays without a copy
-        idx = np.int32 if 9 * nnz < 2**31 else np.int64
-        rows = keys // n
-        self.conn = conn
-        self.position = position.reshape(ne, nk, nk)  # of entry (e, i, j) in M.data
-        self.m_indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(rows, minlength=n), out=self.m_indptr[1:])
-        self.m_indices = (keys % n).astype(idx)
-        self.row_len = np.diff(self.m_indptr)
-        self.nnz = nnz
-        block_row = np.empty(3 * nnz, dtype=idx)  # block row c = 0 of A
-        for d in range(3):
-            block_row[self._a_position(np.arange(nnz), rows, 0, d)] = (
-                self.m_indices + d * n)
-        self.a_indices = np.tile(block_row, 3)
-        self.a_indptr = np.concatenate(
-            [c * 3 * nnz + 3 * self.m_indptr[:-1] for c in range(3)]
-            + [np.array([9 * nnz], dtype=idx)])
-
-    def _a_position(self, p, s, c, d):
-        """Position in ``A.data`` of entry ``p`` of ``M``, in row ``s``,
-        within block (c, d): row ``c * n + s`` of ``A`` starts at
-        ``3 c nnz + 3 indptr[s]`` and holds the d-th copy of row s next."""
-        return 3 * self.nnz * c + 2 * self.m_indptr[s] + self.row_len[s] * d + p
-
-    def a_positions(self, elements) -> np.ndarray:
-        """Positions in ``A.data`` of the elements' (ne, nk, 3, nk, 3) blocks."""
-        comp = np.arange(3)
-        return self._a_position(self.position[elements][:, :, None, :, None],
-                                self.conn[elements][:, :, None, None, None],
-                                comp[:, None, None], comp)
+        self.nnz = keys.size
+        # the index dtype scipy picks itself, so A and M keep the arrays
+        # without a copy
+        idx = np.int32 if self.nnz < 2**31 else np.int64
+        self.position = position.reshape(ne, nk, nk)  # of entry (e, i, j)
+        self.indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
+        self.indices = (keys % n).astype(idx)
 
 
 class _PairingSums:
@@ -345,7 +326,7 @@ class _PairingSums:
 def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
              eta_coeff: float = 1.0, quad_degree: int | None = None,
              fields=()) -> AssembledForms:
-    """Assemble ``A = a~ + k_a`` and ``B = I_3 (x) M``, M the scalar mass,
+    """Assemble ``A = a~ + k_a`` and ``B = M (x) I_3``, M the scalar mass,
     and pair each of ``fields`` against the basis in the same element pass.
 
     The penalty term uses the unit normal of the degree-``k_g + 1``
@@ -371,21 +352,23 @@ def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
         return _local_matrices(pd, eta) + (_field_pairings(pd, fields, eta),)
 
     pattern = _CsrPattern(space.numbering.connectivity, space.n_scalar)
-    a_data = np.zeros(9 * pattern.nnz)
+    a_data = np.zeros(9 * pattern.nnz)  # the 3 x 3 blocks, raveled
     m_data = np.zeros(pattern.nnz)
     pairings = _PairingSums(space, len(fields))
     chunks = _chunks(space, rule)
     for elements, (a_loc, m_loc, per_field) in zip(chunks, map_ordered(work, chunks)):
-        _add_at(a_data, pattern.a_positions(elements), a_loc)
-        _add_at(m_data, pattern.position[elements], m_loc)
+        position = pattern.position[elements]
+        _add_at(a_data, 9 * position[..., None] + np.arange(9), a_loc)
+        _add_at(m_data, position, m_loc)
         pairings.add(elements, per_field)
     n = space.n_scalar
-    A = sp.csr_matrix((a_data, pattern.a_indices, pattern.a_indptr), shape=(3 * n, 3 * n))
-    M = sp.csr_matrix((m_data, pattern.m_indices, pattern.m_indptr), shape=(n, n))
+    A = sp.bsr_matrix((a_data.reshape(-1, 3, 3), pattern.indices, pattern.indptr),
+                      shape=(3 * n, 3 * n))
+    M = sp.csr_matrix((m_data, pattern.indices, pattern.indptr), shape=(n, n))
     if np.any(M.diagonal() <= 0.0):
         raise GeometryError("assembled B has non-positive diagonal entries")
-    # b~ + k_b = I_3 (x) M because P_h + n_h n_h^T = I
-    B = sp.kron(sp.identity(3), M, format="csr")
+    # b~ + k_b = M (x) I_3 because P_h + n_h n_h^T = I
+    B = sp.kron(M, sp.identity(3), format="csr")
     return AssembledForms(surface=surface, A=A, B=B, eta=eta,
                           quad_degree=quad_degree, normal_map=normal_map,
                           pairings=tuple(pairings.result()))
@@ -440,10 +423,7 @@ def interpolate(field, space: FeSpace, pmap: ParametricMap,
     """
     pos = _node_positions(space, pmap)
     values = np.asarray(field(surface.closest_point(pos)), dtype=float)
-    coeff = np.empty(space.n_dofs)
-    for c in range(3):
-        coeff[c * space.n_scalar:(c + 1) * space.n_scalar] = values[:, c]
-    return coeff
+    return values.ravel()
 
 
 def write_matrix_market(matrix: sp.spmatrix, path, comment: str = "") -> None:

@@ -31,8 +31,9 @@ class Sphere:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise DomainError(f"sphere radius must be positive, got {self.radius}")
+        if not (np.isfinite(self.radius) and self.radius > 0.0):
+            raise DomainError(
+                f"sphere radius must be a finite number above 0, got {self.radius}")
 
     def closest_point(self, x):
         x = np.asarray(x, dtype=float)

@@ -12,15 +12,19 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import InputError
+
 THREADS_ENV = "VECLAP_THREADS"
 
 
 def worker_count() -> int:
+    """The configured thread count, at least 1; ``InputError`` if the
+    variable is not an integer."""
     raw = os.environ.get(THREADS_ENV, "1")
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+        raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
     return max(1, n)
 
 

@@ -135,8 +135,7 @@ def reference_pairings(field, space, pmap, forms, rule, elements):
 
     a_vec = np.zeros(space.n_dofs)
     b_vec = np.zeros(space.n_dofs)
-    dofs = (np.arange(3)[None, None, :] * space.n_scalar
-            + space.numbering.connectivity[elements][:, :, None])
+    dofs = 3 * space.numbering.connectivity[elements][:, :, None] + np.arange(3)
     np.add.at(a_vec, dofs.ravel(), a_el.ravel())
     np.add.at(b_vec, dofs.ravel(), b_el.ravel())
     return a_vec, b_vec, a_ee, b_ee

@@ -66,8 +66,8 @@ def normal_shares(eta_coeff: float) -> np.ndarray:
     pairs = full_spectrum(forms.A, forms.B)
     x = _node_positions(space, pmap)
     n = x / np.linalg.norm(x, axis=1, keepdims=True)
-    u = pairs.vectors.reshape(3, space.n_scalar, -1)   # component-blocked
-    u_n = np.einsum("cpm,pc->pm", u, n)
+    u = pairs.vectors.reshape(space.n_scalar, 3, -1)   # node-major
+    u_n = np.einsum("pcm,pc->pm", u, n)
     return (u_n**2).sum(axis=0) / (u**2).sum(axis=(0, 1))
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from veclap import abstract_framework, analysis, cli
-from veclap.errors import NumericalError
-from veclap.runtime import THREADS_ENV
+from veclap.errors import InputError, NumericalError
+from veclap.runtime import THREADS_ENV, worker_count
 
 
 def no_meshing(*args, **kwargs):
@@ -110,6 +110,18 @@ class TestSolve:
         assert "tol" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("eta", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--level", "2"],
+        ["converge", "--levels", "2..3"],
+    ], ids=["solve", "converge"])
+    def test_bad_eta_exits_2_before_meshing(self, command, eta, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(command + ["--k", "1", "--kg", "1", "--eta", eta]) == 2
+        err = capsys.readouterr().err
+        assert "eta" in err and "Traceback" not in err
+
+
 class TestConverge:
     def test_csv_lambda1_tends_to_one(self, tmp_path, capsys):
         out = tmp_path / "study.csv"
@@ -208,6 +220,21 @@ class TestArea:
                                                          rel=1e-8)
 
 
+    def test_negative_quad_degree_exits_2_before_meshing(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(["area", "--kg", "1", "--levels", "1..2",
+                         "--quad-degree", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "quadrature degree" in err and "Traceback" not in err
+
+    def test_infinite_radius_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(["area", "--kg", "1", "--levels", "1..2",
+                         "--radius", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert "radius" in err and "Traceback" not in err
+
+
 class TestAbstract:
     def test_jsonl_all_pass(self, tmp_path):
         out = tmp_path / "bounds.jsonl"
@@ -258,3 +285,6 @@ class TestExitCodes:
     def test_bad_threads_env(self, monkeypatch, capsys):
         monkeypatch.setenv(THREADS_ENV, "zebra")
         assert cli.main(["area", "--kg", "1", "--levels", "1..1"]) == 2
+        assert THREADS_ENV in capsys.readouterr().err
+        with pytest.raises(InputError, match=THREADS_ENV):
+            worker_count()

@@ -93,7 +93,7 @@ class TestAssemble:
         for (k, kg) in ((1, 1), (2, 2)):
             space, pmap, forms = setup_forms(k, kg, 1)
             c = np.zeros(space.n_dofs)
-            c[:space.n_scalar] = 1.0
+            c[0::3] = 1.0  # the x component of every node
             area = surface_area(pmap, forms.quad_degree)
             assert c @ (forms.B @ c) == pytest.approx(area, abs=1e-10)
 
@@ -203,14 +203,19 @@ class TestAssemble:
         local = [_local_matrices(_PointData(space, pmap, S, elements, rule,
                                             forms.normal_map), forms.eta)
                  for elements in fem._chunks(space, rule)]
-        vdofs = space.vector_dof(np.arange(3), conn[:, :, None]).reshape(ne, 3 * nk)
-        ref_A = reference_scatter(
-            np.concatenate([a for a, _ in local]).reshape(ne, 3 * nk, 3 * nk),
-            vdofs, space.n_dofs)
+        vdofs = (3 * conn[:, :, None] + np.arange(3)).reshape(ne, 3 * nk)
+        a_loc = np.concatenate([a for a, _ in local]).transpose(0, 1, 3, 2, 4)
+        ref_A = reference_scatter(a_loc.reshape(ne, 3 * nk, 3 * nk), vdofs,
+                                  space.n_dofs)
         ref_M = reference_scatter(np.concatenate([m for _, m in local]), conn,
                                   space.n_scalar)
-        ref_B = sp.kron(sp.identity(3), ref_M, format="csr")
-        for new, ref in ((forms.A, ref_A), (forms.B, ref_B)):
+        ref_B = sp.kron(ref_M, sp.identity(3), format="csr")
+        # A is 3 x 3-block BSR on the pattern of M
+        assert forms.A.format == "bsr" and forms.A.blocksize == (3, 3)
+        assert forms.A.has_canonical_format
+        np.testing.assert_array_equal(forms.A.indptr, ref_M.indptr)
+        np.testing.assert_array_equal(forms.A.indices, ref_M.indices)
+        for new, ref in ((forms.A.tocsr(), ref_A), (forms.B, ref_B)):
             assert new.has_canonical_format
             np.testing.assert_array_equal(new.indptr, ref.indptr)
             np.testing.assert_array_equal(new.indices, ref.indices)
@@ -236,17 +241,17 @@ class TestAgainstReference:
         a_t, k_a, b_t, k_b = reference_local_matrices(
             ReferencePointData(space, pmap, S, elements, rule, forms.normal_map),
             forms.eta)
-        b_loc = m_loc[:, :, None, :, None] * np.eye(3)[None, None, :, None, :]
+        b_loc = m_loc[:, :, :, None, None] * np.eye(3)
         for new, ref in ((a_loc, a_t + k_a), (b_loc, b_t + k_b)):
+            ref = ref.transpose(0, 1, 3, 2, 4)  # (e, i, c, j, d) -> (e, i, j, c, d)
             assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_B_is_identity_times_scalar_mass(self, k):
         space, _, forms = setup_forms(k, k, 1, jitter=0.3)
-        ns = space.n_scalar
-        M = forms.B[:ns, :ns]
+        M = forms.B[0::3, 0::3]
         for c in range(3):
             for d in range(3):
-                block = forms.B[c * ns:(c + 1) * ns, d * ns:(d + 1) * ns]
+                block = forms.B[c::3, d::3]
                 assert (block - M).nnz == 0 if c == d else block.nnz == 0
         assert forms.B.nnz == 3 * M.nnz
 
@@ -302,8 +307,7 @@ class TestInterpolate:
         const = np.array([0.3, -1.2, 0.7])
         x = interpolate(lambda p: np.broadcast_to(const, p.shape), space, pmap, S)
         for c in range(3):
-            block = x[c * space.n_scalar:(c + 1) * space.n_scalar]
-            np.testing.assert_allclose(block, const[c], atol=1e-14)
+            np.testing.assert_allclose(x[c::3], const[c], atol=1e-14)
 
     def test_energy_norm_interpolation_rate(self):
         # degree-2 fields: energy-norm error of the interpolant decays ~ h^2

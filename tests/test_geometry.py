@@ -1,6 +1,8 @@
 """Geometry module: closest-point decomposition, normal, Weingarten map,
 Killing fields."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,11 @@ class TestSurfaceFrame:
             err = np.linalg.norm(x - p - d[:, None] * n, axis=1)
             assert err.max() <= 1e-12
             assert np.abs(np.linalg.norm(p, axis=1) - radius).max() <= 1e-14
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(DomainError, match="radius"):
+            Sphere(radius)
 
     def test_signed_distance_sign(self):
         # d = (x - p(x)) . n(x) is positive outside and negative inside
