@@ -110,7 +110,6 @@ class SyntheticInstance:
     M_b: np.ndarray          # (N, N) continuous b-form
     U: np.ndarray            # (N, N) b-orthonormal eigenbasis, columns
     E: np.ndarray            # (N_ex, N) extension
-    E_linv: np.ndarray       # (N, N_ex) lifting, E_linv @ E = I
     A_e: np.ndarray          # (N_ex, N_ex) pulled-back exact a-form
     B_e: np.ndarray
     A_tilde: np.ndarray      # a~ with declared perturbation
@@ -245,8 +244,7 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
 
     return SyntheticInstance(
         spec=spec, seed=seed, lam=lam, M_a=M_a, M_b=M_b, U=U, E=E,
-        E_linv=E_linv, A_e=A_e, B_e=B_e, A_tilde=A_tilde, B_tilde=B_tilde,
-        K_a=K_a, K_b=K_b, V=V,
+        A_e=A_e, B_e=B_e, A_tilde=A_tilde, B_tilde=B_tilde, K_a=K_a, K_b=K_b, V=V,
         exact_consistency=(spec.delta_a == 0.0 and spec.delta_b == 0.0))
 
 
@@ -261,7 +259,7 @@ def rembest_instance(n: int, delta: float, seed: int,
     zero = np.zeros((n, n))
     return SyntheticInstance(
         spec=spec, seed=seed, lam=inst.lam, M_a=inst.M_a, M_b=inst.M_b,
-        U=inst.U, E=np.eye(n), E_linv=np.eye(n), A_e=inst.M_a, B_e=inst.M_b,
+        U=inst.U, E=np.eye(n), A_e=inst.M_a, B_e=inst.M_b,
         A_tilde=(1.0 + delta) * inst.M_a, B_tilde=(1.0 - delta) * inst.M_b,
         K_a=zero, K_b=zero, V=np.eye(n), exact_consistency=(delta == 0.0))
 
@@ -314,7 +312,7 @@ def _orth_union(*bases, tol=1e-11) -> np.ndarray:
 @dataclass
 class FrameworkQuantities:
     theta: np.ndarray          # (k_max,) Theta_{h,j}
-    phi: np.ndarray            # (k_max,) Phi_{h,m}
+    phi: float                 # Phi_{h,k_max}
     alpha_h: float             # tight constant of the combined a-consistency
     beta_h: float
     alpha_tilde: float
@@ -328,12 +326,6 @@ class FrameworkQuantities:
     P_a: list                  # P_{a_h,j} onto U_j^e, j = 1..k_max
     P_b: list
     approximability_ok: bool   # dim(P_h U_{k_max}^e) == k_max and Theta < 1
-
-
-def _discrete_pairs(inst: SyntheticInstance):
-    A_v = _gram(inst.G_a, inst.V)
-    B_v = _gram(inst.G_b, inst.V)
-    return full_spectrum(A_v, B_v)
 
 
 def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
@@ -354,7 +346,8 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
     alpha_tilde = sup_bilinear(dA, Z_full, G_a, big, G_a)
     beta_tilde = sup_bilinear(dB, Z_full, G_b, big, G_b)
 
-    discrete = _discrete_pairs(inst)
+    A_v = _gram(G_a, inst.V)
+    discrete = full_spectrum(A_v, _gram(G_b, inst.V))
     U_disc = inst.V @ discrete.vectors[:, :k_max]
     alpha_hat = sup_quadratic(dA_tilde, U_disc, G_a)
     beta_hat = sup_quadratic(dB_tilde, U_disc, G_b)
@@ -365,24 +358,20 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
     eye = np.eye(inst.E.shape[0])
     err_gram = _sym((eye - P_h).T @ G_a @ (eye - P_h))
     theta = np.empty(k_max)
-    phi = np.empty(k_max)
     P_a, P_b = [], []
     for j in range(1, k_max + 1):
         Z = inst.extended_eigvecs(j)
         theta[j - 1] = math.sqrt(max(sup_quadratic(err_gram, Z, G_a), 0.0))
-        P_aj = _projector(G_a, Z)
-        P_a.append(P_aj)
+        P_a.append(_projector(G_a, Z))
         P_b.append(_projector(G_b, Z))
-        err_aj = _sym((eye - P_aj).T @ G_a @ (eye - P_aj))
-        W = inst.V @ discrete.vectors[:, :j]
-        phi[j - 1] = math.sqrt(max(sup_quadratic(err_aj, W, G_a), 0.0))
+    err_a = _sym((eye - P_a[-1]).T @ G_a @ (eye - P_a[-1]))
+    phi = math.sqrt(max(sup_quadratic(err_a, U_disc, G_a), 0.0))
 
     # approximability flag: dim(P_h U_{k_max}^e) == k_max
     proj_basis = P_h @ Z_full
     rank = np.linalg.matrix_rank(proj_basis, tol=1e-10)
     approx_ok = bool(rank == k_max and theta[-1] < 1.0)
 
-    A_v = _gram(G_a, inst.V)
     defect = np.empty(k_max)
     for j in range(k_max):
         u_e = inst.extended_eigvecs(j + 1)[:, -1]
@@ -527,7 +516,7 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
 
     # discrete eigenvalue bounded below via the invariant-subspace distance
     m = k_max
-    phi = q.phi[m - 1]
+    phi = q.phi
     hyp_phi = (half_params and max(phi, q.c_f * lam_t[k_max - 1] * phi) <= 0.5)
     for j in range(m):
         rhs = ((1 - 2 * q.alpha_h) * (1 - 2 * q.beta_h)

@@ -252,9 +252,9 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
     exact = exact_sphere_eigenvalues(cfg.num_eigs)
     _guard_penalty(cfg.eta_coeff, float(exact.max()), level, h)
     pmap = parametric_lift(mesh, cfg.k_g, surface)
-    space = build_space(mesh, pmap, cfg.k)
+    space = build_space(pmap, cfg.k)
     _guard_size(space.n_dofs)
-    forms = assemble(space, pmap, surface, eta_coeff=cfg.eta_coeff,
+    forms = assemble(space, eta_coeff=cfg.eta_coeff,
                      fields=[KillingField(axis, surface) for axis in cfg.fields])
     if on_assembled is not None:
         on_assembled(level, mesh, forms)

@@ -10,11 +10,8 @@ class VeclapError(Exception):
 
 
 class InputError(VeclapError, ValueError):
-    """Invalid argument, configuration, or matrix property (e.g. B not SPD)."""
-
-
-class DomainError(InputError):
-    """Invalid geometry input: a non-positive radius or an unknown axis."""
+    """Invalid argument, configuration, geometry (e.g. a non-positive sphere
+    radius) or matrix property (e.g. B not SPD)."""
 
 
 class NumericalError(VeclapError, RuntimeError):

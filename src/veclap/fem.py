@@ -4,7 +4,10 @@ penalized bilinear forms.
 The discrete space is the degree-k continuous scalar Lagrange space on the
 flat mesh pushed through the parametric map, taken component-wise for vector
 fields (3 x scalar DOFs, numbered node-major: the three components of a
-node are consecutive).  Assembled matrices:
+node are consecutive).  The space carries its parametric map, and the map
+its exact surface, so every function here takes the space alone and reads
+the mesh, the lift ``Gamma_h`` and ``Gamma`` from it; no call can pair a
+space with geometry it was not built on.  Assembled matrices:
 
 * ``A = a~ + k_a``: tangential-symmetric-gradient stiffness plus tangential
   mass, plus the normal-component penalty scaled ``eta = eta_coeff / h^2``.
@@ -27,9 +30,11 @@ the lifted point:
 which follows from expanding E_T(u) = sym(P_h grad(u) P_h) - (u.n_h) H.
 
 Analytic extended fields are paired with the basis in the same quadrature:
-``assemble(..., fields=...)`` builds the point data of each element chunk
+``assemble(space, fields=...)`` builds the point data of each element chunk
 once and computes the local matrices and the pairings of every field from
-it, and ``extended_pairings`` runs the same per-chunk kernel on its own.
+it, and ``extended_pairings(fields, space, forms)`` runs the same per-chunk
+kernel on its own, with the quadrature, penalty and improved normal of
+``forms``.
 
 The element loop keeps its memory bounded: a chunk's size is set by the
 element's largest temporary (at most 256 elements, fewer at high degree),
@@ -48,7 +53,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, InputError
-from .geometry import Sphere
 from .lagrange import NodeNumbering, reference_triangle
 from .mesh import LinearSurfaceMesh, ParametricMap, improved_normal_lift, mesh_size
 from .quadrature import triangle_rule
@@ -67,11 +71,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeSpace:
-    """Degree-k vector Lagrange space on the lifted surface."""
+    """Degree-k vector Lagrange space on the lifted surface ``pmap``, which
+    also gives the space its flat mesh and its exact surface."""
 
-    mesh: LinearSurfaceMesh
+    pmap: ParametricMap
     degree: int
     numbering: NodeNumbering
+
+    @property
+    def mesh(self) -> LinearSurfaceMesh:
+        return self.pmap.mesh
 
     @property
     def n_scalar(self) -> int:
@@ -88,12 +97,12 @@ class FeSpace:
         return 3 * scalar_dof + component
 
 
-def build_space(mesh: LinearSurfaceMesh, pmap: ParametricMap, k: int) -> FeSpace:
+def build_space(pmap: ParametricMap, k: int) -> FeSpace:
     if not (1 <= k <= 4):
         raise InputError(f"finite element degree k must be in [1, 4], got {k}")
-    if pmap.mesh is not mesh:
-        raise InputError("parametric map was built for a different mesh")
-    return FeSpace(mesh=mesh, degree=k, numbering=NodeNumbering(mesh.vertices, mesh.triangles, k))
+    mesh = pmap.mesh
+    return FeSpace(pmap=pmap, degree=k,
+                   numbering=NodeNumbering(mesh.vertices, mesh.triangles, k))
 
 
 @dataclass(frozen=True)
@@ -118,10 +127,12 @@ class AssembledForms:
     fields requested from :func:`assemble`.
 
     ``A`` is a BSR matrix of 3 x 3 blocks whose ``indptr`` and ``indices``
-    are those of the scalar mass ``M``; ``B = M (x) I_3`` is CSR.
+    are those of the scalar mass ``M``; ``B = M (x) I_3`` is CSR.  ``eta``,
+    ``quad_degree`` and ``normal_map`` are what :func:`extended_pairings`
+    needs to pair more fields in the same quadrature; the geometry comes
+    from the space.
     """
 
-    surface: Sphere
     A: sp.bsr_matrix
     B: sp.csr_matrix
     eta: float
@@ -131,12 +142,14 @@ class AssembledForms:
 
 
 class _PointData:
-    """Per-(element, quadrature point) geometry shared by all integrands."""
+    """Per-(element, quadrature point) geometry shared by all integrands,
+    on the lift and exact surface of ``space``."""
 
     __slots__ = ("w", "mu", "basis", "grads", "P", "n", "n_tilde", "QH", "hh",
                  "x", "H")
 
-    def __init__(self, space, pmap, surface, elements, rule, normal_map):
+    def __init__(self, space, elements, rule, normal_map):
+        pmap, surface = space.pmap, space.pmap.surface
         ref_fe = reference_triangle(space.degree)
         basis = ref_fe.eval_basis(rule.points)          # (nq, nk)
         fe_grads = ref_fe.eval_grads(rule.points)       # (nq, nk, 2)
@@ -323,32 +336,33 @@ class _PairingSums:
                 for a_vec, b_vec, a_ee, b_ee in self.sums]
 
 
-def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
-             eta_coeff: float = 1.0, quad_degree: int | None = None,
-             fields=()) -> AssembledForms:
+def assemble(space: FeSpace, eta_coeff: float = 1.0,
+             quad_degree: int | None = None, fields=()) -> AssembledForms:
     """Assemble ``A = a~ + k_a`` and ``B = M (x) I_3``, M the scalar mass,
-    and pair each of ``fields`` against the basis in the same element pass.
+    on the lifted surface of ``space``, and pair each of ``fields`` against
+    the basis in the same element pass.
 
     The penalty term uses the unit normal of the degree-``k_g + 1``
     parametric lift as its improved normal, which carries the generic
     one-order-better accuracy.  ``fields`` are as in
     :func:`extended_pairings`; their pairings are
     ``AssembledForms.pairings`` in the order of ``fields``, and equal
-    ``extended_pairings(fields, ...)`` bit for bit.
+    ``extended_pairings(fields, space, forms)`` bit for bit.
     """
+    pmap = space.pmap
     min_degree = 2 * (space.degree + pmap.degree)
     if quad_degree is None:
         quad_degree = min_degree
     if quad_degree < min_degree:
         raise InputError(
             f"quadrature exactness {quad_degree} below required {min_degree}")
-    normal_map = improved_normal_lift(space.mesh, pmap.degree, surface)
+    normal_map = improved_normal_lift(pmap)
     rule = triangle_rule(quad_degree)
     h = mesh_size(space.mesh)
     eta = eta_coeff / h**2
 
     def work(elements):
-        pd = _PointData(space, pmap, surface, elements, rule, normal_map)
+        pd = _PointData(space, elements, rule, normal_map)
         return _local_matrices(pd, eta) + (_field_pairings(pd, fields, eta),)
 
     pattern = _CsrPattern(space.numbering.connectivity, space.n_scalar)
@@ -369,12 +383,11 @@ def assemble(space: FeSpace, pmap: ParametricMap, surface: Sphere,
         raise GeometryError("assembled B has non-positive diagonal entries")
     # b~ + k_b = M (x) I_3 because P_h + n_h n_h^T = I
     B = sp.kron(M, sp.identity(3), format="csr")
-    return AssembledForms(surface=surface, A=A, B=B, eta=eta,
-                          quad_degree=quad_degree, normal_map=normal_map,
-                          pairings=tuple(pairings.result()))
+    return AssembledForms(A=A, B=B, eta=eta, quad_degree=quad_degree,
+                          normal_map=normal_map, pairings=tuple(pairings.result()))
 
 
-def extended_pairings(fields, space: FeSpace, pmap: ParametricMap,
+def extended_pairings(fields, space: FeSpace,
                       forms: AssembledForms) -> list[ExtendedPairings]:
     """Pair extended fields (value + ambient Jacobian) against the basis.
 
@@ -382,13 +395,14 @@ def extended_pairings(fields, space: FeSpace, pmap: ParametricMap,
     ``extension_jacobian(x)`` for batched points, e.g. a
     :class:`~veclap.geometry.KillingField`.  One pass over the elements
     pairs all of them; the result is in the order of ``fields``.  It runs
-    the per-chunk kernel of ``assemble(..., fields=...)`` on its own, for
-    fields not known at assembly time.
+    the per-chunk kernel of ``assemble(space, fields=...)`` on its own, for
+    fields not known at assembly time; ``forms`` must come from
+    ``assemble(space, ...)``.
     """
     rule = triangle_rule(forms.quad_degree)
 
     def work(elements):
-        pd = _PointData(space, pmap, forms.surface, elements, rule, forms.normal_map)
+        pd = _PointData(space, elements, rule, forms.normal_map)
         return _field_pairings(pd, fields, forms.eta)
 
     pairings = _PairingSums(space, len(fields))
@@ -398,8 +412,9 @@ def extended_pairings(fields, space: FeSpace, pmap: ParametricMap,
     return pairings.result()
 
 
-def _node_positions(space: FeSpace, pmap: ParametricMap) -> np.ndarray:
+def _node_positions(space: FeSpace) -> np.ndarray:
     """Lifted positions of the FE nodes, each from its first owning element."""
+    pmap = space.pmap
     conn = space.numbering.connectivity
     nk = conn.shape[1]
     _, first = np.unique(conn.ravel(), return_index=True)
@@ -413,16 +428,16 @@ def _node_positions(space: FeSpace, pmap: ParametricMap) -> np.ndarray:
     return np.einsum("nl,nlc->nc", phi, coeffs)
 
 
-def interpolate(field, space: FeSpace, pmap: ParametricMap,
-                surface: Sphere) -> np.ndarray:
+def interpolate(field, space: FeSpace) -> np.ndarray:
     """Componentwise nodal interpolation of the extended field on Gamma_h.
 
     ``field`` is a callable taking points of shape (..., 3) and returning
     values of the same shape; it is evaluated at the closest-point lift of
-    the FE nodes, per the constant-normal extension.
+    the FE nodes onto the space's exact surface, per the constant-normal
+    extension.
     """
-    pos = _node_positions(space, pmap)
-    values = np.asarray(field(surface.closest_point(pos)), dtype=float)
+    pos = _node_positions(space)
+    values = np.asarray(field(space.pmap.surface.closest_point(pos)), dtype=float)
     return values.ravel()
 
 
@@ -430,19 +445,10 @@ def write_matrix_market(matrix: sp.spmatrix, path, comment: str = "") -> None:
     """Write a symmetric sparse matrix in MatrixMarket coordinate format.
 
     Stores the lower triangle with 1-based indices, as the symmetric variant
-    of the format requires.
+    of the format requires, with 17 significant digits, so the values read
+    back exactly.
     """
-    m = sp.coo_matrix(matrix)
-    keep = m.row >= m.col
-    rows, cols, data = m.row[keep], m.col[keep], m.data[keep]
-    order = np.lexsort((rows, cols))
-    entries = np.empty((len(order), 3), dtype=object)
-    entries[:, 0] = rows[order] + 1
-    entries[:, 1] = cols[order] + 1
-    entries[:, 2] = data[order]
-    with open(path, "w", encoding="ascii") as f:
-        f.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        if comment:
-            f.write(f"% {comment}\n")
-        f.write(f"{m.shape[0]} {m.shape[1]} {len(data)}\n")
-        f.write("%d %d %.17e\n" * len(order) % tuple(entries.ravel()))
+    import scipy.io  # here, not at the top: it slows `import veclap.cli` by ~20 ms
+
+    scipy.io.mmwrite(path, sp.coo_matrix(matrix), comment=comment,
+                     symmetry="symmetric", precision=17)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import InputError
 
 __all__ = ["Sphere", "KillingField"]
 
@@ -32,7 +32,7 @@ class Sphere:
 
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0.0):
-            raise DomainError(
+            raise InputError(
                 f"sphere radius must be a finite number above 0, got {self.radius}")
 
     def closest_point(self, x):
@@ -81,7 +81,7 @@ class KillingField:
 
     def __post_init__(self):
         if self.axis not in _AXES:
-            raise DomainError(f"axis must be one of x, y, z, got {self.axis!r}")
+            raise InputError(f"axis must be one of x, y, z, got {self.axis!r}")
 
     @property
     def omega(self):

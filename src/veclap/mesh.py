@@ -6,6 +6,8 @@ regular icosahedron with every vertex projected exactly onto the surface.
 The lift of degree ``k_g`` interpolates the closest-point projection on the
 degree-``k_g`` node lattice of every flat triangle, giving a continuous
 piecewise-polynomial surface; for ``k_g = 1`` the lift is the identity.
+The lift records the surface it interpolates, so whatever is built on it
+(the FE space, the improved normal) reads its geometry from one place.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class LinearSurfaceMesh:
 
 @dataclass(frozen=True)
 class ParametricMap:
-    """Degree-``k_g`` interpolant of the closest-point projection.
+    """Degree-``k_g`` interpolant of the closest-point projection of
+    ``surface``, the exact surface ``Gamma`` it approximates.
 
     ``coeffs[numbering.connectivity[t, l]]`` is the lifted position of local
     node l of flat triangle t; shared nodes carry identical coefficients, so
@@ -60,6 +63,7 @@ class ParametricMap:
     """
 
     mesh: LinearSurfaceMesh
+    surface: Sphere
     degree: int
     numbering: NodeNumbering
     coeffs: np.ndarray  # (n_nodes, 3) lifted node positions
@@ -195,15 +199,15 @@ def parametric_lift(mesh: LinearSurfaceMesh, k_g: int,
 def _lift(mesh: LinearSurfaceMesh, degree: int, surface: Sphere) -> ParametricMap:
     numbering = NodeNumbering(mesh.vertices, mesh.triangles, degree)
     coeffs = surface.closest_point(numbering.coords)
-    return ParametricMap(mesh=mesh, degree=degree, numbering=numbering, coeffs=coeffs)
+    return ParametricMap(mesh=mesh, surface=surface, degree=degree,
+                         numbering=numbering, coeffs=coeffs)
 
 
-def improved_normal_lift(mesh: LinearSurfaceMesh, k_g: int,
-                         surface: Sphere) -> ParametricMap:
-    """One-degree-higher lift whose discrete normal serves as the improved
-    penalty normal (one order more accurate than the normal of the
-    degree-``k_g`` surface)."""
-    return _lift(mesh, k_g + 1, surface)
+def improved_normal_lift(pmap: ParametricMap) -> ParametricMap:
+    """One-degree-higher lift of ``pmap``'s mesh and surface, whose discrete
+    normal serves as the improved penalty normal (one order more accurate
+    than the normal of ``pmap``)."""
+    return _lift(pmap.mesh, pmap.degree + 1, pmap.surface)
 
 
 def mesh_size(mesh: LinearSurfaceMesh) -> float:

@@ -7,8 +7,7 @@ pairing of one extended field with the basis.  ``veclap.mesh`` and
 ``veclap.fem`` compute the same sums as (batched) matrix products; the
 tests compare the two.  The global matrices are summed here from COO
 triplets, against which the direct CSR accumulation of ``veclap.fem`` is
-checked.  The MatrixMarket writer is here as a plain per-entry loop, whose
-bytes the vectorized writer must reproduce.
+checked.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ def reference_jacobians(pmap, elements, ref_points):
 class ReferencePointData:
     """Per-(element, quadrature point) geometry, one einsum per quantity."""
 
-    def __init__(self, space, pmap, surface, elements, rule, normal_map):
+    def __init__(self, space, elements, rule, normal_map):
+        pmap, surface = space.pmap, space.pmap.surface
         ref_fe = reference_triangle(space.degree)
         basis = ref_fe.eval_basis(rule.points)
         fe_grads = ref_fe.eval_grads(rule.points)
@@ -102,10 +102,9 @@ def reference_local_matrices(pd: ReferencePointData, eta: float):
     return a_loc, ka_loc, tang_mass, kb_loc
 
 
-def reference_pairings(field, space, pmap, forms, rule, elements):
+def reference_pairings(field, space, forms, rule, elements):
     """``(a_vec, b_vec, a_ee, b_ee)`` of one field over ``elements``."""
-    pd = ReferencePointData(space, pmap, forms.surface, elements, rule,
-                            forms.normal_map)
+    pd = ReferencePointData(space, elements, rule, forms.normal_map)
     eta = forms.eta
     wmu = pd.w[None, :] * pd.mu
     u = field.value(pd.x)
@@ -147,18 +146,3 @@ def reference_scatter(blocks, dofs, n):
     rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
     cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
-def reference_matrix_market_text(matrix, comment: str = "") -> str:
-    """MatrixMarket text of a symmetric matrix, written one line per entry."""
-    m = sp.coo_matrix(matrix)
-    keep = m.row >= m.col
-    rows, cols, data = m.row[keep], m.col[keep], m.data[keep]
-    order = np.lexsort((rows, cols))
-    lines = ["%%MatrixMarket matrix coordinate real symmetric\n"]
-    if comment:
-        lines.append(f"% {comment}\n")
-    lines.append(f"{m.shape[0]} {m.shape[1]} {len(data)}\n")
-    for i in order:
-        lines.append(f"{rows[i] + 1} {cols[i] + 1} {data[i]:.17e}\n")
-    return "".join(lines)

@@ -61,10 +61,10 @@ def normal_shares(eta_coeff: float) -> np.ndarray:
     discrete spectrum at (k, k_g, level) = (2, 2, 1)."""
     mesh = icosphere(1, S, jitter=0.3, seed=0)
     pmap = parametric_lift(mesh, 2, S)
-    space = build_space(mesh, pmap, 2)
-    forms = assemble(space, pmap, S, eta_coeff=eta_coeff)
+    space = build_space(pmap, 2)
+    forms = assemble(space, eta_coeff=eta_coeff)
     pairs = full_spectrum(forms.A, forms.B)
-    x = _node_positions(space, pmap)
+    x = _node_positions(space)
     n = x / np.linalg.norm(x, axis=1, keepdims=True)
     u = pairs.vectors.reshape(space.n_scalar, 3, -1)   # node-major
     u_n = np.einsum("pcm,pc->pm", u, n)
@@ -123,8 +123,8 @@ class TestClusterWindow:
         # for the Killing window the gap parameter tends to 2/(2-1) = 2
         mesh = icosphere(3, S)
         pmap = parametric_lift(mesh, 1, S)
-        space = build_space(mesh, pmap, 1)
-        forms = assemble(space, pmap, S)
+        space = build_space(pmap, 1)
+        forms = assemble(space)
         pairs = solve_smallest(forms.A, forms.B, 6)
         gamma = ClusterWindow(0.0, 1.5).gamma(pairs.eigenvalues, 1.0)
         assert abs(gamma - 2.0) <= 0.15
@@ -147,9 +147,9 @@ class TestDefectDualNorm:
         for lvl in (1, 2, 3):
             mesh = icosphere(lvl, S, jitter=0.3)
             pmap = parametric_lift(mesh, 2, S)
-            space = build_space(mesh, pmap, 2)
-            forms = assemble(space, pmap, S)
-            ep = extended_pairings([KF], space, pmap, forms)[0]
+            space = build_space(pmap, 2)
+            forms = assemble(space)
+            ep = extended_pairings([KF], space, forms)[0]
             errs.append(defect_dual_norm(ep.a_vec - ep.b_vec, forms.A))
             hs.append(mesh_size(mesh))
         rate = eoc(errs[-2], errs[-1], hs[-2], hs[-1])
@@ -160,10 +160,10 @@ class TestEigenvectorError:
     def test_empty_window(self):
         mesh = icosphere(0, S)
         pmap = parametric_lift(mesh, 1, S)
-        space = build_space(mesh, pmap, 1)
-        forms = assemble(space, pmap, S)
+        space = build_space(pmap, 1)
+        forms = assemble(space)
         pairs = solve_smallest(forms.A, forms.B, 3)
-        ep = extended_pairings([KF], space, pmap, forms)[0]
+        ep = extended_pairings([KF], space, forms)[0]
         with pytest.raises(InputError):
             eigenvector_error(ClusterWindow(50.0, 60.0), pairs, forms, ep)
 
@@ -172,22 +172,22 @@ class TestEigenvectorError:
         # than interpolation (the projection is b_h-optimal over all of V_h)
         mesh = icosphere(2, S)
         pmap = parametric_lift(mesh, 1, S)
-        space = build_space(mesh, pmap, 1)
-        forms = assemble(space, pmap, S)
+        space = build_space(pmap, 1)
+        forms = assemble(space)
         pairs = full_spectrum(forms.A, forms.B)
-        ep = extended_pairings([KF], space, pmap, forms)[0]
+        ep = extended_pairings([KF], space, forms)[0]
         ev = eigenvector_error(ClusterWindow(0.0, math.inf), pairs, forms, ep)
-        x = interpolate(KF.value, space, pmap, S)
+        x = interpolate(KF.value, space)
         interp_sq = ep.a_ee - 2.0 * (ep.a_vec @ x) + x @ (forms.A @ x)
         assert ev.energy <= 10.0 * math.sqrt(max(interp_sq, 0.0))
 
     def test_round_off_clamp_is_tiny(self):
         mesh = icosphere(2, S)
         pmap = parametric_lift(mesh, 1, S)
-        space = build_space(mesh, pmap, 1)
-        forms = assemble(space, pmap, S)
+        space = build_space(pmap, 1)
+        forms = assemble(space)
         pairs = solve_smallest(forms.A, forms.B, 6)
-        ep = extended_pairings([KF], space, pmap, forms)[0]
+        ep = extended_pairings([KF], space, forms)[0]
         ev = eigenvector_error(ClusterWindow(0.0, 1.5), pairs, forms, ep)
         assert ev.energy_sq_raw >= -1e-9 * ep.a_ee
         assert ev.l2_sq_raw >= -1e-9 * ep.b_ee

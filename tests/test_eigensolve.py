@@ -78,7 +78,7 @@ class TestFactorize:
         s = Sphere()
         mesh = icosphere(1, s, jitter=0.3)
         pmap = parametric_lift(mesh, 4, s)
-        A = assemble(build_space(mesh, pmap, 4), pmap, s).A
+        A = assemble(build_space(pmap, 4)).A
         lu = es.factorize(A)
         # pivots stay on the diagonal of the symmetrically permuted A
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
@@ -166,8 +166,8 @@ class TestInvariants:
         for lvl in (1, 2, 3):
             mesh = icosphere(lvl, s)
             pmap = parametric_lift(mesh, 1, s)
-            space = build_space(mesh, pmap, 1)
-            forms = assemble(space, pmap, s)
+            space = build_space(pmap, 1)
+            forms = assemble(space)
             ep = solve_smallest(forms.A, forms.B, 6)
             max_err.append(np.abs(ep.eigenvalues - exact).max())
         assert max_err[2] < max_err[1] < max_err[0]
@@ -180,8 +180,8 @@ class TestInvariants:
         s = Sphere()
         mesh = icosphere(2, s)
         pmap = parametric_lift(mesh, 2, s)
-        space = build_space(mesh, pmap, 1)
-        forms = assemble(space, pmap, s)
+        space = build_space(pmap, 1)
+        forms = assemble(space)
         dense = full_spectrum(forms.A, forms.B).eigenvalues[:6]
         it = solve_smallest(forms.A, forms.B, 6)
         rel = np.abs(dense - it.eigenvalues) / dense

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from veclap.errors import DomainError
+from veclap.errors import InputError
 from veclap.geometry import KillingField, Sphere
 
 
@@ -80,7 +80,7 @@ class TestSurfaceFrame:
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_radius_must_be_finite_and_positive(self, radius):
-        with pytest.raises(DomainError, match="radius"):
+        with pytest.raises(InputError, match="radius"):
             Sphere(radius)
 
     def test_signed_distance_sign(self):
@@ -115,7 +115,7 @@ class TestKillingField:
         np.testing.assert_allclose(v, [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_invalid_axis(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             KillingField("w")
 
     def test_jacobian_matches_finite_differences(self):

@@ -173,8 +173,8 @@ class TestMapAgainstReference:
 
 def point_data(pm, elements):
     """The assembly's per-quadrature-point geometry of a k_g = 1 map."""
-    return _PointData(build_space(pm.mesh, pm, 1), pm, S, np.asarray(elements),
-                      triangle_rule(4), improved_normal_lift(pm.mesh, 1, S))
+    return _PointData(build_space(pm, 1), np.asarray(elements), triangle_rule(4),
+                      improved_normal_lift(pm))
 
 
 class TestGeomFrame:
@@ -202,7 +202,7 @@ class TestGeomFrame:
                                  level=0)
         pm = parametric_lift(mesh, 1, S)
         with pytest.raises(GeometryError):
-            assemble(build_space(mesh, pm, 1), pm, S)
+            assemble(build_space(pm, 1))
 
     def test_normal_accuracy_rate(self):
         # max |n_h - n(p(x))| over quadrature points decays ~ h^{k_g}
