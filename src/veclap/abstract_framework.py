@@ -79,9 +79,9 @@ class InstanceSpec:
     spectrum: tuple[float, ...] | None = None
     delta_a: float = 0.0
     delta_b: float = 0.0
-    vh_contains_eigvecs: bool = False
     # when set, V_h's leading directions are the extended eigenvectors
-    # contaminated with noise of this relative size (None = fully random)
+    # contaminated with noise of this relative size, so 0.0 means V_h
+    # contains them (None = fully random)
     approx_noise: float | None = None
 
     def __post_init__(self):
@@ -229,17 +229,15 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
         top = np.abs(sla.eigvalsh(z.T @ leak @ z, gram)).max()
         K_a = K_a + leak * (0.25 * spec.delta_a / top)
 
-    if spec.vh_contains_eigvecs:
-        raw = np.concatenate([E @ U[:, :spec.k_max],
-                              rng.standard_normal((n_ex, n_h - spec.k_max))], axis=1)
-    elif spec.approx_noise is not None:
+    if spec.approx_noise is None:
+        raw = rng.standard_normal((n_ex, n_h))
+    else:
         lead = E @ U[:, :spec.k_max]
-        lead = lead + spec.approx_noise * rng.standard_normal(lead.shape) \
-            * np.linalg.norm(lead, axis=0, keepdims=True)
+        if spec.approx_noise:
+            lead = lead + spec.approx_noise * rng.standard_normal(lead.shape) \
+                * np.linalg.norm(lead, axis=0, keepdims=True)
         raw = np.concatenate(
             [lead, rng.standard_normal((n_ex, n_h - spec.k_max))], axis=1)
-    else:
-        raw = rng.standard_normal((n_ex, n_h))
     V = np.linalg.qr(raw)[0]
 
     return SyntheticInstance(
@@ -665,11 +663,14 @@ def _sweep_spec(rng, mode: str) -> InstanceSpec:
         da = float(rng.uniform(0.005, 0.05))
         db = float(rng.uniform(0.005, 0.05))
     style = rng.random()
-    contains = bool(style < 0.2)
-    noise = float(rng.uniform(0.05, 0.3)) if 0.2 <= style < 0.85 else None
+    if style < 0.2:
+        noise = 0.0
+    elif style < 0.85:
+        noise = float(rng.uniform(0.05, 0.3))
+    else:
+        noise = None
     return InstanceSpec(n_h=n_h, n_cont=n, n_ex=n_ex, k_max=k_max,
-                        delta_a=da, delta_b=db,
-                        vh_contains_eigvecs=contains, approx_noise=noise)
+                        delta_a=da, delta_b=db, approx_noise=noise)
 
 
 def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]:

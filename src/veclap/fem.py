@@ -29,12 +29,10 @@ the lifted point:
 
 which follows from expanding E_T(u) = sym(P_h grad(u) P_h) - (u.n_h) H.
 
-Analytic extended fields are paired with the basis in the same quadrature:
-``assemble(space, fields=...)`` builds the point data of each element chunk
-once and computes the local matrices and the pairings of every field from
-it, and ``extended_pairings(fields, space, forms)`` runs the same per-chunk
-kernel on its own, with the quadrature, penalty and improved normal of
-``forms``.
+Analytic extended fields are paired with the basis in the same quadrature
+and the same element pass: ``assemble(space, fields=...)`` builds the point
+data of each element chunk once and computes the local matrices and the
+pairings of every field from it.
 
 The element loop keeps its memory bounded: a chunk's size is set by the
 element's largest temporary (at most 256 elements, fewer at high degree),
@@ -65,7 +63,6 @@ __all__ = [
     "build_space",
     "assemble",
     "interpolate",
-    "extended_pairings",
     "write_matrix_market",
 ]
 
@@ -127,17 +124,11 @@ class AssembledForms:
     fields requested from :func:`assemble`.
 
     ``A`` is a BSR matrix of 3 x 3 blocks whose ``indptr`` and ``indices``
-    are those of the scalar mass ``M``; ``B = M (x) I_3`` is CSR.  ``eta``,
-    ``quad_degree`` and ``normal_map`` are what :func:`extended_pairings`
-    needs to pair more fields in the same quadrature; the geometry comes
-    from the space.
+    are those of the scalar mass ``M``; ``B = M (x) I_3`` is CSR.
     """
 
     A: sp.bsr_matrix
     B: sp.csr_matrix
-    eta: float
-    quad_degree: int
-    normal_map: ParametricMap  # degree-(k_g + 1) lift for the penalty normal
     pairings: tuple[ExtendedPairings, ...] = ()
 
 
@@ -313,29 +304,6 @@ class _CsrPattern:
         self.indices = (keys % n).astype(idx)
 
 
-class _PairingSums:
-    """The chunks' :func:`_field_pairings` summed per field, in the order
-    the chunks are added."""
-
-    def __init__(self, space: FeSpace, n_fields: int):
-        self.space = space
-        self.sums = [[np.zeros(space.n_dofs), np.zeros(space.n_dofs), 0.0, 0.0]
-                     for _ in range(n_fields)]
-
-    def add(self, elements, per_field) -> None:
-        conn = self.space.numbering.connectivity[elements]
-        dofs = self.space.vector_dof(np.arange(3), conn[:, :, None]).ravel()
-        for acc, (a_el, b_el, a_ee, b_ee) in zip(self.sums, per_field, strict=True):
-            _add_at(acc[0], dofs, a_el)
-            _add_at(acc[1], dofs, b_el)
-            acc[2] += a_ee
-            acc[3] += b_ee
-
-    def result(self) -> list[ExtendedPairings]:
-        return [ExtendedPairings(a_ee=a_ee, b_ee=b_ee, a_vec=a_vec, b_vec=b_vec)
-                for a_vec, b_vec, a_ee, b_ee in self.sums]
-
-
 def assemble(space: FeSpace, eta_coeff: float = 1.0,
              quad_degree: int | None = None, fields=()) -> AssembledForms:
     """Assemble ``A = a~ + k_a`` and ``B = M (x) I_3``, M the scalar mass,
@@ -344,10 +312,10 @@ def assemble(space: FeSpace, eta_coeff: float = 1.0,
 
     The penalty term uses the unit normal of the degree-``k_g + 1``
     parametric lift as its improved normal, which carries the generic
-    one-order-better accuracy.  ``fields`` are as in
-    :func:`extended_pairings`; their pairings are
-    ``AssembledForms.pairings`` in the order of ``fields``, and equal
-    ``extended_pairings(fields, space, forms)`` bit for bit.
+    one-order-better accuracy.  Each of ``fields`` must provide
+    ``value(x)`` and ``extension_jacobian(x)`` for batched points, e.g. a
+    :class:`~veclap.geometry.KillingField`; their pairings are
+    ``AssembledForms.pairings`` in the order of ``fields``.
     """
     pmap = space.pmap
     min_degree = 2 * (space.degree + pmap.degree)
@@ -365,16 +333,24 @@ def assemble(space: FeSpace, eta_coeff: float = 1.0,
         pd = _PointData(space, elements, rule, normal_map)
         return _local_matrices(pd, eta) + (_field_pairings(pd, fields, eta),)
 
-    pattern = _CsrPattern(space.numbering.connectivity, space.n_scalar)
+    conn = space.numbering.connectivity
+    pattern = _CsrPattern(conn, space.n_scalar)
     a_data = np.zeros(9 * pattern.nnz)  # the 3 x 3 blocks, raveled
     m_data = np.zeros(pattern.nnz)
-    pairings = _PairingSums(space, len(fields))
+    # per field: a_vec, b_vec, a_ee, b_ee, summed in chunk order
+    sums = [[np.zeros(space.n_dofs), np.zeros(space.n_dofs), 0.0, 0.0]
+            for _ in fields]
     chunks = _chunks(space, rule)
     for elements, (a_loc, m_loc, per_field) in zip(chunks, map_ordered(work, chunks)):
         position = pattern.position[elements]
         _add_at(a_data, 9 * position[..., None] + np.arange(9), a_loc)
         _add_at(m_data, position, m_loc)
-        pairings.add(elements, per_field)
+        dofs = space.vector_dof(np.arange(3), conn[elements][:, :, None])
+        for acc, (a_el, b_el, a_ee, b_ee) in zip(sums, per_field, strict=True):
+            _add_at(acc[0], dofs, a_el)
+            _add_at(acc[1], dofs, b_el)
+            acc[2] += a_ee
+            acc[3] += b_ee
     n = space.n_scalar
     A = sp.bsr_matrix((a_data.reshape(-1, 3, 3), pattern.indices, pattern.indptr),
                       shape=(3 * n, 3 * n))
@@ -383,49 +359,18 @@ def assemble(space: FeSpace, eta_coeff: float = 1.0,
         raise GeometryError("assembled B has non-positive diagonal entries")
     # b~ + k_b = M (x) I_3 because P_h + n_h n_h^T = I
     B = sp.kron(M, sp.identity(3), format="csr")
-    return AssembledForms(A=A, B=B, eta=eta, quad_degree=quad_degree,
-                          normal_map=normal_map, pairings=tuple(pairings.result()))
-
-
-def extended_pairings(fields, space: FeSpace,
-                      forms: AssembledForms) -> list[ExtendedPairings]:
-    """Pair extended fields (value + ambient Jacobian) against the basis.
-
-    Each of ``fields`` must provide ``value(x)`` and
-    ``extension_jacobian(x)`` for batched points, e.g. a
-    :class:`~veclap.geometry.KillingField`.  One pass over the elements
-    pairs all of them; the result is in the order of ``fields``.  It runs
-    the per-chunk kernel of ``assemble(space, fields=...)`` on its own, for
-    fields not known at assembly time; ``forms`` must come from
-    ``assemble(space, ...)``.
-    """
-    rule = triangle_rule(forms.quad_degree)
-
-    def work(elements):
-        pd = _PointData(space, elements, rule, forms.normal_map)
-        return _field_pairings(pd, fields, forms.eta)
-
-    pairings = _PairingSums(space, len(fields))
-    chunks = _chunks(space, rule)
-    for elements, per_field in zip(chunks, map_ordered(work, chunks)):
-        pairings.add(elements, per_field)
-    return pairings.result()
+    return AssembledForms(A=A, B=B, pairings=tuple(
+        ExtendedPairings(a_ee=a_ee, b_ee=b_ee, a_vec=a_vec, b_vec=b_vec)
+        for a_vec, b_vec, a_ee, b_ee in sums))
 
 
 def _node_positions(space: FeSpace) -> np.ndarray:
     """Lifted positions of the FE nodes, each from its first owning element."""
-    pmap = space.pmap
     conn = space.numbering.connectivity
-    nk = conn.shape[1]
+    ne, nk = conn.shape
     _, first = np.unique(conn.ravel(), return_index=True)
-    owner = first // nk
-    local = first % nk
-    ref_pts = reference_triangle(space.degree).nodes[local]
-
-    geom_ref = reference_triangle(pmap.degree)
-    phi = geom_ref.eval_basis(ref_pts)                       # (n_nodes, n_g)
-    coeffs = pmap.coeffs[pmap.numbering.connectivity[owner]]  # (n_nodes, n_g, 3)
-    return np.einsum("nl,nlc->nc", phi, coeffs)
+    x = space.pmap.evaluate(np.arange(ne), reference_triangle(space.degree).nodes)
+    return x.reshape(ne * nk, 3)[first]
 
 
 def interpolate(field, space: FeSpace) -> np.ndarray:

@@ -102,10 +102,10 @@ def reference_local_matrices(pd: ReferencePointData, eta: float):
     return a_loc, ka_loc, tang_mass, kb_loc
 
 
-def reference_pairings(field, space, forms, rule, elements):
-    """``(a_vec, b_vec, a_ee, b_ee)`` of one field over ``elements``."""
-    pd = ReferencePointData(space, elements, rule, forms.normal_map)
-    eta = forms.eta
+def reference_pairings(field, space, normal_map, eta, rule, elements):
+    """``(a_vec, b_vec, a_ee, b_ee)`` of one field over ``elements``, with
+    the improved normal of ``normal_map`` and the penalty ``eta``."""
+    pd = ReferencePointData(space, elements, rule, normal_map)
     wmu = pd.w[None, :] * pd.mu
     u = field.value(pd.x)
     Ju = field.extension_jacobian(pd.x)

@@ -48,8 +48,7 @@ class TestRembest:
 
 class TestConformingCases:
     def test_exact_conforming_instance(self):
-        spec = InstanceSpec(n_h=8, n_cont=6, n_ex=10, k_max=3,
-                            vh_contains_eigvecs=True)
+        spec = InstanceSpec(n_h=8, n_cont=6, n_ex=10, k_max=3, approx_noise=0.0)
         inst = make_instance(spec, 21)
         q = compute_quantities(inst)
         assert q.theta.max() <= 1e-7
@@ -58,8 +57,7 @@ class TestConformingCases:
         assert rel.max() <= 1e-10
 
     def test_vh_equal_to_eigenspace(self):
-        spec = InstanceSpec(n_h=3, n_cont=6, n_ex=9, k_max=3,
-                            vh_contains_eigvecs=True)
+        spec = InstanceSpec(n_h=3, n_cont=6, n_ex=9, k_max=3, approx_noise=0.0)
         inst = make_instance(spec, 22)
         q = compute_quantities(inst)
         assert q.theta.max() <= 1e-7
@@ -73,8 +71,7 @@ class TestConformingCases:
                                    rtol=1e-11, atol=1e-12)
 
     def test_resEVmain_exact_with_both_sides_zero(self):
-        spec = InstanceSpec(n_h=8, n_cont=6, n_ex=10, k_max=3,
-                            vh_contains_eigvecs=True)
+        spec = InstanceSpec(n_h=8, n_cont=6, n_ex=10, k_max=3, approx_noise=0.0)
         rep = verify_bounds(make_instance(spec, 23))
         checks = [c for c in rep.checks if c.bound == "ev_relative_error_upper"]
         assert checks and all(c.hypotheses_met for c in checks)

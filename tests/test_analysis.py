@@ -25,7 +25,7 @@ from veclap.analysis import (
 )
 from veclap.eigensolve import full_spectrum, solve_smallest
 from veclap.errors import InputError
-from veclap.fem import _node_positions, assemble, build_space, extended_pairings, interpolate
+from veclap.fem import _node_positions, assemble, build_space, interpolate
 from veclap.geometry import KillingField, Sphere
 from veclap.mesh import icosphere, mesh_size, parametric_lift
 from veclap.quadrature import triangle_rule
@@ -148,8 +148,8 @@ class TestDefectDualNorm:
             mesh = icosphere(lvl, S, jitter=0.3)
             pmap = parametric_lift(mesh, 2, S)
             space = build_space(pmap, 2)
-            forms = assemble(space)
-            ep = extended_pairings([KF], space, forms)[0]
+            forms = assemble(space, fields=[KF])
+            ep, = forms.pairings
             errs.append(defect_dual_norm(ep.a_vec - ep.b_vec, forms.A))
             hs.append(mesh_size(mesh))
         rate = eoc(errs[-2], errs[-1], hs[-2], hs[-1])
@@ -161,9 +161,9 @@ class TestEigenvectorError:
         mesh = icosphere(0, S)
         pmap = parametric_lift(mesh, 1, S)
         space = build_space(pmap, 1)
-        forms = assemble(space)
+        forms = assemble(space, fields=[KF])
         pairs = solve_smallest(forms.A, forms.B, 3)
-        ep = extended_pairings([KF], space, forms)[0]
+        ep, = forms.pairings
         with pytest.raises(InputError):
             eigenvector_error(ClusterWindow(50.0, 60.0), pairs, forms, ep)
 
@@ -173,9 +173,9 @@ class TestEigenvectorError:
         mesh = icosphere(2, S)
         pmap = parametric_lift(mesh, 1, S)
         space = build_space(pmap, 1)
-        forms = assemble(space)
+        forms = assemble(space, fields=[KF])
         pairs = full_spectrum(forms.A, forms.B)
-        ep = extended_pairings([KF], space, forms)[0]
+        ep, = forms.pairings
         ev = eigenvector_error(ClusterWindow(0.0, math.inf), pairs, forms, ep)
         x = interpolate(KF.value, space)
         interp_sq = ep.a_ee - 2.0 * (ep.a_vec @ x) + x @ (forms.A @ x)
@@ -185,9 +185,9 @@ class TestEigenvectorError:
         mesh = icosphere(2, S)
         pmap = parametric_lift(mesh, 1, S)
         space = build_space(pmap, 1)
-        forms = assemble(space)
+        forms = assemble(space, fields=[KF])
         pairs = solve_smallest(forms.A, forms.B, 6)
-        ep = extended_pairings([KF], space, forms)[0]
+        ep, = forms.pairings
         ev = eigenvector_error(ClusterWindow(0.0, 1.5), pairs, forms, ep)
         assert ev.energy_sq_raw >= -1e-9 * ep.a_ee
         assert ev.l2_sq_raw >= -1e-9 * ep.b_ee

@@ -196,6 +196,17 @@ class TestConverge:
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("fields", ["q", "z,w"])
+    def test_unknown_field_exits_2_before_meshing(self, fields, monkeypatch, capsys):
+        # StudyConfig is the one check of the axes
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(["converge", "--k", "1", "--kg", "1", "--levels", "2..3",
+                         "--fields", fields]) == 2
+        err = capsys.readouterr().err
+        bad = fields.split(",")[-1]
+        assert err.startswith(f"error: unknown Killing field axis {bad!r}")
+        assert "Traceback" not in err
+
 
 class TestArea:
     def test_area_csv(self, tmp_path):

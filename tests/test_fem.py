@@ -22,12 +22,17 @@ from veclap.fem import (
     _PointData,
     assemble,
     build_space,
-    extended_pairings,
     interpolate,
     write_matrix_market,
 )
 from veclap.geometry import KillingField, Sphere
-from veclap.mesh import icosphere, mesh_size, parametric_lift, surface_area
+from veclap.mesh import (
+    icosphere,
+    improved_normal_lift,
+    mesh_size,
+    parametric_lift,
+    surface_area,
+)
 from veclap.quadrature import triangle_rule
 from veclap.runtime import THREADS_ENV
 
@@ -40,6 +45,18 @@ def setup_forms(k, kg, level, jitter=0.0, **kw):
     pmap = parametric_lift(mesh, kg, S)
     space = build_space(pmap, k)
     return space, assemble(space, **kw)
+
+
+def quad_degree(space):
+    """The exactness degree ``assemble`` uses by default, 2 (k + k_g)."""
+    return 2 * (space.degree + space.pmap.degree)
+
+
+def kernel_inputs(space, eta_coeff=1.0):
+    """``(rule, normal_map, eta)`` as ``assemble(space, eta_coeff)`` hands
+    them to its per-chunk kernels, for calling those directly."""
+    return (triangle_rule(quad_degree(space)), improved_normal_lift(space.pmap),
+            eta_coeff / mesh_size(space.mesh) ** 2)
 
 
 def penalty(space, forms):
@@ -93,7 +110,7 @@ class TestAssemble:
             space, forms = setup_forms(k, kg, 1)
             c = np.zeros(space.n_dofs)
             c[0::3] = 1.0  # the x component of every node
-            area = surface_area(space.pmap, forms.quad_degree)
+            area = surface_area(space.pmap, quad_degree(space))
             assert c @ (forms.B @ c) == pytest.approx(area, abs=1e-10)
 
     def test_symmetry(self):
@@ -126,19 +143,18 @@ class TestAssemble:
     def test_quadrature_sufficiency(self):
         # doubling the exactness degree moves entries by <= 1e-10 relative
         space, forms = setup_forms(2, 2, 3)
-        doubled = assemble(space, quad_degree=2 * forms.quad_degree)
+        doubled = assemble(space, quad_degree=2 * quad_degree(space))
         for a, b in ((forms.A, doubled.A), (forms.B, doubled.B)):
             rel = np.abs((a - b).data).max() / np.abs(a.data).max()
             assert rel <= 1e-10
         # with affine geometry the B parts are exactly integrated already
         space1, f1 = setup_forms(1, 1, 2)
-        d1 = assemble(space1, quad_degree=2 * f1.quad_degree)
+        d1 = assemble(space1, quad_degree=2 * quad_degree(space1))
         assert np.abs((f1.B - d1.B).data).max() <= 1e-14
 
     def test_eta_scaling(self):
         space, f1 = setup_forms(1, 1, 1)
         f4 = assemble(space, eta_coeff=4.0)
-        assert f4.eta == pytest.approx(4.0 * f1.eta, rel=1e-14)
         # A(4) - A(1) = 3 k_a; relative to the largest entry, because the
         # difference cancels a~ where k_a itself is tiny
         k_a = penalty(space, f1).toarray()
@@ -147,30 +163,27 @@ class TestAssemble:
 
     def test_thread_count_does_not_change_bits(self):
         # level 2 has several element chunks (small ones at k = 4), so four
-        # threads run them at once; the fused pass pairs the fields, and the
-        # standalone pass again
+        # threads run them at once, each pairing the fields in its chunk
         fields = [KillingField(axis, S) for axis in "zxy"]
         for k, n_chunks in ((2, 2), (4, 6)):
             old = os.environ.get(THREADS_ENV)
             try:
                 os.environ[THREADS_ENV] = "1"
                 s1, f1 = setup_forms(k, k, 2, jitter=0.3, fields=fields)
-                e1 = extended_pairings(fields, s1, f1) + list(f1.pairings)
                 os.environ[THREADS_ENV] = "4"
                 s4, f4 = setup_forms(k, k, 2, jitter=0.3, fields=fields)
-                e4 = extended_pairings(fields, s4, f4) + list(f4.pairings)
             finally:
                 if old is None:
                     os.environ.pop(THREADS_ENV, None)
                 else:
                     os.environ[THREADS_ENV] = old
-            assert len(fem._chunks(s1, triangle_rule(f1.quad_degree))) == n_chunks
+            assert len(fem._chunks(s1, kernel_inputs(s1)[0])) == n_chunks
             for a, b in ((f1.A, f4.A), (f1.B, f4.B)):
                 np.testing.assert_array_equal(a.data, b.data)
                 np.testing.assert_array_equal(a.indices, b.indices)
                 np.testing.assert_array_equal(a.indptr, b.indptr)
-            assert len(e1) == 6
-            for p1_, p4_ in zip(e1, e4, strict=True):
+            assert len(f1.pairings) == 3
+            for p1_, p4_ in zip(f1.pairings, f4.pairings, strict=True):
                 assert_same_pairings(p1_, p4_)
 
     @pytest.mark.parametrize("k, level, n_fields, bound_mb", [
@@ -198,9 +211,8 @@ class TestAssemble:
         space, forms = setup_forms(k, k, level, jitter=0.3)
         conn = space.numbering.connectivity
         ne, nk = conn.shape
-        rule = triangle_rule(forms.quad_degree)
-        local = [_local_matrices(_PointData(space, elements, rule,
-                                            forms.normal_map), forms.eta)
+        rule, normal_map, eta = kernel_inputs(space)
+        local = [_local_matrices(_PointData(space, elements, rule, normal_map), eta)
                  for elements in fem._chunks(space, rule)]
         vdofs = (3 * conn[:, :, None] + np.arange(3)).reshape(ne, 3 * nk)
         a_loc = np.concatenate([a for a, _ in local]).transpose(0, 1, 3, 2, 4)
@@ -227,18 +239,14 @@ class TestAssemble:
         pmap = parametric_lift(icosphere(2, s2, jitter=0.3), 2, s2)
         space = build_space(pmap, 2)
         forms = assemble(space, eta_coeff=4.0)
-        area = surface_area(pmap, forms.quad_degree)
+        area = surface_area(pmap, quad_degree(space))
         assert forms.B.sum() / 3 == pytest.approx(area, rel=1e-12, abs=0.0)
-        elements, rule = _all_elements(space, forms)
-        pd = _PointData(space, elements, rule, forms.normal_map)
+        rule, normal_map, _ = kernel_inputs(space)
+        pd = _PointData(space, np.arange(space.mesh.n_triangles), rule, normal_map)
         assert np.abs(pd.hh - 2.0 / s2.radius**2).max() <= 1e-12
 
     def test_no_fields_no_pairings(self):
         assert setup_forms(1, 1, 0)[1].pairings == ()
-
-
-def _all_elements(space, forms):
-    return np.arange(space.mesh.n_triangles), triangle_rule(forms.quad_degree)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -246,13 +254,13 @@ class TestAgainstReference:
     """Batched kernels against the per-term einsum reference, k = k_g."""
 
     def test_local_matrices(self, k):
-        space, forms = setup_forms(k, k, 1, jitter=0.3)
-        elements, rule = _all_elements(space, forms)
+        space = build_space(parametric_lift(icosphere(1, S, jitter=0.3), k, S), k)
+        elements = np.arange(space.mesh.n_triangles)
+        rule, normal_map, eta = kernel_inputs(space)
         a_loc, m_loc = _local_matrices(
-            _PointData(space, elements, rule, forms.normal_map), forms.eta)
+            _PointData(space, elements, rule, normal_map), eta)
         a_t, k_a, b_t, k_b = reference_local_matrices(
-            ReferencePointData(space, elements, rule, forms.normal_map),
-            forms.eta)
+            ReferencePointData(space, elements, rule, normal_map), eta)
         b_loc = m_loc[:, :, :, None, None] * np.eye(3)
         for new, ref in ((a_loc, a_t + k_a), (b_loc, b_t + k_b)):
             ref = ref.transpose(0, 1, 3, 2, 4)  # (e, i, c, j, d) -> (e, i, j, c, d)
@@ -268,27 +276,19 @@ class TestAgainstReference:
         assert forms.B.nnz == 3 * M.nnz
 
     def test_pairings(self, k):
-        space, forms = setup_forms(k, k, 1, jitter=0.3)
-        elements, rule = _all_elements(space, forms)
         fields = [KillingField(axis, S) for axis in "zxy"]
-        pairings = extended_pairings(fields, space, forms)
-        for fld, ep in zip(fields, pairings, strict=True):
+        space, forms = setup_forms(k, k, 1, jitter=0.3, fields=fields)
+        elements = np.arange(space.mesh.n_triangles)
+        rule, normal_map, eta = kernel_inputs(space)
+        for fld, ep in zip(fields, forms.pairings, strict=True):
             a_vec, b_vec, a_ee, b_ee = reference_pairings(
-                fld, space, forms, rule, elements)
+                fld, space, normal_map, eta, rule, elements)
             for new, ref in ((ep.a_vec, a_vec), (ep.b_vec, b_vec)):
                 assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
             assert ep.a_ee == pytest.approx(a_ee, rel=1e-13, abs=0.0)
             assert ep.b_ee == pytest.approx(b_ee, rel=1e-13, abs=0.0)
-            single, = extended_pairings([fld], space, forms)
+            single, = assemble(space, fields=[fld]).pairings
             assert_same_pairings(single, ep)
-
-    def test_fused_pairings_match_standalone(self, k):
-        # level 2 has at least two element chunks for every k
-        fields = [KillingField(axis, S) for axis in "zxy"]
-        space, forms = setup_forms(k, k, 2, jitter=0.3, fields=fields)
-        standalone = extended_pairings(fields, space, forms)
-        for fused, alone in zip(forms.pairings, standalone, strict=True):
-            assert_same_pairings(fused, alone)
 
 
 class TestSpectralProperties:
@@ -325,8 +325,8 @@ class TestInterpolate:
         # degree-2 fields: energy-norm error of the interpolant decays ~ h^2
         errs, hs = [], []
         for lvl in (2, 3, 4):
-            space, forms = setup_forms(2, 1, lvl, jitter=0.3)
-            ep = extended_pairings([KF], space, forms)[0]
+            space, forms = setup_forms(2, 1, lvl, jitter=0.3, fields=[KF])
+            ep, = forms.pairings
             x = interpolate(KF.value, space)
             errs.append(math.sqrt(max(
                 ep.a_ee - 2.0 * (ep.a_vec @ x) + x @ (forms.A @ x), 0.0)))
@@ -338,8 +338,8 @@ class TestInterpolate:
         # L2 error decays ~ h^{k+1} = h^2 for k = 1
         errs, hs = [], []
         for lvl in (2, 3, 4):
-            space, forms = setup_forms(1, 1, lvl, jitter=0.3)
-            ep = extended_pairings([KF], space, forms)[0]
+            space, forms = setup_forms(1, 1, lvl, jitter=0.3, fields=[KF])
+            ep, = forms.pairings
             x = interpolate(KF.value, space)
             errs.append(math.sqrt(max(
                 ep.b_ee - 2.0 * (ep.b_vec @ x) + x @ (forms.B @ x), 0.0)))
@@ -364,16 +364,14 @@ class TestExtendedPairings:
         target = 8.0 * math.pi / 3.0
         errs_b, errs_a = [], []
         for lvl in (2, 3):
-            space, forms = setup_forms(1, 1, lvl)
-            ep = extended_pairings([KF], space, forms)[0]
+            ep, = setup_forms(1, 1, lvl, fields=[KF])[1].pairings
             errs_b.append(abs(ep.b_ee - target))
             errs_a.append(abs(ep.a_ee - target))
         assert errs_b[1] < errs_b[0] and errs_a[1] < errs_a[0]
         assert errs_b[1] <= 0.05 and errs_a[1] <= 0.05
 
     def test_zero_field(self):
-        space, forms = setup_forms(1, 1, 0)
-        ep = extended_pairings([ZeroField()], space, forms)[0]
+        ep, = setup_forms(1, 1, 0, fields=[ZeroField()])[1].pairings
         assert ep.a_ee == 0.0 and ep.b_ee == 0.0
         assert np.all(ep.a_vec == 0.0) and np.all(ep.b_vec == 0.0)
 
