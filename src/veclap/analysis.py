@@ -22,7 +22,7 @@ from .eigensolve import EigenPairs, factorize, solve_smallest
 from .errors import InputError
 from .fem import AssembledForms, ExtendedPairings, FeSpace, assemble, build_space
 from .geometry import KillingField, Sphere
-from .mesh import icosphere, mesh_size, parametric_lift, surface_area
+from .mesh import MAX_LEVEL, icosphere, mesh_size, parametric_lift, surface_area
 from .runtime import map_ordered
 
 __all__ = [
@@ -215,9 +215,11 @@ class StudyConfig:
 
 
 def _check_levels(levels) -> None:
-    """Reject levels that are not strictly ascending, before any meshing:
-    an EOC needs two distinct mesh sizes."""
+    """Reject levels outside ``[0, MAX_LEVEL]`` or not strictly ascending
+    (an EOC needs two distinct mesh sizes), before any meshing."""
     levels = list(levels)
+    if any(not (0 <= lvl <= MAX_LEVEL) for lvl in levels):
+        raise InputError(f"refinement levels must be in [0, {MAX_LEVEL}], got {levels}")
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise InputError(f"levels must be strictly ascending, got {levels}")
 
@@ -253,16 +255,15 @@ def _guard_penalty(eta_coeff: float, lam_max: float, level: int, h: float) -> No
 
 
 def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRecord:
-    surface = Sphere()
-    mesh = icosphere(level, surface, jitter=cfg.jitter, seed=cfg.mesh_seed)
+    mesh = icosphere(level, jitter=cfg.jitter, seed=cfg.mesh_seed)
     h = mesh_size(mesh)
     exact = exact_sphere_eigenvalues(cfg.num_eigs)
     _guard_penalty(cfg.eta_coeff, float(exact.max()), level, h)
-    pmap = parametric_lift(mesh, cfg.k_g, surface)
+    pmap = parametric_lift(mesh, cfg.k_g)
     space = build_space(pmap, cfg.k)
     _guard_size(space.n_dofs)
     forms = assemble(space, eta_coeff=cfg.eta_coeff,
-                     fields=[KillingField(axis, surface) for axis in cfg.fields])
+                     fields=[KillingField(axis) for axis in cfg.fields])
     if on_assembled is not None:
         on_assembled(level, mesh, forms)
     pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs, tol=cfg.tol)
@@ -288,11 +289,10 @@ def convergence_study(cfg: StudyConfig, on_assembled=None) -> list[ConvergenceRe
                             cfg.levels))
 
 
-def area_study(k_g: int, levels, surface: Sphere | None = None,
+def area_study(k_g: int, levels, surface: Sphere = Sphere(),
                quad_degree: int | None = None, jitter: float = 0.3,
                mesh_seed: int = 0) -> list[ConvergenceRecord]:
     """Area-error-only records (no assembly or solve)."""
-    surface = surface if surface is not None else Sphere()
     _check_levels(levels)
     _check_seed(mesh_seed)
     if quad_degree is not None and quad_degree < 0:
@@ -302,7 +302,7 @@ def area_study(k_g: int, levels, surface: Sphere | None = None,
     records = []
     for level in levels:
         mesh = icosphere(level, surface, jitter=jitter, seed=mesh_seed)
-        pmap = parametric_lift(mesh, k_g, surface)
+        pmap = parametric_lift(mesh, k_g)
         area = surface_area(pmap, degree)
         records.append(ConvergenceRecord(
             level=level, h=mesh_size(mesh), ndof=0,

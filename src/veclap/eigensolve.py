@@ -42,10 +42,6 @@ class EigenPairs:
     method: str
     iterations: int           # shift-invert solves with A (0 for dense)
 
-    @property
-    def m(self) -> int:
-        return self.eigenvalues.size
-
 
 def _dense(M):
     return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)

@@ -1,6 +1,6 @@
-"""Analytic sphere geometry: closest-point projection, normal and
-Weingarten map, and the rotational Killing fields of the sphere together
-with their constant-normal extensions.
+"""Analytic sphere geometry: closest-point projection and its Jacobian,
+normal and Weingarten map, and the rotational Killing fields of the sphere,
+given by value and ambient Jacobian at surface points.
 
 Every quantity is evaluated in batched form (arrays with a trailing axis of
 length 3) because the assembly loops evaluate them at many quadrature
@@ -53,10 +53,14 @@ class Sphere:
         eye = np.eye(3)
         return (eye - n[..., :, None] * n[..., None, :]) / r[..., None, None]
 
-
-def _cross_matrix(omega):
-    ox, oy, oz = omega
-    return np.array([[0.0, -oz, oy], [oz, 0.0, -ox], [-oy, ox, 0.0]])
+    def closest_point_jacobian(self, x):
+        """Ambient Jacobian of the closest-point map, ``(r/|x|)(I - x^ x^T)``;
+        batched, shape ``(..., 3, 3)`` with ``J[i, j] = d p_i / d x_j``."""
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1)
+        n = x / r[..., None]
+        proj = np.eye(3) - n[..., :, None] * n[..., None, :]
+        return (self.radius / r)[..., None, None] * proj
 
 
 _AXES = {"x": np.array([1.0, 0.0, 0.0]),
@@ -66,18 +70,16 @@ _AXES = {"x": np.array([1.0, 0.0, 0.0]),
 
 @dataclass(frozen=True)
 class KillingField:
-    """Rotational Killing field of a sphere about a coordinate axis.
+    """Rotational Killing field of a sphere centered at the origin, about a
+    coordinate axis: ``u(p) = omega x p`` at surface points p.
 
-    The field is ``u(x) = omega x x`` restricted to the surface; points off
-    the surface are first projected, so the callable value is the
-    constant-normal extension ``u^e(x) = u(p(x))``.  For the z axis this is
-    the field ``(-y, x, 0)``.  On the sphere the field is tangential and its
-    tangential symmetric gradient vanishes, which makes it an exact
-    eigenvector of the shifted vector-Laplace operator with eigenvalue 1.
+    For the z axis this is the field ``(-y, x, 0)``.  On the sphere the field
+    is tangential and its tangential symmetric gradient vanishes, which makes
+    it an exact eigenvector of the shifted vector-Laplace operator with
+    eigenvalue 1.
     """
 
     axis: str
-    surface: Sphere = Sphere()
 
     def __post_init__(self):
         if self.axis not in _AXES:
@@ -87,23 +89,14 @@ class KillingField:
     def omega(self):
         return _AXES[self.axis]
 
-    def value(self, x):
-        """Extended field value ``omega x p(x)``; batched over leading axes."""
-        p = self.surface.closest_point(x)
+    def value(self, p):
+        """Field value ``omega x p`` at surface points; batched over leading axes."""
+        p = np.asarray(p, dtype=float)
         return np.cross(np.broadcast_to(self.omega, p.shape), p)
 
-    def extension_jacobian(self, x):
-        """Ambient Jacobian of the extension, ``d/dx [omega x (r x/|x|)]``.
-
-        Closed form: ``C_omega (r/|x|) (I - x^ x^T)`` with ``C_omega`` the
-        cross-product matrix.  Batched over leading axes; returns shape
-        ``(..., 3, 3)`` with entries ``J[i, j] = d u_i / d x_j``.
-        """
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        n = x / r[..., None]
-        eye = np.eye(3)
-        proj = eye - n[..., :, None] * n[..., None, :]
-        scale = self.surface.radius / r
-        return _cross_matrix(self.omega) @ (scale[..., None, None] * proj)
-
+    def jacobian(self, p):
+        """Ambient Jacobian ``d/dp [omega x p]``, the cross-product matrix of
+        ``omega``; the same at every point, so it broadcasts over ``p``'s
+        leading axes."""
+        ox, oy, oz = self.omega
+        return np.array([[0.0, -oz, oy], [oz, 0.0, -ox], [-oy, ox, 0.0]])

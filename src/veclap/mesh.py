@@ -6,8 +6,9 @@ regular icosahedron with every vertex projected exactly onto the surface.
 The lift of degree ``k_g`` interpolates the closest-point projection on the
 degree-``k_g`` node lattice of every flat triangle, giving a continuous
 piecewise-polynomial surface; for ``k_g = 1`` the lift is the identity.
-The lift records the surface it interpolates, so whatever is built on it
-(the FE space, the improved normal) reads its geometry from one place.
+The flat mesh records the surface it was built on, and is the only holder
+of it: the lift interpolates that surface, and whatever is built on the lift
+(the FE space, the improved normal) reads it from the mesh.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ MAX_LEVEL = 7
 
 @dataclass(frozen=True)
 class LinearSurfaceMesh:
-    """Watertight oriented triangulation with all vertices on the surface."""
+    """Watertight oriented triangulation with all vertices on ``surface``,
+    the exact surface ``Gamma`` it approximates."""
 
     vertices: np.ndarray   # (nv, 3)
     triangles: np.ndarray  # (nt, 3) int
-    level: int
+    surface: Sphere
 
     @property
     def n_vertices(self) -> int:
@@ -54,8 +56,8 @@ class LinearSurfaceMesh:
 
 @dataclass(frozen=True)
 class ParametricMap:
-    """Degree-``k_g`` interpolant of the closest-point projection of
-    ``surface``, the exact surface ``Gamma`` it approximates.
+    """Degree-``k_g`` interpolant of the closest-point projection onto
+    ``mesh.surface``, the exact surface ``Gamma`` it approximates.
 
     ``coeffs[numbering.connectivity[t, l]]`` is the lifted position of local
     node l of flat triangle t; shared nodes carry identical coefficients, so
@@ -63,7 +65,6 @@ class ParametricMap:
     """
 
     mesh: LinearSurfaceMesh
-    surface: Sphere
     degree: int
     numbering: NodeNumbering
     coeffs: np.ndarray  # (n_nodes, 3) lifted node positions
@@ -124,8 +125,8 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 def _subdivide(vertices, triangles):
     """Split every triangle into 4 by edge midpoints (flat, unprojected).
 
-    Returns the refined mesh and the split edges (one per inserted vertex,
-    in insertion order).
+    Returns the refined vertices, the old ones followed by one midpoint per
+    edge, and the refined triangles.
     """
     nv = vertices.shape[0]
     pairs = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
@@ -141,10 +142,10 @@ def _subdivide(vertices, triangles):
         np.stack([m20, m12, t2], axis=1),
         np.stack([m01, m12, m20], axis=1),
     ], axis=0)
-    return np.concatenate([vertices, mid], axis=0), new_tris, edges
+    return np.concatenate([vertices, mid], axis=0), new_tris
 
 
-def icosphere(level: int, surface: Sphere | None = None,
+def icosphere(level: int, surface: Sphere = Sphere(),
               jitter: float = 0.0, seed: int = 0) -> LinearSurfaceMesh:
     """Icosahedral sphere triangulation with 20 * 4^level triangles.
 
@@ -161,7 +162,6 @@ def icosphere(level: int, surface: Sphere | None = None,
     staying reproducible.  The perturbation is drawn independently per
     level, with shape regularity bounded uniformly in the level.
     """
-    surface = surface if surface is not None else Sphere()
     if not (0 <= level <= MAX_LEVEL):
         raise InputError(f"refinement level must be in [0, {MAX_LEVEL}], got {level}")
     if not (0.0 <= jitter <= 0.4):
@@ -169,7 +169,7 @@ def icosphere(level: int, surface: Sphere | None = None,
     v, t = _icosahedron()
     v = surface.closest_point(v)
     for _ in range(level):
-        v, t, _ = _subdivide(v, t)
+        v, t = _subdivide(v, t)
         v = surface.closest_point(v)
     if jitter > 0.0:
         rng = np.random.default_rng((seed, level))
@@ -184,30 +184,28 @@ def icosphere(level: int, surface: Sphere | None = None,
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         v = v + (jitter * scale * rng.random(v.shape[0]))[:, None] * direction
         v = surface.closest_point(v)
-    return LinearSurfaceMesh(vertices=v, triangles=t, level=level)
+    return LinearSurfaceMesh(vertices=v, triangles=t, surface=surface)
 
 
-def parametric_lift(mesh: LinearSurfaceMesh, k_g: int,
-                    surface: Sphere | None = None) -> ParametricMap:
-    """Degree-``k_g`` lift of the flat mesh through the closest-point map."""
-    surface = surface if surface is not None else Sphere()
+def parametric_lift(mesh: LinearSurfaceMesh, k_g: int) -> ParametricMap:
+    """Degree-``k_g`` lift of the flat mesh through the closest-point map
+    of its surface."""
     if not (1 <= k_g <= 4):
         raise InputError(f"geometry degree k_g must be in [1, 4], got {k_g}")
-    return _lift(mesh, k_g, surface)
+    return _lift(mesh, k_g)
 
 
-def _lift(mesh: LinearSurfaceMesh, degree: int, surface: Sphere) -> ParametricMap:
+def _lift(mesh: LinearSurfaceMesh, degree: int) -> ParametricMap:
     numbering = NodeNumbering(mesh.vertices, mesh.triangles, degree)
-    coeffs = surface.closest_point(numbering.coords)
-    return ParametricMap(mesh=mesh, surface=surface, degree=degree,
-                         numbering=numbering, coeffs=coeffs)
+    coeffs = mesh.surface.closest_point(numbering.coords)
+    return ParametricMap(mesh=mesh, degree=degree, numbering=numbering, coeffs=coeffs)
 
 
 def improved_normal_lift(pmap: ParametricMap) -> ParametricMap:
-    """One-degree-higher lift of ``pmap``'s mesh and surface, whose discrete
-    normal serves as the improved penalty normal (one order more accurate
-    than the normal of ``pmap``)."""
-    return _lift(pmap.mesh, pmap.degree + 1, pmap.surface)
+    """One-degree-higher lift of ``pmap``'s mesh, whose discrete normal
+    serves as the improved penalty normal (one order more accurate than the
+    normal of ``pmap``)."""
+    return _lift(pmap.mesh, pmap.degree + 1)
 
 
 def mesh_size(mesh: LinearSurfaceMesh) -> float:

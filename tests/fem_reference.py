@@ -38,7 +38,7 @@ class ReferencePointData:
     """Per-(element, quadrature point) geometry, one einsum per quantity."""
 
     def __init__(self, space, elements, rule, normal_map):
-        pmap, surface = space.pmap, space.pmap.surface
+        pmap, surface = space.pmap, space.mesh.surface
         ref_fe = reference_triangle(space.degree)
         basis = ref_fe.eval_basis(rule.points)
         fe_grads = ref_fe.eval_grads(rule.points)
@@ -103,12 +103,16 @@ def reference_local_matrices(pd: ReferencePointData, eta: float):
 
 
 def reference_pairings(field, space, normal_map, eta, rule, elements):
-    """``(a_vec, b_vec, a_ee, b_ee)`` of one field over ``elements``, with
-    the improved normal of ``normal_map`` and the penalty ``eta``."""
+    """``(a_vec, b_vec, a_ee, b_ee)`` of one field's constant-normal
+    extension ``u o p`` over ``elements``, with the improved normal of
+    ``normal_map`` and the penalty ``eta``."""
     pd = ReferencePointData(space, elements, rule, normal_map)
     wmu = pd.w[None, :] * pd.mu
-    u = field.value(pd.x)
-    Ju = field.extension_jacobian(pd.x)
+    p = space.mesh.surface.closest_point(pd.x)
+    u = field.value(p)
+    # chain rule: grad(u o p)(x) = grad u(p) dp(x)
+    dp = space.mesh.surface.closest_point_jacobian(pd.x)
+    Ju = np.einsum("eqab,eqbc->eqac", np.broadcast_to(field.jacobian(p), dp.shape), dp)
 
     grad_t = np.einsum("eqab,eqbc,eqcd->eqad", pd.P, Ju, pd.P)
     E = 0.5 * (grad_t + np.swapaxes(grad_t, -1, -2))

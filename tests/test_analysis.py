@@ -31,7 +31,7 @@ from veclap.mesh import icosphere, mesh_size, parametric_lift
 from veclap.quadrature import triangle_rule
 
 S = Sphere()
-KF = KillingField("z", S)
+KF = KillingField("z")
 
 
 def no_assembly(*args, **kwargs):
@@ -60,7 +60,7 @@ def normal_shares(eta_coeff: float) -> np.ndarray:
     """Nodal normal share sum (u.n)^2 / sum |u|^2 of every pair of the full
     discrete spectrum at (k, k_g, level) = (2, 2, 1)."""
     mesh = icosphere(1, S, jitter=0.3, seed=0)
-    pmap = parametric_lift(mesh, 2, S)
+    pmap = parametric_lift(mesh, 2)
     space = build_space(pmap, 2)
     forms = assemble(space, eta_coeff=eta_coeff)
     pairs = full_spectrum(forms.A, forms.B)
@@ -122,7 +122,7 @@ class TestClusterWindow:
     def test_gamma_stabilizes_near_two(self):
         # for the Killing window the gap parameter tends to 2/(2-1) = 2
         mesh = icosphere(3, S)
-        pmap = parametric_lift(mesh, 1, S)
+        pmap = parametric_lift(mesh, 1)
         space = build_space(pmap, 1)
         forms = assemble(space)
         pairs = solve_smallest(forms.A, forms.B, 6)
@@ -146,7 +146,7 @@ class TestDefectDualNorm:
         errs, hs = [], []
         for lvl in (1, 2, 3):
             mesh = icosphere(lvl, S, jitter=0.3)
-            pmap = parametric_lift(mesh, 2, S)
+            pmap = parametric_lift(mesh, 2)
             space = build_space(pmap, 2)
             forms = assemble(space, fields=[KF])
             ep, = forms.pairings
@@ -159,7 +159,7 @@ class TestDefectDualNorm:
 class TestEigenvectorError:
     def test_empty_window(self):
         mesh = icosphere(0, S)
-        pmap = parametric_lift(mesh, 1, S)
+        pmap = parametric_lift(mesh, 1)
         space = build_space(pmap, 1)
         forms = assemble(space, fields=[KF])
         pairs = solve_smallest(forms.A, forms.B, 3)
@@ -171,7 +171,7 @@ class TestEigenvectorError:
         # projecting onto the span of all eigenvectors cannot be much worse
         # than interpolation (the projection is b_h-optimal over all of V_h)
         mesh = icosphere(2, S)
-        pmap = parametric_lift(mesh, 1, S)
+        pmap = parametric_lift(mesh, 1)
         space = build_space(pmap, 1)
         forms = assemble(space, fields=[KF])
         pairs = full_spectrum(forms.A, forms.B)
@@ -183,7 +183,7 @@ class TestEigenvectorError:
 
     def test_round_off_clamp_is_tiny(self):
         mesh = icosphere(2, S)
-        pmap = parametric_lift(mesh, 1, S)
+        pmap = parametric_lift(mesh, 1)
         space = build_space(pmap, 1)
         forms = assemble(space, fields=[KF])
         pairs = solve_smallest(forms.A, forms.B, 6)

@@ -178,6 +178,19 @@ class TestConverge:
         assert cli.main(command) == 2
         assert "strictly ascending" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["converge", "--k", "1", "--kg", "1", "--levels", "5..8"],
+        ["area", "--kg", "2", "--levels", "5..8"],
+        ["area", "--kg", "1", "--levels=-1,0"],
+    ], ids=["converge-above", "area-above", "area-negative"])
+    def test_levels_out_of_range_exit_2_before_meshing(self, command, monkeypatch,
+                                                      capsys):
+        # the valid levels before the bad one are not meshed either
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(command) == 2
+        err = capsys.readouterr().err
+        assert "levels must be in [0, 7]" in err and "Traceback" not in err
+
     def test_repeat_run_byte_identical(self, tmp_path):
         args = ["area", "--kg", "2", "--levels", "1..3"]
         assert cli.main(args + ["--out", str(tmp_path / "a.csv")]) == 0

@@ -37,12 +37,12 @@ from veclap.quadrature import triangle_rule
 from veclap.runtime import THREADS_ENV
 
 S = Sphere()
-KF = KillingField("z", S)
+KF = KillingField("z")
 
 
 def setup_forms(k, kg, level, jitter=0.0, **kw):
     mesh = icosphere(level, S, jitter=jitter)
-    pmap = parametric_lift(mesh, kg, S)
+    pmap = parametric_lift(mesh, kg)
     space = build_space(pmap, k)
     return space, assemble(space, **kw)
 
@@ -75,18 +75,18 @@ def assert_same_pairings(p, q):
 
 
 class ZeroField:
-    def value(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def value(self, p):
+        return np.zeros_like(np.asarray(p, dtype=float))
 
-    def extension_jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (3, 3))
+    def jacobian(self, p):
+        p = np.asarray(p, dtype=float)
+        return np.zeros(p.shape[:-1] + (3, 3))
 
 
 class TestBuildSpace:
     def test_dof_counts_level0(self):
         mesh = icosphere(0)
-        pmap = parametric_lift(mesh, 1, S)
+        pmap = parametric_lift(mesh, 1)
         sp1 = build_space(pmap, 1)
         assert sp1.n_scalar == 12 and sp1.n_dofs == 36
         sp2 = build_space(pmap, 2)
@@ -94,12 +94,12 @@ class TestBuildSpace:
 
     def test_dof_counts_level2(self):
         mesh = icosphere(2)
-        pmap = parametric_lift(mesh, 1, S)
+        pmap = parametric_lift(mesh, 1)
         assert build_space(pmap, 1).n_scalar == 162
 
     def test_degree_guard(self):
         mesh = icosphere(0)
-        pmap = parametric_lift(mesh, 1, S)
+        pmap = parametric_lift(mesh, 1)
         with pytest.raises(InputError):
             build_space(pmap, 5)
 
@@ -135,7 +135,7 @@ class TestAssemble:
 
     def test_quadrature_degree_guard(self):
         mesh = icosphere(0)
-        pmap = parametric_lift(mesh, 2, S)
+        pmap = parametric_lift(mesh, 2)
         space = build_space(pmap, 2)
         with pytest.raises(InputError):
             assemble(space, quad_degree=5)
@@ -164,7 +164,7 @@ class TestAssemble:
     def test_thread_count_does_not_change_bits(self):
         # level 2 has several element chunks (small ones at k = 4), so four
         # threads run them at once, each pairing the fields in its chunk
-        fields = [KillingField(axis, S) for axis in "zxy"]
+        fields = [KillingField(axis) for axis in "zxy"]
         for k, n_chunks in ((2, 2), (4, 6)):
             old = os.environ.get(THREADS_ENV)
             try:
@@ -195,9 +195,9 @@ class TestAssemble:
         # collecting every chunk's blocks and COO triplets peaked at 88 MB
         # and 65 MB here
         mesh = icosphere(level, S, jitter=0.3)
-        pmap = parametric_lift(mesh, k, S)
+        pmap = parametric_lift(mesh, k)
         space = build_space(pmap, k)
-        fields = [KillingField(axis, S) for axis in "zxy"[:n_fields]]
+        fields = [KillingField(axis) for axis in "zxy"[:n_fields]]
         tracemalloc.start()
         try:
             assemble(space, fields=fields)
@@ -233,13 +233,18 @@ class TestAssemble:
             assert np.abs(new.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
     def test_geometry_comes_from_the_lift(self):
-        # on a sphere of radius 2, B integrates the lift's area, and the
-        # point data carry that sphere's curvature, tr(H^2) = 2 / r^2
+        # a mesh of the sphere of radius 2 is lifted onto that sphere, with
+        # no surface passed to the lift: its nodes sit at radius 2 and its
+        # area is 16 pi up to the O(h^4) geometric error of k_g = 2; B
+        # integrates the lift's area, and the point data carry that
+        # sphere's curvature, tr(H^2) = 2 / r^2
         s2 = Sphere(2.0)
-        pmap = parametric_lift(icosphere(2, s2, jitter=0.3), 2, s2)
+        pmap = parametric_lift(icosphere(2, s2, jitter=0.3), 2)
+        assert np.abs(np.linalg.norm(pmap.coeffs, axis=1) - 2.0).max() <= 1e-14
         space = build_space(pmap, 2)
         forms = assemble(space, eta_coeff=4.0)
         area = surface_area(pmap, quad_degree(space))
+        assert area == pytest.approx(16.0 * math.pi, rel=1e-3, abs=0.0)
         assert forms.B.sum() / 3 == pytest.approx(area, rel=1e-12, abs=0.0)
         rule, normal_map, _ = kernel_inputs(space)
         pd = _PointData(space, np.arange(space.mesh.n_triangles), rule, normal_map)
@@ -254,7 +259,7 @@ class TestAgainstReference:
     """Batched kernels against the per-term einsum reference, k = k_g."""
 
     def test_local_matrices(self, k):
-        space = build_space(parametric_lift(icosphere(1, S, jitter=0.3), k, S), k)
+        space = build_space(parametric_lift(icosphere(1, S, jitter=0.3), k), k)
         elements = np.arange(space.mesh.n_triangles)
         rule, normal_map, eta = kernel_inputs(space)
         a_loc, m_loc = _local_matrices(
@@ -276,7 +281,7 @@ class TestAgainstReference:
         assert forms.B.nnz == 3 * M.nnz
 
     def test_pairings(self, k):
-        fields = [KillingField(axis, S) for axis in "zxy"]
+        fields = [KillingField(axis) for axis in "zxy"]
         space, forms = setup_forms(k, k, 1, jitter=0.3, fields=fields)
         elements = np.arange(space.mesh.n_triangles)
         rule, normal_map, eta = kernel_inputs(space)

@@ -76,6 +76,7 @@ class TestIcosphere:
 
     def test_radius_scaling(self):
         m = icosphere(1, Sphere(2.0))
+        assert m.surface == Sphere(2.0)
         assert np.abs(np.linalg.norm(m.vertices, axis=1) - 2.0).max() <= 1e-13
 
 
@@ -103,12 +104,12 @@ class TestMeshSize:
 class TestParametricLift:
     def test_k1_identity_on_flat_mesh(self):
         m = icosphere(2)
-        pm = parametric_lift(m, 1, S)
+        pm = parametric_lift(m, 1)
         np.testing.assert_allclose(pm.coeffs, m.vertices, atol=1e-15)
 
     def test_k2_edge_nodes_projected_midpoints(self):
         m = icosphere(1)
-        pm = parametric_lift(m, 2, S)
+        pm = parametric_lift(m, 2)
         flat = pm.numbering.coords
         np.testing.assert_allclose(
             pm.coeffs, flat / np.linalg.norm(flat, axis=1, keepdims=True),
@@ -118,7 +119,7 @@ class TestParametricLift:
         # evaluating the map at reference nodes returns the lifted nodes
         m = icosphere(1)
         for kg in (2, 3):
-            pm = parametric_lift(m, kg, S)
+            pm = parametric_lift(m, kg)
             ref = reference_triangle(kg)
             vals = pm.evaluate(np.arange(m.n_triangles), ref.nodes)
             for e in range(m.n_triangles):
@@ -128,7 +129,7 @@ class TestParametricLift:
     def test_continuity_across_edges(self):
         # shared Lagrange nodes carry identical coefficients by construction
         m = icosphere(1)
-        pm = parametric_lift(m, 3, S)
+        pm = parametric_lift(m, 3)
         conn = pm.numbering.connectivity
         assert conn.max() + 1 == pm.coeffs.shape[0]
         # every global node referenced at least once, interior exactly once
@@ -138,12 +139,12 @@ class TestParametricLift:
 
     def test_degree_guard(self):
         with pytest.raises(InputError):
-            parametric_lift(icosphere(0), 5, S)
+            parametric_lift(icosphere(0), 5)
 
     def test_higher_degree_area_closer(self):
         m = icosphere(2)
-        a1 = surface_area(parametric_lift(m, 1, S), 10)
-        a2 = surface_area(parametric_lift(m, 2, S), 10)
+        a1 = surface_area(parametric_lift(m, 1), 10)
+        a2 = surface_area(parametric_lift(m, 2), 10)
         four_pi = 4.0 * math.pi
         assert abs(a2 - four_pi) < abs(a1 - four_pi)
 
@@ -153,7 +154,7 @@ class TestMapAgainstReference:
     """The map's single-GEMM points and Jacobians against the einsum reference."""
 
     def test_evaluate_and_jacobians(self, kg):
-        pm = parametric_lift(icosphere(1, S, jitter=0.3), kg, S)
+        pm = parametric_lift(icosphere(1, S, jitter=0.3), kg)
         elements = np.arange(pm.mesh.n_triangles)
         pts = triangle_rule(4 * kg).points  # the assembly's rule at k = k_g
         pairs = ((pm.evaluate(elements, pts), reference_evaluate(pm, elements, pts)),
@@ -163,7 +164,7 @@ class TestMapAgainstReference:
             assert np.abs(new - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_surface_area(self, kg):
-        pm = parametric_lift(icosphere(1, S, jitter=0.3), kg, S)
+        pm = parametric_lift(icosphere(1, S, jitter=0.3), kg)
         rule = triangle_rule(2 * kg + 8)
         jac = reference_jacobians(pm, np.arange(pm.mesh.n_triangles), rule.points)
         mu = np.linalg.norm(np.cross(jac[..., 0], jac[..., 1]), axis=-1)
@@ -185,13 +186,13 @@ class TestGeomFrame:
         # area factor sqrt(3)
         eye = np.eye(3)
         mesh = LinearSurfaceMesh(vertices=eye, triangles=np.array([[0, 1, 2]]),
-                                 level=0)
-        pd = point_data(parametric_lift(mesh, 1, S), [0])
+                                 surface=S)
+        pd = point_data(parametric_lift(mesh, 1), [0])
         assert np.abs(pd.n[0] - 1 / math.sqrt(3)).max() <= 1e-14
         np.testing.assert_allclose(pd.mu[0], math.sqrt(3.0), rtol=1e-14)
 
     def test_affine_frame_constant(self):
-        pd = point_data(parametric_lift(icosphere(0), 1, S), [4])
+        pd = point_data(parametric_lift(icosphere(0), 1), [4])
         assert np.abs(pd.n[0] - pd.n[0, 0]).max() <= 1e-14
         assert np.abs(pd.mu[0] - pd.mu[0, 0]).max() <= 1e-13 * pd.mu[0, 0]
 
@@ -199,8 +200,8 @@ class TestGeomFrame:
         # the assembly's point data rejects a zero area factor
         v = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 0]])  # repeated vertex
         mesh = LinearSurfaceMesh(vertices=v, triangles=np.array([[0, 1, 2]]),
-                                 level=0)
-        pm = parametric_lift(mesh, 1, S)
+                                 surface=S)
+        pm = parametric_lift(mesh, 1)
         with pytest.raises(GeometryError):
             assemble(build_space(pm, 1))
 
@@ -211,7 +212,7 @@ class TestGeomFrame:
         errs, hs = [], []
         for lvl in (1, 2, 3):
             m = icosphere(lvl)
-            pm = parametric_lift(m, kg, S)
+            pm = parametric_lift(m, kg)
             jac = pm.jacobians(np.arange(m.n_triangles), rng_pts)
             x = pm.evaluate(np.arange(m.n_triangles), rng_pts)
             cross = np.cross(jac[..., 0], jac[..., 1])
@@ -227,7 +228,7 @@ class TestGeomFrame:
         pts = np.array([[0.25, 0.25], [0.6, 0.2], [0.1, 0.7], [1 / 3, 1 / 3]])
         for lvl in (0, 2, 4):
             for kg in (1, 2, 3):
-                pm = parametric_lift(icosphere(lvl), kg, S)
+                pm = parametric_lift(icosphere(lvl), kg)
                 jac = pm.jacobians(np.arange(pm.mesh.n_triangles), pts)
                 x = pm.evaluate(np.arange(pm.mesh.n_triangles), pts)
                 cross = np.cross(jac[..., 0], jac[..., 1])
@@ -245,7 +246,7 @@ class TestSurfaceArea:
             errs, hs = [], []
             for lvl in (1, 2, 3, 4):
                 m = icosphere(lvl)
-                pm = parametric_lift(m, kg, S)
+                pm = parametric_lift(m, kg)
                 errs.append(abs(surface_area(pm, 2 * kg + 8) - four_pi))
                 hs.append(mesh_size(m))
             assert all(errs[i + 1] < errs[i] for i in range(3))
@@ -255,12 +256,12 @@ class TestSurfaceArea:
     def test_quadrature_degree_insensitivity(self):
         m = icosphere(2)
         # k_g = 1: affine elements, the area factor is exactly integrated
-        pm1 = parametric_lift(m, 1, S)
+        pm1 = parametric_lift(m, 1)
         a_low = surface_area(pm1, 2 * 1 + 1)
         a_high = surface_area(pm1, 12)
         assert abs(a_low - a_high) <= 1e-13 * a_high
         # k_g = 2: the factor is analytic, not polynomial; measured stability
-        pm2 = parametric_lift(m, 2, S)
+        pm2 = parametric_lift(m, 2)
         assert abs(surface_area(pm2, 8) - surface_area(pm2, 16)) <= 1e-9
 
 
