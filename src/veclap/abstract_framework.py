@@ -33,11 +33,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .analysis import ClusterWindow
-from .eigensolve import full_spectrum
-from .errors import InputError
+from .eigensolve import (cholesky, eigvalsh, full_spectrum, null_space,
+                         solve_triangular)
+from .errors import InputError, NumericalError
 
 __all__ = [
     "InstanceSpec",
@@ -149,10 +149,10 @@ def _scaled_sym_perturbation(rng, metric, delta) -> np.ndarray:
     if delta == 0.0:
         return np.zeros((n, n))
     raw = _sym(rng.standard_normal((n, n)))
-    half = sla.cholesky(metric, lower=True)
-    whitened = sla.solve_triangular(half, sla.solve_triangular(
+    half = cholesky(metric)
+    whitened = solve_triangular(half, solve_triangular(
         half, raw.T, lower=True).T, lower=True)
-    norm = np.abs(sla.eigvalsh(_sym(whitened))).max()
+    norm = np.abs(eigvalsh(_sym(whitened))).max()
     return raw * (delta / (1.0 + delta) / norm)
 
 
@@ -177,9 +177,9 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
         if spec.k_max >= 2 and rng.random() < 0.5:
             lam[1] = lam[0]
     M_b = _random_spd(rng, n)
-    half = sla.cholesky(M_b, lower=True)
+    half = cholesky(M_b)
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    U = sla.solve_triangular(half.T, q, lower=False)
+    U = solve_triangular(half.T, q, lower=False)
     M_a = _sym(M_b @ U @ np.diag(lam) @ U.T @ M_b)
 
     # extension with orthonormal columns, lifting via a random weighted
@@ -196,7 +196,7 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
     B_tilde = _sym(E_linv.T @ (M_b + D_b) @ E_linv)
 
     # penalties on a complement of range(E)
-    comp = sla.null_space(E.T)                    # (n_ex, n_ex - n), orthonormal
+    comp = null_space(E.T)                        # (n_ex, n_ex - n), orthonormal
     c_dim = comp.shape[1]
     if c_dim:
         R_a = rng.standard_normal((c_dim, c_dim))
@@ -207,7 +207,7 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
         # can make the ratio collapse in near-null directions of K_a_core,
         # which floods the discrete pencil with huge spurious eigenvalues.
         S = _sym(rng.standard_normal((c_dim, c_dim)))
-        S *= 0.5 / max(np.abs(sla.eigvalsh(S)).max(), 1e-300)
+        S *= 0.5 / max(np.abs(eigvalsh(S)).max(), 1e-300)
         K_b_core = _sym(R_a @ (np.eye(c_dim) + S) @ R_a.T)
         s_a = 1.0 + rng.random()
         # gen-eigs of (K_b_core, K_a_core) lie in [0.5, 1.5]; dominate the
@@ -226,7 +226,7 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
         leak = _sym(S @ S.T)
         z = E @ U[:, :spec.k_max]
         gram = z.T @ A_e @ z
-        top = np.abs(sla.eigvalsh(z.T @ leak @ z, gram)).max()
+        top = np.abs(eigvalsh(z.T @ leak @ z, gram)).max()
         K_a = K_a + leak * (0.25 * spec.delta_a / top)
 
     if spec.approx_noise is None:
@@ -271,23 +271,31 @@ def _gram(G, Z):
 
 
 def _whiten(gram):
-    return sla.cholesky(_sym(gram), lower=True)
+    return cholesky(_sym(gram))
 
 
 def sup_bilinear(delta_form, Z1, G1, Z2, G2) -> float:
     """sup over unit u in span(Z1), v in span(Z2) of |u' delta v| with the
-    norms induced by G1 and G2."""
+    norms induced by G1 and G2.
+
+    Raises NumericalError if a Gram matrix is singular (a basis is not
+    linearly independent)."""
     l1 = _whiten(_gram(G1, Z1))
-    l2 = _whiten(_gram(G2, Z2))
+    l2 = l1 if (Z2 is Z1 and G2 is G1) else _whiten(_gram(G2, Z2))
     block = Z1.T @ delta_form @ Z2
-    m = sla.solve_triangular(l1, block, lower=True)
-    m = sla.solve_triangular(l2, m.T, lower=True).T
+    m = solve_triangular(l1, block, lower=True)
+    m = solve_triangular(l2, m.T, lower=True).T
     return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
 
 
 def sup_quadratic(delta_form, Z, G) -> float:
-    """sup over unit v in span(Z) of |v' delta v| in the G-induced norm."""
-    vals = sla.eigvalsh(_gram(delta_form, Z), _gram(G, Z))
+    """sup over unit v in span(Z) of |v' delta v| in the G-induced norm.
+
+    Raises NumericalError if the Gram matrix of Z is singular."""
+    try:
+        vals = eigvalsh(_gram(delta_form, Z), _gram(G, Z))
+    except InputError as exc:  # the Gram matrix, built here, is not SPD
+        raise NumericalError(f"subspace Gram matrix: {exc}") from exc
     return float(np.abs(vals).max()) if vals.size else 0.0
 
 
@@ -350,7 +358,7 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
     alpha_hat = sup_quadratic(dA_tilde, U_disc, G_a)
     beta_hat = sup_quadratic(dB_tilde, U_disc, G_b)
 
-    c_f = math.sqrt(max(sla.eigvalsh(_gram(G_b, big), _gram(G_a, big)).max(), 0.0))
+    c_f = math.sqrt(max(eigvalsh(_gram(G_b, big), _gram(G_a, big)).max(), 0.0))
 
     P_h = _projector(G_a, inst.V)
     eye = np.eye(inst.E.shape[0])
@@ -462,7 +470,7 @@ def _penalty_condition(inst, q, factor) -> bool:
     W = inst.V @ q.discrete.vectors[:, :inst.spec.k_max]
     ka = _gram(inst.K_a, W)
     kb = _gram(inst.K_b, W)
-    vals = sla.eigvalsh(_sym(ka - factor * kb))
+    vals = eigvalsh(_sym(ka - factor * kb))
     scale = max(1.0, np.abs(ka).max(), factor * np.abs(kb).max())
     return bool(vals.min() >= -1e-9 * scale)
 
@@ -536,11 +544,11 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
         for p in range(probes.shape[1]):
             v = probes[:, p]
             av = math.sqrt(max(v @ (G_a @ v), 0.0))
-            ev = v - P_aj @ v
+            pa = P_aj @ v
+            ev = v - pa
             eps = math.sqrt(max(ev @ (G_a @ ev), 0.0)) / av
             hyp = half_params and eps <= 0.5
             delta_v = c_hat * (q.alpha_tilde + q.beta_tilde) * eps
-            pa = P_aj @ v
             pb = P_bj @ v
             na = math.sqrt(max(pa @ (G_b @ pa), 0.0))
             nb = math.sqrt(max(pb @ (G_b @ pb), 0.0))
@@ -612,29 +620,29 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     Z = inst.extended_eigvecs(k_max)
     dA = inst.G_a - inst.A_e
     dB = inst.G_b - inst.B_e
-    ratio_a = max(np.abs(sla.eigvalsh(_gram(dA, Z), _gram(inst.A_e, Z))).max(),
-                  np.abs(sla.eigvalsh(_gram(dA, Z), _gram(G_a, Z))).max())
-    ratio_b = max(np.abs(sla.eigvalsh(_gram(dB, Z), _gram(inst.B_e, Z))).max(),
-                  np.abs(sla.eigvalsh(_gram(dB, Z), _gram(G_b, Z))).max())
+    ratio_a = max(np.abs(eigvalsh(_gram(dA, Z), _gram(inst.A_e, Z))).max(),
+                  np.abs(eigvalsh(_gram(dA, Z), _gram(G_a, Z))).max())
+    ratio_b = max(np.abs(eigvalsh(_gram(dB, Z), _gram(inst.B_e, Z))).max(),
+                  np.abs(eigvalsh(_gram(dB, Z), _gram(G_b, Z))).max())
     report.add("form_ratio_a", None, ratio_a, q.alpha_h / (1 - q.alpha_h), half_params)
     report.add("form_ratio_b", None, ratio_b, q.beta_h / (1 - q.beta_h), half_params)
 
     # extension/lifting operator norm bounds (exact suprema)
     U_k = inst.U[:, :k_max]
     EU = inst.E @ U_k
-    sup_ext_a = math.sqrt(max(sla.eigvalsh(_gram(G_a, EU), _gram(inst.M_a, U_k)).max(), 0.0))
-    sup_ext_b = math.sqrt(max(sla.eigvalsh(_gram(G_b, EU), _gram(inst.M_b, U_k)).max(), 0.0))
+    sup_ext_a = math.sqrt(max(eigvalsh(_gram(G_a, EU), _gram(inst.M_a, U_k)).max(), 0.0))
+    sup_ext_b = math.sqrt(max(eigvalsh(_gram(G_b, EU), _gram(inst.M_b, U_k)).max(), 0.0))
     report.add("extension_norm_a", None, sup_ext_a, 1.0 + q.alpha_h, half_params)
     report.add("extension_norm_b", None, sup_ext_b, 1.0 + q.beta_h, half_params)
-    sup_l_a = math.sqrt(max(sla.eigvalsh(_gram(inst.A_e, EU), _gram(G_a, EU)).max(), 0.0))
-    sup_l_b = math.sqrt(max(sla.eigvalsh(_gram(inst.B_e, EU), _gram(G_b, EU)).max(), 0.0))
+    sup_l_a = math.sqrt(max(eigvalsh(_gram(inst.A_e, EU), _gram(G_a, EU)).max(), 0.0))
+    sup_l_b = math.sqrt(max(eigvalsh(_gram(inst.B_e, EU), _gram(G_b, EU)).max(), 0.0))
     report.add("lifting_norm_a", None, sup_l_a, 1.0 + q.alpha_h, half_params)
     report.add("lifting_norm_b", None, sup_l_b, 1.0 + q.beta_h, half_params)
 
     # --- norm equivalence on U_j^e
     for j in range(1, k_max + 1):
         Zj = inst.extended_eigvecs(j)
-        vals = sla.eigvalsh(_gram(G_a, Zj), _gram(G_b, Zj))
+        vals = eigvalsh(_gram(G_a, Zj), _gram(G_b, Zj))
         report.add("norm_equivalence_lower", j, 0.25 * lam[0], vals.min(), half_params)
         report.add("norm_equivalence_upper", j, vals.max(), 4.0 * lam[j - 1], half_params)
 
@@ -677,9 +685,11 @@ def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]
     """Verify the bound suite on ``trials`` seeded random instances.
 
     Instance ``i`` is fully determined by its seed ``seed + i``.  The
-    instances run in seed order on the calling thread: each is a few small
-    dense LAPACK calls that hold the GIL, so worker threads only add
-    overhead.
+    instances run in seed order on the calling thread: each is about 45
+    dense LAPACK calls on matrices of order 16 or less, so worker threads
+    only add overhead.  Those calls go straight to LAPACK through the
+    ``veclap.eigensolve`` kernels, because at this size the
+    ``scipy.linalg`` wrappers cost several times the work itself.
     """
     if mode not in ("exact", "perturbed"):
         raise InputError(f"mode must be 'exact' or 'perturbed', got {mode!r}")
@@ -696,6 +706,7 @@ def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]
 
 def write_jsonl(reports, fileobj) -> None:
     """One JSON object per (instance seed, bound id), aggregated over j."""
+    encoder = json.JSONEncoder(sort_keys=True)
     for rep in reports:
         for check in rep.aggregated():
             obj = {
@@ -708,4 +719,4 @@ def write_jsonl(reports, fileobj) -> None:
                 "hypotheses_met": check.hypotheses_met,
                 "pass": check.passed,
             }
-            fileobj.write(json.dumps(obj, sort_keys=True) + "\n")
+            fileobj.write(encoder.encode(obj) + "\n")

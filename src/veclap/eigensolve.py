@@ -1,5 +1,5 @@
 """Smallest eigenpairs of the symmetric positive-definite generalized
-problem A x = lambda B x.
+problem A x = lambda B x, and the dense LAPACK kernels of the package.
 
 ``solve_smallest`` has one route: ARPACK's implicitly restarted Lanczos
 method in shift-invert mode with shift sigma = 0 (valid because A is SPD)
@@ -14,6 +14,31 @@ is the oracle of the tests.
 pivoting is stable because A is SPD.  Both solvers return B-orthonormal
 eigenvectors sorted ascending.  The Lanczos start vector is a fixed
 function of the problem size, so repeated solves are bitwise reproducible.
+
+Dense kernels.  ``eigvalsh``, ``eigh``, ``cholesky``, ``solve_triangular``
+and ``null_space`` call ``scipy.linalg.lapack`` directly, with exactly the
+routine and arguments that the ``scipy.linalg`` function of the same name
+picks for a real float64 array, so they return the same bytes; they keep
+its results on empty matrices.  They exist because the abstract framework
+makes about 45 of these calls per instance on matrices of order 16 or
+less, where the ``scipy.linalg`` wrappers cost several times the LAPACK
+work.  The routines are
+
+* ``eigvalsh(a)``: ``dsyevr`` on the lower triangle, with its workspace
+  query; ``eigvalsh(a, b)`` and ``eigh(a, b)``: ``dsygvd`` with itype 1
+  and the lower triangles;
+* ``cholesky``: ``dpotrf``, lower factor, upper triangle zeroed;
+* ``solve_triangular``: ``dtrtrs``, called with the transposed system
+  when the factor is not Fortran-ordered;
+* ``null_space``: ``dgesdd`` with full factors, cutting singular values
+  below ``eps * max(m, n) * s_max``.
+
+Failures map to the package's errors.  A non-finite entry, a malformed
+shape, and a pencil whose B is not positive definite (``dsygvd`` info > n)
+are ``InputError``.  A routine that does not converge (``dsygvd`` with
+0 < info <= n, ``dgesdd``) raises ``ConvergenceError``; a non-positive
+Cholesky pivot, a singular triangular factor, an internal ``dsyevr``
+failure and an illegal argument raise ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -21,13 +46,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, NumericalError
 
-__all__ = ["EigenPairs", "factorize", "solve_smallest", "full_spectrum"]
+__all__ = ["EigenPairs", "factorize", "solve_smallest", "full_spectrum",
+           "eigvalsh", "eigh", "cholesky", "solve_triangular", "null_space"]
 
 DENSE_LIMIT = 3000
 
@@ -80,14 +106,6 @@ def factorize(A):
         raise InputError("A is singular") from exc
 
 
-def _dense_solve(A, B) -> tuple[np.ndarray, np.ndarray]:
-    Ad, Bd = _dense(A), _dense(B)
-    try:
-        return sla.eigh(Ad, Bd)
-    except sla.LinAlgError as exc:
-        raise InputError("B is not symmetric positive definite") from exc
-
-
 def _shift_invert_solve(A, B, m, lu) -> tuple[np.ndarray, np.ndarray, int]:
     n = A.shape[0]
     if m >= n:
@@ -130,11 +148,136 @@ def solve_smallest(A, B, m: int, tol: float = 1e-10) -> EigenPairs:
 
 
 def full_spectrum(A, B) -> EigenPairs:
-    """Complete B-orthonormal eigenbasis (dense only, n <= 3000)."""
+    """Complete B-orthonormal eigenbasis (dense only, n <= 3000).
+
+    The pairs come from ``eigh`` (``dsygvd``) and equal those of
+    ``scipy.linalg.eigh`` bit for bit.  Raises InputError on a non-finite
+    entry or a B that is not SPD, and ConvergenceError if LAPACK does not
+    converge.
+    """
     _check_pencil(A, B, 1)
     n = A.shape[0]
     if n > DENSE_LIMIT:
         raise InputError(f"full spectrum limited to n <= {DENSE_LIMIT}, got {n}")
-    w, X = _dense_solve(A, B)
+    w, X = eigh(_dense(A), _dense(B))
     return EigenPairs(eigenvalues=w, vectors=X,
                       residuals=_residuals(A, B, w, X), method="dense", iterations=0)
+
+
+# ---------------------------------------------------------------------------
+# dense LAPACK kernels
+# ---------------------------------------------------------------------------
+
+def _operand(a, square=True) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
+        raise InputError(f"expected a {'square ' if square else ''}matrix, "
+                         f"got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InputError("matrix has a non-finite entry")
+    return a
+
+
+def _illegal(routine, info) -> NumericalError:
+    return NumericalError(f"{routine}: illegal value in argument {-info}")
+
+
+def _sygvd(a, b, jobz) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _operand(a), _operand(b)
+    if b.shape != a.shape:
+        raise InputError(f"pencil shapes do not match: {a.shape} vs {b.shape}")
+    n = a.shape[0]
+    if n == 0:
+        return np.empty(0), np.empty((0, 0))
+    w, v, info = lapack.dsygvd(a, b, itype=1, jobz=jobz, uplo="L",
+                               overwrite_a=0, overwrite_b=0)
+    if info > n:
+        raise InputError(f"B is not symmetric positive definite (leading "
+                         f"minor of order {info - n})")
+    if info > 0:
+        raise ConvergenceError(f"dsygvd did not converge (info {info})")
+    if info < 0:
+        raise _illegal("dsygvd", info)
+    return w, v
+
+
+def eigvalsh(a, b=None) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric ``a``, or of the pencil
+    (a, b) with b SPD; only the lower triangles are read."""
+    if b is not None:
+        return _sygvd(a, b, "N")[0]
+    a = _operand(a)
+    n = a.shape[0]
+    if n == 0:
+        return np.empty(0)
+    work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
+    if info:
+        raise _illegal("dsyevr_lwork", info)
+    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, lwork=int(work),
+                                     liwork=int(iwork), overwrite_a=0)
+    if info > 0:
+        raise NumericalError(f"dsyevr failed internally (info {info})")
+    if info < 0:
+        raise _illegal("dsyevr", info)
+    return w
+
+
+def eigh(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and b-orthonormal eigenvectors of the pencil
+    (a, b) with b SPD; only the lower triangles are read."""
+    return _sygvd(a, b, "V")
+
+
+def cholesky(a) -> np.ndarray:
+    """Lower factor L of the SPD ``a = L L^T`` (lower triangle read)."""
+    a = _operand(a)
+    if a.size == 0:
+        return np.empty_like(a)
+    c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
+    if info > 0:
+        raise NumericalError(f"matrix is not positive definite (leading "
+                             f"minor of order {info})")
+    if info < 0:
+        raise _illegal("dpotrf", info)
+    return c
+
+
+def solve_triangular(a, b, lower=False) -> np.ndarray:
+    """Solve ``a x = b`` for the triangular ``a`` and the matrix ``b``."""
+    a, b = _operand(a), _operand(b, square=False)
+    if a.shape[0] != b.shape[0]:
+        raise InputError(f"shapes {a.shape} and {b.shape} do not match")
+    if b.size == 0:
+        return np.empty_like(b)
+    if a.flags.f_contiguous:
+        x, info = lapack.dtrtrs(a, b, lower=lower, trans=0, unitdiag=0,
+                                overwrite_b=0)
+    else:  # dtrtrs reads Fortran order: solve the transposed system
+        x, info = lapack.dtrtrs(a.T, b, lower=not lower, trans=1, unitdiag=0,
+                                overwrite_b=0)
+    if info > 0:
+        raise NumericalError(f"singular triangular matrix (zero diagonal "
+                             f"entry {info - 1})")
+    if info < 0:
+        raise _illegal("dtrtrs", info)
+    return x
+
+
+def null_space(a) -> np.ndarray:
+    """Orthonormal basis of the null space of ``a`` (m x n), as columns."""
+    a = _operand(a, square=False)
+    m, n = a.shape
+    if a.size == 0:
+        return np.eye(n)
+    work, info = lapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=1)
+    if info:
+        raise _illegal("dgesdd_lwork", info)
+    _, s, vt, info = lapack.dgesdd(a, compute_uv=1, full_matrices=1,
+                                   lwork=int(work), overwrite_a=0)
+    if info > 0:
+        raise ConvergenceError("dgesdd did not converge")
+    if info < 0:
+        raise _illegal("dgesdd", info)
+    rank = np.sum(s > np.amax(s, initial=0.0) * (np.finfo(float).eps * max(m, n)),
+                  dtype=int)
+    return vt[rank:].T

@@ -1,6 +1,7 @@
 """Synthetic framework: closed-form cases, Monte-Carlo supremum oracle,
 identities, hypothesis gating, and seeded sweeps."""
 
+import functools
 import io
 import json
 import math
@@ -10,17 +11,19 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from veclap import abstract_framework
+from veclap import abstract_framework, eigensolve
 from veclap.abstract_framework import (
     InstanceSpec,
     compute_quantities,
     make_instance,
     rembest_instance,
+    sup_bilinear,
+    sup_quadratic,
     sweep,
     verify_bounds,
     write_jsonl,
 )
-from veclap.errors import InputError
+from veclap.errors import InputError, NumericalError
 from veclap.runtime import THREADS_ENV
 
 
@@ -156,6 +159,16 @@ class TestMonteCarloOracle:
             assert sampled >= exact * 0.99
 
 
+class TestDegenerateSubspaces:
+    def test_singular_gram_is_a_numerical_error(self):
+        # the columns of Z are dependent, so its Gram matrix is singular
+        Z, I = np.ones((4, 2)), np.eye(4)
+        with pytest.raises(NumericalError):
+            sup_bilinear(np.eye(4), Z, I, Z, I)
+        with pytest.raises(NumericalError):
+            sup_quadratic(np.eye(4), Z, I)
+
+
 class TestIdentitiesAndGating:
     def test_fundrelation_in_exact_mode(self):
         spec = InstanceSpec(n_h=9, n_cont=7, n_ex=11, k_max=3, approx_noise=0.2)
@@ -224,6 +237,22 @@ class TestSweeps:
             for ca, cb in zip(ra.checks, rb.checks):
                 assert (ca.bound, ca.j, ca.lhs, ca.rhs) == (cb.bound, cb.j,
                                                             cb.lhs, cb.rhs)
+
+    def test_jsonl_equals_the_scipy_linalg_reference(self, monkeypatch):
+        def jsonl():
+            buf = io.StringIO()
+            write_jsonl(sweep(25, 0, "exact") + sweep(25, 9000, "perturbed"), buf)
+            return buf.getvalue()
+
+        ours = jsonl()
+        monkeypatch.setattr(eigensolve, "eigh", sla.eigh)
+        monkeypatch.setattr(abstract_framework, "eigvalsh", sla.eigvalsh)
+        monkeypatch.setattr(abstract_framework, "cholesky",
+                            functools.partial(sla.cholesky, lower=True))
+        monkeypatch.setattr(abstract_framework, "solve_triangular",
+                            sla.solve_triangular)
+        monkeypatch.setattr(abstract_framework, "null_space", sla.null_space)
+        assert jsonl() == ours
 
     def test_mode_guard(self):
         with pytest.raises(InputError):

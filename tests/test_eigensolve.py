@@ -1,14 +1,16 @@
-"""Generalized symmetric eigensolver: dense oracle, shift-invert route, guards."""
+"""Generalized symmetric eigensolver: dense oracle, shift-invert route,
+guards, and the dense LAPACK kernels against their scipy.linalg oracle."""
 
 import functools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import veclap.eigensolve as es
-from veclap.errors import ConvergenceError, InputError
+from veclap.errors import ConvergenceError, InputError, NumericalError
 from veclap.eigensolve import full_spectrum, solve_smallest
 
 
@@ -67,6 +69,80 @@ class TestFullSpectrum:
         A = sp.eye(n, format="csr")
         with pytest.raises(InputError):
             full_spectrum(A, A)
+
+
+class TestDenseKernels:
+    """Each kernel makes the LAPACK call scipy.linalg makes, so the bytes
+    must be equal, not merely close."""
+
+    @staticmethod
+    def assert_same(ours, ref):
+        assert ours.shape == ref.shape and ours.dtype == ref.dtype
+        assert np.array_equal(ours, ref)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", range(17))
+    def test_kernels_equal_scipy_linalg(self, n, order):
+        rng = np.random.default_rng(100 + n)
+        A, B = random_spd_pencil(rng, n)
+        A, B = np.array(A, order=order), np.array(B, order=order)
+        # a matrix that is not symmetric: only its lower triangle is read
+        R = np.array(rng.standard_normal((n, n)), order=order)
+        self.assert_same(es.eigvalsh(A), sla.eigvalsh(A))
+        self.assert_same(es.eigvalsh(R), sla.eigvalsh(R))
+        self.assert_same(es.eigvalsh(R, B), sla.eigvalsh(R, B))
+        for ours, ref in zip(es.eigh(A, B), sla.eigh(A, B)):
+            self.assert_same(ours, ref)
+        L = es.cholesky(B)
+        self.assert_same(L, sla.cholesky(B, lower=True))
+        rhs = np.array(rng.standard_normal((n, 3)), order=order)
+        for factor, lower in ((L, True), (L.T, False),
+                              (np.ascontiguousarray(L), True),
+                              (np.asfortranarray(L.T), False)):
+            self.assert_same(es.solve_triangular(factor, rhs, lower=lower),
+                             sla.solve_triangular(factor, rhs, lower=lower))
+        for rank in range(n + 1):
+            E = np.linalg.qr(rng.standard_normal((n + 3, rank)))[0]
+            E[:, :rank // 2] *= 1e-3  # singular values below 1 are kept
+            if rank > 1:  # below eps * max(m, n) * s_max, so in the null space
+                E[:, -1] *= np.finfo(float).eps * (n + 2)
+            self.assert_same(es.null_space(E.T), sla.null_space(E.T))
+
+    def test_non_finite_entries_are_input_errors(self):
+        bad = np.eye(3)
+        bad[1, 0] = np.nan
+        calls = [lambda: es.eigvalsh(bad), lambda: es.eigvalsh(np.eye(3), bad),
+                 lambda: es.eigh(bad, np.eye(3)), lambda: es.cholesky(bad),
+                 lambda: es.solve_triangular(np.eye(3), bad),
+                 lambda: es.null_space(bad), lambda: full_spectrum(bad, np.eye(3))]
+        for call in calls:
+            with pytest.raises(InputError, match="non-finite"):
+                call()
+
+    def test_no_convergence_is_a_convergence_error(self, monkeypatch):
+        # dsygvd's 0 < info <= n: the divide and conquer did not converge
+        def failing(a, b, **kwargs):
+            return np.zeros(a.shape[0]), np.zeros(a.shape), 1
+
+        monkeypatch.setattr(es.lapack, "dsygvd", failing)
+        with pytest.raises(ConvergenceError):
+            full_spectrum(np.diag([1.0, 2.0, 3.0]), np.eye(3))
+        with pytest.raises(ConvergenceError):
+            es.eigvalsh(np.eye(3), np.eye(3))
+
+    def test_factor_failures_are_numerical_errors(self):
+        with pytest.raises(NumericalError, match="positive definite"):
+            es.cholesky(np.diag([1.0, -1.0]))
+        with pytest.raises(NumericalError, match="singular"):
+            es.solve_triangular(np.diag([1.0, 0.0]), np.ones((2, 1)), lower=True)
+
+    def test_shape_errors_are_input_errors(self):
+        with pytest.raises(InputError):
+            es.eigvalsh(np.ones((2, 3)))
+        with pytest.raises(InputError):
+            es.eigh(np.eye(2), np.eye(3))
+        with pytest.raises(InputError):
+            es.solve_triangular(np.eye(2), np.ones((3, 1)))
 
 
 class TestFactorize:
