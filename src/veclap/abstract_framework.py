@@ -24,6 +24,10 @@ two-subspace supremum is the top singular value of the Gram-whitened
 rectangular block.  Every inequality of the eigenvalue and eigenvector
 error theory is then checked with its own hypotheses evaluated first;
 checks whose hypotheses fail are reported as skipped, never as failures.
+The projection comparison is checked on probe vectors, all probes of one
+``j`` at once as matrix products.  A report keeps each check as a plain
+row ``(bound, j, lhs, rhs, hypotheses_met)`` and judges it, within a
+relative tolerance, only when it is read.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -305,6 +310,11 @@ def _projector(G, Z) -> np.ndarray:
     return Z @ np.linalg.solve(gram, Z.T @ G)
 
 
+def _column_norms(G, Z) -> np.ndarray:
+    """G-induced norms of the columns of Z."""
+    return np.sqrt(np.maximum(np.einsum("ip,ip->p", Z, G @ Z), 0.0))
+
+
 def _orth_union(*bases, tol=1e-11) -> np.ndarray:
     stacked = np.concatenate(bases, axis=1)
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
@@ -398,6 +408,9 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
 
 @dataclass
 class BoundCheck:
+    """One check as a report returns it; ``passed`` is None when its
+    hypotheses failed."""
+
     bound: str
     j: int | None
     lhs: float
@@ -410,43 +423,59 @@ class BoundCheck:
         return self.rhs - self.lhs
 
 
+def _passed(lhs, rhs) -> bool:
+    # the tolerance is non-negative, so it is needed only when lhs > rhs
+    return lhs <= rhs or lhs <= rhs + _RTOL * max(1.0, abs(lhs), abs(rhs))
+
+
 @dataclass
 class BoundCheckReport:
+    """The checks of one instance, kept as rows ``(bound, j, lhs, rhs,
+    hypotheses_met)``; the verdict of a check is computed where it is read."""
+
     seed: int
     mode: str
-    checks: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
 
     def add(self, bound, j, lhs, rhs, hypotheses_met):
-        passed = None
-        if hypotheses_met:
-            tol = _RTOL * max(1.0, abs(lhs), abs(rhs))
-            passed = bool(lhs <= rhs + tol)
-        self.checks.append(BoundCheck(bound=bound, j=j, lhs=float(lhs),
-                                      rhs=float(rhs),
-                                      hypotheses_met=hypotheses_met,
-                                      passed=passed))
+        """Record one check, or one per entry when ``lhs``, ``rhs`` and
+        ``hypotheses_met`` are equally long 1-d arrays."""
+        if isinstance(lhs, np.ndarray):
+            self.rows.extend(zip(repeat(bound), repeat(j), lhs.tolist(),
+                                 rhs.tolist(), hypotheses_met.tolist()))
+        else:
+            self.rows.append((bound, j, float(lhs), float(rhs),
+                              bool(hypotheses_met)))
 
-    def violations(self):
-        return [c for c in self.checks if c.hypotheses_met and not c.passed]
+    @property
+    def checks(self) -> list[BoundCheck]:
+        """Every check, in the order added."""
+        return [BoundCheck(bound, j, lhs, rhs, met,
+                           _passed(lhs, rhs) if met else None)
+                for bound, j, lhs, rhs, met in self.rows]
 
-    def aggregated(self):
-        """One record per bound id: worst slack among hypothesis-met checks."""
+    def violations(self) -> list[BoundCheck]:
+        """The hypothesis-met checks that failed, in the order added."""
+        return [BoundCheck(bound, j, lhs, rhs, True, False)
+                for bound, j, lhs, rhs, met in self.rows
+                if met and not _passed(lhs, rhs)]
+
+    def aggregated(self) -> list[BoundCheck]:
+        """One record per bound id: the hypothesis-met check with the
+        smallest slack, the first in check order on a tie, passed only if
+        all hypothesis-met checks passed; a NaN record if none met them."""
         by_bound = {}
-        for c in self.checks:
-            by_bound.setdefault(c.bound, []).append(c)
+        for row in self.rows:
+            by_bound.setdefault(row[0], []).append(row)
         out = []
-        for bound, items in by_bound.items():
-            met = [c for c in items if c.hypotheses_met]
+        for bound, rows in by_bound.items():
+            met = [row for row in rows if row[4]]
             if not met:
-                out.append(BoundCheck(bound=bound, j=None, lhs=math.nan,
-                                      rhs=math.nan, hypotheses_met=False,
-                                      passed=None))
+                out.append(BoundCheck(bound, None, math.nan, math.nan, False, None))
                 continue
-            worst = min(met, key=lambda c: c.slack)
-            agg = BoundCheck(bound=bound, j=worst.j, lhs=worst.lhs,
-                             rhs=worst.rhs, hypotheses_met=True,
-                             passed=all(c.passed for c in met))
-            out.append(agg)
+            _, j, lhs, rhs, _ = min(met, key=lambda row: row[3] - row[2])
+            out.append(BoundCheck(bound, j, lhs, rhs, True,
+                                  all(_passed(row[2], row[3]) for row in met)))
         return out
 
 
@@ -464,12 +493,10 @@ def _default_windows(lam, k_max):
     return windows
 
 
-def _penalty_condition(inst, q, factor) -> bool:
-    """factor * k_b(v,v) <= k_a(v,v) for all v in the discrete span
-    ~U_{k_max} (checked as a generalized eigenvalue bound)."""
-    W = inst.V @ q.discrete.vectors[:, :inst.spec.k_max]
-    ka = _gram(inst.K_a, W)
-    kb = _gram(inst.K_b, W)
+def _penalty_condition(ka, kb, factor) -> bool:
+    """factor * k_b(v,v) <= k_a(v,v) for all v in the span whose k_a and k_b
+    Gram matrices are ``ka`` and ``kb`` (checked as a generalized eigenvalue
+    bound)."""
     vals = eigvalsh(_sym(ka - factor * kb))
     scale = max(1.0, np.abs(ka).max(), factor * np.abs(kb).max())
     return bool(vals.min() >= -1e-9 * scale)
@@ -494,11 +521,14 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     half_params = (q.alpha_h < 0.5 and q.beta_h < 0.5
                    and q.alpha_tilde < 0.5 and q.beta_tilde < 0.5)
     c_hat = (8.0 / math.sqrt(3.0)) * q.c_f * math.sqrt(lam[k_max - 1])
+    # penalty Gram matrices on the discrete span ~U_{k_max}
+    W = inst.V @ q.discrete.vectors[:, :k_max]
+    ka, kb = _gram(inst.K_a, W), _gram(inst.K_b, W)
 
     # two-sided relative eigenvalue bound of the exact-consistency setting
     stab_exact = (inst.exact_consistency and q.approximability_ok
                   and _penalty_condition(
-                      inst, q, 2.0 * lam[k_max - 1] / (1.0 - q.theta[-1] ** 2)))
+                      ka, kb, 2.0 * lam[k_max - 1] / (1.0 - q.theta[-1] ** 2)))
     for j in range(k_max):
         rel = (lam_t[j] - lam[j]) / lam_t[j]
         report.add("ev_relative_error_lower", j + 1, 0.0, rel, stab_exact)
@@ -514,7 +544,7 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
         report.add("ev_lower_bound_consistency", j + 1, rhs, lam[j], hyp)
 
     # discrete eigenvalue bounded below via consistency on the discrete span
-    stab_disc = _penalty_condition(inst, q, 2.0 * lam_t[k_max - 1])
+    stab_disc = _penalty_condition(ka, kb, 2.0 * lam_t[k_max - 1])
     hyp_upper = stab_disc and q.beta_hat < 0.5 and q.alpha_hat < 1.0
     for j in range(k_max):
         rhs = (1 - 2 * q.beta_hat) / (1 + 2 * q.alpha_hat) * lam[j]
@@ -541,19 +571,16 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
         near = q.P_h @ (Zj @ rng.standard_normal((j, _N_PROBE - _N_PROBE // 3)))
         far = inst.V @ rng.standard_normal((spec.n_h, _N_PROBE // 3))
         probes = np.concatenate([near, far], axis=1)
-        for p in range(probes.shape[1]):
-            v = probes[:, p]
-            av = math.sqrt(max(v @ (G_a @ v), 0.0))
-            pa = P_aj @ v
-            ev = v - pa
-            eps = math.sqrt(max(ev @ (G_a @ ev), 0.0)) / av
-            hyp = half_params and eps <= 0.5
-            delta_v = c_hat * (q.alpha_tilde + q.beta_tilde) * eps
-            pb = P_bj @ v
-            na = math.sqrt(max(pa @ (G_b @ pa), 0.0))
-            nb = math.sqrt(max(pb @ (G_b @ pb), 0.0))
-            report.add("projection_comparison_upper", j, nb, (1 + delta_v) * na, hyp)
-            report.add("projection_comparison_lower", j, (1 - delta_v) * na, nb, hyp)
+        pa = P_aj @ probes
+        pb = P_bj @ probes
+        ev = probes - pa
+        eps = _column_norms(G_a, ev) / _column_norms(G_a, probes)
+        na = _column_norms(G_b, pa)
+        nb = _column_norms(G_b, pb)
+        hyp = half_params & (eps <= 0.5)
+        delta_v = c_hat * (q.alpha_tilde + q.beta_tilde) * eps
+        report.add("projection_comparison_upper", j, nb, (1 + delta_v) * na, hyp)
+        report.add("projection_comparison_lower", j, (1 - delta_v) * na, nb, hyp)
 
     # --- eigenvector identities and bounds, per tracked eigenpair
     X = q.discrete.vectors          # V_h coordinates, b_h-orthonormal
@@ -686,10 +713,13 @@ def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]
 
     Instance ``i`` is fully determined by its seed ``seed + i``.  The
     instances run in seed order on the calling thread: each is about 45
-    dense LAPACK calls on matrices of order 16 or less, so worker threads
-    only add overhead.  Those calls go straight to LAPACK through the
-    ``veclap.eigensolve`` kernels, because at this size the
-    ``scipy.linalg`` wrappers cost several times the work itself.
+    dense LAPACK calls on matrices of order 16 or less and up to about 160
+    checks, so worker threads only add overhead.  Those calls go straight
+    to LAPACK through the ``veclap.eigensolve`` kernels, because at this
+    size the ``scipy.linalg`` wrappers cost several times the work itself.
+    For the same reason the per-check Python is kept small: the 24
+    projection-comparison checks of each ``j`` come from one matrix product
+    per projection and are stored as rows in one block.
     """
     if mode not in ("exact", "perturbed"):
         raise InputError(f"mode must be 'exact' or 'perturbed', got {mode!r}")

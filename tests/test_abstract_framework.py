@@ -6,13 +6,16 @@ import io
 import json
 import math
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from abstract_reference import reference_projection_probes
 from veclap import abstract_framework, eigensolve
 from veclap.abstract_framework import (
+    BoundCheckReport,
     InstanceSpec,
     compute_quantities,
     make_instance,
@@ -208,6 +211,67 @@ class TestIdentitiesAndGating:
         assert recs and all(c.passed for c in recs)  # q <= st-route bound
 
 
+def _as_tuples(checks):
+    # repr keeps NaN equal to NaN and every other float exact
+    return [(c.bound, c.j, repr(c.lhs), repr(c.rhs), c.hypotheses_met, c.passed)
+            for c in checks]
+
+
+class TestBoundCheckReport:
+    def test_a_block_add_equals_scalar_adds(self):
+        nan = math.nan
+        # rows 1 and 2 tie on the smallest slack, 2.0; row 4 has a NaN lhs
+        lhs = np.array([0.5, 1.0, 2.0, 9.0, nan, 0.0])
+        rhs = np.array([3.0, 3.0, 4.0, 1.0, 1.0, 5.0])
+        met = np.array([True, True, True, False, True, True])
+        columns = [("projection_comparison_upper", lhs, rhs, met),
+                   ("projection_comparison_lower", rhs, lhs, np.zeros(6, bool))]
+        block = BoundCheckReport(seed=1, mode="exact")
+        scalar = BoundCheckReport(seed=1, mode="exact")
+        for bound, l, r, h in columns:
+            block.add(bound, 2, l, r, h)
+            for li, ri, hi in zip(l, r, h):
+                scalar.add(bound, 2, li, ri, hi)
+        for read in (lambda rep: rep.checks, lambda rep: rep.violations(),
+                     lambda rep: rep.aggregated()):
+            assert _as_tuples(read(block)) == _as_tuples(read(scalar))
+        nan_row = ("projection_comparison_upper", 2, "nan", "1.0", True, False)
+        assert _as_tuples(block.violations()) == [nan_row]
+        assert _as_tuples(block.aggregated()) == [
+            ("projection_comparison_upper", 2, "1.0", "3.0", True, False),
+            ("projection_comparison_lower", None, "nan", "nan", False, None)]
+
+
+class TestProjectionProbes:
+    @staticmethod
+    def assert_probes_match_the_reference(inst):
+        checks = verify_bounds(inst).checks
+        ref = reference_projection_probes(inst, compute_quantities(inst)).checks
+        for bound in ("projection_comparison_upper", "projection_comparison_lower"):
+            ours = [c for c in checks if c.bound == bound]
+            theirs = [c for c in ref if c.bound == bound]
+            assert [(c.j, c.hypotheses_met, c.passed) for c in ours] == [
+                (c.j, c.hypotheses_met, c.passed) for c in theirs]
+            np.testing.assert_allclose([c.lhs for c in ours],
+                                       [c.lhs for c in theirs], rtol=1e-12)
+            np.testing.assert_allclose([c.rhs for c in ours],
+                                       [c.rhs for c in theirs], rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_blocked_probes_equal_the_per_probe_reference(self, mode):
+        for seed in range(20):
+            spec = abstract_framework._sweep_spec(np.random.default_rng(seed), mode)
+            self.assert_probes_match_the_reference(make_instance(spec, seed))
+
+    def test_large_consistency_parameters_skip_every_probe(self):
+        # beta_h = 0.4 / 0.6 > 1/2, while the probes near U_j^e have eps ~ 0
+        inst = rembest_instance(6, 0.4, seed=3)
+        self.assert_probes_match_the_reference(inst)
+        probes = [c for c in verify_bounds(inst).checks
+                  if c.bound.startswith("projection_comparison")]
+        assert len(probes) == 144 and not any(c.hypotheses_met for c in probes)
+
+
 class TestSweeps:
     @pytest.mark.parametrize("mode,seed", [("exact", 1000), ("perturbed", 2000)])
     def test_no_violations(self, mode, seed):
@@ -253,6 +317,38 @@ class TestSweeps:
                             sla.solve_triangular)
         monkeypatch.setattr(abstract_framework, "null_space", sla.null_space)
         assert jsonl() == ours
+
+    @pytest.mark.parametrize("trials,seed,mode,extra", [
+        (5, 0, "exact", {"projections_coincide": 15}),
+        (5, 500, "perturbed", {}),
+    ])
+    def test_check_counts_per_bound(self, trials, seed, mode, extra):
+        # all ten instances have k_max = 3: three checks per j-indexed bound,
+        # one per instance for the others, and 12 probes per j for the two
+        # projection comparisons
+        expected = {bound: 15 for bound in (
+            "defect_dual_norm_bound", "defect_q_factor_bound", "dualnorm_formula",
+            "ev_lower_bound_consistency", "ev_relative_error_lower",
+            "ev_relative_error_upper", "ev_upper_bound_discrete_consistency",
+            "ev_upper_bound_invariant_distance", "evec_error_bh_norm",
+            "evec_error_energy_norm", "norm_equivalence_lower",
+            "norm_equivalence_upper", "projection_identity")}
+        expected.update({bound: 5 for bound in (
+            "extension_norm_a", "extension_norm_b", "form_ratio_a", "form_ratio_b",
+            "lifting_norm_a", "lifting_norm_b")})
+        expected.update(projection_comparison_lower=180,
+                        projection_comparison_upper=180, **extra)
+        counts = Counter(c.bound for rep in sweep(trials, seed, mode)
+                         for c in rep.checks)
+        assert counts == expected
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="full_spectrum reduces the pencil by B_h, whose "
+                              "condition number is 1.9e10 on this instance, and "
+                              "the projection identity misses 1e-10 for j = 2..4")
+    def test_perturbed_instance_9607_has_no_violation(self):
+        (rep,) = sweep(1, 9607, "perturbed")
+        assert not rep.violations()
 
     def test_mode_guard(self):
         with pytest.raises(InputError):
