@@ -15,19 +15,26 @@ An instance consists of
   range(E) (plus, in perturbed mode, a declared leak of k_a onto range(E)),
 * a discretization subspace V_h given by a basis matrix.
 
-All framework parameters (consistency constants, approximability constants,
-Friedrichs constant, gap parameters, defect dual norms, projections) are
-computed exactly as small dense eigenproblems over the designated
-subspaces: the supremum of a symmetric error form over a subspace is the
-extreme generalized eigenvalue against the subspace Gram matrix, and a
-two-subspace supremum is the top singular value of the Gram-whitened
-rectangular block.  Every inequality of the eigenvalue and eigenvector
-error theory is then checked with its own hypotheses evaluated first;
-checks whose hypotheses fail are reported as skipped, never as failures.
-The projection comparison is checked on probe vectors, all probes of one
-``j`` at once as matrix products.  A report keeps each check as a plain
-row ``(bound, j, lhs, rhs, hypotheses_met)`` and judges it, within a
-relative tolerance, only when it is read.
+All framework parameters are computed exactly as small dense problems: a
+supremum over one subspace is the largest |generalized eigenvalue| of a
+Gram pencil, over two (alpha~, beta~) the top singular value of the
+Gram-whitened block.  U_j^e is spanned by the leading j columns of
+Z = E U_{k_max}, so a Gram matrix on U_j^e is the leading j x j block of
+the one on Z.  The Gram matrices on Z and what reads them:
+
+    a_h, b_h              alpha_h, beta_h, Theta_{h,j}, P_{a_h,j}, P_{b_h,j},
+                          norm equivalence, extension and lifting norms
+    a_h - a, b_h - b      alpha_h, beta_h; form ratios
+    a, b                  form ratios, lifting norms
+    (I-P_h)' a_h (I-P_h)  Theta_{h,j}
+
+Every inequality of the error theory is checked with its own hypotheses
+evaluated first; checks whose hypotheses fail are skipped, never failed.
+A report keeps each check as a plain row ``(bound, j, lhs, rhs,
+hypotheses_met)`` and judges it within ``_RTOL * max(1, |lhs|, |rhs|)``
+when it is read.  A bound's aggregated record is its first check whose
+slack is within that tolerance of the smallest, so round-off ties among
+checks do not decide which one is reported.
 """
 
 from __future__ import annotations
@@ -275,18 +282,22 @@ def _gram(G, Z):
     return _sym(Z.T @ G @ Z)
 
 
-def _whiten(gram):
-    return cholesky(_sym(gram))
+def _pencil_sup(num, den) -> float:
+    """sup over v != 0 of |v' num v| / (v' den v); raises NumericalError
+    if ``den`` is not positive definite."""
+    try:
+        vals = eigvalsh(num, den)
+    except InputError as exc:  # the Gram matrix is not SPD
+        raise NumericalError(f"subspace Gram matrix: {exc}") from exc
+    return float(np.abs(vals).max()) if vals.size else 0.0
 
 
 def sup_bilinear(delta_form, Z1, G1, Z2, G2) -> float:
     """sup over unit u in span(Z1), v in span(Z2) of |u' delta v| with the
-    norms induced by G1 and G2.
-
-    Raises NumericalError if a Gram matrix is singular (a basis is not
-    linearly independent)."""
-    l1 = _whiten(_gram(G1, Z1))
-    l2 = l1 if (Z2 is Z1 and G2 is G1) else _whiten(_gram(G2, Z2))
+    norms induced by G1 and G2; raises NumericalError if a Gram matrix is
+    singular (a basis is not linearly independent)."""
+    l1 = cholesky(_gram(G1, Z1))
+    l2 = cholesky(_gram(G2, Z2))
     block = Z1.T @ delta_form @ Z2
     m = solve_triangular(l1, block, lower=True)
     m = solve_triangular(l2, m.T, lower=True).T
@@ -294,19 +305,14 @@ def sup_bilinear(delta_form, Z1, G1, Z2, G2) -> float:
 
 
 def sup_quadratic(delta_form, Z, G) -> float:
-    """sup over unit v in span(Z) of |v' delta v| in the G-induced norm.
-
-    Raises NumericalError if the Gram matrix of Z is singular."""
-    try:
-        vals = eigvalsh(_gram(delta_form, Z), _gram(G, Z))
-    except InputError as exc:  # the Gram matrix, built here, is not SPD
-        raise NumericalError(f"subspace Gram matrix: {exc}") from exc
-    return float(np.abs(vals).max()) if vals.size else 0.0
+    """sup over unit v in span(Z) of |v' delta v| in the G-induced norm;
+    raises NumericalError if the Gram matrix of Z is singular."""
+    return _pencil_sup(_gram(delta_form, Z), _gram(G, Z))
 
 
-def _projector(G, Z) -> np.ndarray:
-    """G-orthogonal projector onto span(Z) as an explicit matrix."""
-    gram = _gram(G, Z)
+def _projector(G, Z, gram) -> np.ndarray:
+    """G-orthogonal projector onto span(Z) as an explicit matrix, given
+    ``gram = _gram(G, Z)``."""
     return Z @ np.linalg.solve(gram, Z.T @ G)
 
 
@@ -341,26 +347,28 @@ class FrameworkQuantities:
     P_h: np.ndarray            # a_h-orthogonal projector onto V_h
     P_a: list                  # P_{a_h,j} onto U_j^e, j = 1..k_max
     P_b: list
+    gram_a: np.ndarray         # (k_max, k_max) a_h Gram matrix of U_{k_max}^e
+    gram_b: np.ndarray         # b_h; U_j^e's are their leading j x j blocks
     approximability_ok: bool   # dim(P_h U_{k_max}^e) == k_max and Theta < 1
 
 
 def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
-    spec = inst.spec
-    k_max = spec.k_max
+    k_max = inst.spec.k_max
     G_a, G_b = inst.G_a, inst.G_b
-    Z_full = inst.extended_eigvecs(k_max)
+    # U_j^e is spanned by the leading j columns of Z, so each Gram matrix
+    # on U_j^e is the leading j x j block of the one on U_{k_max}^e
+    Z = inst.extended_eigvecs(k_max)
+    gram_a, gram_b = _gram(G_a, Z), _gram(G_b, Z)
 
-    # consistency: errors of the discrete forms against the pulled-back
-    # exact forms, measured over the designated subspaces
+    # consistency: errors of the discrete forms against the pulled-back ones
     dA_tilde = inst.A_tilde - inst.A_e
     dB_tilde = inst.B_tilde - inst.B_e
-    dA = dA_tilde + inst.K_a
-    dB = dB_tilde + inst.K_b
-    alpha_h = sup_bilinear(dA, Z_full, G_a, Z_full, G_a)
-    beta_h = sup_bilinear(dB, Z_full, G_b, Z_full, G_b)
-    big = _orth_union(inst.V, Z_full)
-    alpha_tilde = sup_bilinear(dA, Z_full, G_a, big, G_a)
-    beta_tilde = sup_bilinear(dB, Z_full, G_b, big, G_b)
+    dA, dB = dA_tilde + inst.K_a, dB_tilde + inst.K_b
+    alpha_h = _pencil_sup(_gram(dA, Z), gram_a)
+    beta_h = _pencil_sup(_gram(dB, Z), gram_b)
+    big = _orth_union(inst.V, Z)
+    alpha_tilde = sup_bilinear(dA, Z, G_a, big, G_a)
+    beta_tilde = sup_bilinear(dB, Z, G_b, big, G_b)
 
     A_v = _gram(G_a, inst.V)
     discrete = full_spectrum(A_v, _gram(G_b, inst.V))
@@ -370,36 +378,32 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
 
     c_f = math.sqrt(max(eigvalsh(_gram(G_b, big), _gram(G_a, big)).max(), 0.0))
 
-    P_h = _projector(G_a, inst.V)
+    P_h = _projector(G_a, inst.V, A_v)
     eye = np.eye(inst.E.shape[0])
-    err_gram = _sym((eye - P_h).T @ G_a @ (eye - P_h))
+    err = _gram(_sym((eye - P_h).T @ G_a @ (eye - P_h)), Z)
     theta = np.empty(k_max)
     P_a, P_b = [], []
     for j in range(1, k_max + 1):
-        Z = inst.extended_eigvecs(j)
-        theta[j - 1] = math.sqrt(max(sup_quadratic(err_gram, Z, G_a), 0.0))
-        P_a.append(_projector(G_a, Z))
-        P_b.append(_projector(G_b, Z))
+        theta[j - 1] = math.sqrt(max(_pencil_sup(err[:j, :j], gram_a[:j, :j]), 0.0))
+        P_a.append(_projector(G_a, Z[:, :j], gram_a[:j, :j]))
+        P_b.append(_projector(G_b, Z[:, :j], gram_b[:j, :j]))
     err_a = _sym((eye - P_a[-1]).T @ G_a @ (eye - P_a[-1]))
     phi = math.sqrt(max(sup_quadratic(err_a, U_disc, G_a), 0.0))
 
     # approximability flag: dim(P_h U_{k_max}^e) == k_max
-    proj_basis = P_h @ Z_full
-    rank = np.linalg.matrix_rank(proj_basis, tol=1e-10)
-    approx_ok = bool(rank == k_max and theta[-1] < 1.0)
+    approx_ok = bool(np.linalg.matrix_rank(P_h @ Z, tol=1e-10) == k_max
+                     and theta[-1] < 1.0)
 
-    defect = np.empty(k_max)
-    for j in range(k_max):
-        u_e = inst.extended_eigvecs(j + 1)[:, -1]
-        r = inst.V.T @ (G_a @ u_e - inst.lam[j] * (G_b @ u_e))
-        defect[j] = math.sqrt(max(float(r @ np.linalg.solve(A_v, r)), 0.0))
+    # d_{lambda_j}(u_j^e, .) on V_h for every j, in the A_h^-1 dual norm
+    r = inst.V.T @ (G_a @ Z - (G_b @ Z) * inst.lam[:k_max])
+    defect = np.sqrt(np.maximum(np.einsum("ij,ij->j", r, np.linalg.solve(A_v, r)), 0.0))
 
     return FrameworkQuantities(
         theta=theta, phi=phi, alpha_h=alpha_h, beta_h=beta_h,
         alpha_tilde=alpha_tilde, beta_tilde=beta_tilde,
         alpha_hat=alpha_hat, beta_hat=beta_hat, c_f=c_f, discrete=discrete,
-        defect_dual=defect, P_h=P_h, P_a=P_a, P_b=P_b,
-        approximability_ok=approx_ok)
+        defect_dual=defect, P_h=P_h, P_a=P_a, P_b=P_b, gram_a=gram_a,
+        gram_b=gram_b, approximability_ok=approx_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +427,13 @@ class BoundCheck:
         return self.rhs - self.lhs
 
 
+def _tol(lhs, rhs) -> float:
+    return _RTOL * max(1.0, abs(lhs), abs(rhs))
+
+
 def _passed(lhs, rhs) -> bool:
     # the tolerance is non-negative, so it is needed only when lhs > rhs
-    return lhs <= rhs or lhs <= rhs + _RTOL * max(1.0, abs(lhs), abs(rhs))
+    return lhs <= rhs or lhs <= rhs + _tol(lhs, rhs)
 
 
 @dataclass
@@ -461,9 +469,9 @@ class BoundCheckReport:
                 if met and not _passed(lhs, rhs)]
 
     def aggregated(self) -> list[BoundCheck]:
-        """One record per bound id: the hypothesis-met check with the
-        smallest slack, the first in check order on a tie, passed only if
-        all hypothesis-met checks passed; a NaN record if none met them."""
+        """One record per bound id: the first hypothesis-met check whose
+        slack is within its tolerance of the smallest, passed only if all
+        hypothesis-met checks passed; a NaN record if none met them."""
         by_bound = {}
         for row in self.rows:
             by_bound.setdefault(row[0], []).append(row)
@@ -473,7 +481,11 @@ class BoundCheckReport:
             if not met:
                 out.append(BoundCheck(bound, None, math.nan, math.nan, False, None))
                 continue
-            _, j, lhs, rhs, _ = min(met, key=lambda row: row[3] - row[2])
+            least = min(row[3] - row[2] for row in met)
+            # a NaN least slack (only a first row can give one) picks that row
+            _, j, lhs, rhs, _ = next(
+                (row for row in met
+                 if row[3] - row[2] <= least + _tol(row[2], row[3])), met[0])
             out.append(BoundCheck(bound, j, lhs, rhs, True,
                                   all(_passed(row[2], row[3]) for row in met)))
         return out
@@ -508,14 +520,14 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     The cluster window of each tracked eigenvalue extends to the midpoints
     between distinct exact values.
     """
-    spec = inst.spec
-    k_max = spec.k_max
+    k_max = inst.spec.k_max
     q = compute_quantities(inst)
     report = BoundCheckReport(seed=inst.seed,
                               mode="exact" if inst.exact_consistency else "perturbed")
     lam = inst.lam
     lam_t = q.discrete.eigenvalues
     G_a, G_b = inst.G_a, inst.G_b
+    Z = inst.extended_eigvecs(k_max)
     windows = _default_windows(lam, k_max)
 
     half_params = (q.alpha_h < 0.5 and q.beta_h < 0.5
@@ -551,10 +563,9 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
         report.add("ev_upper_bound_discrete_consistency", j + 1, rhs, lam_t[j], hyp_upper)
 
     # discrete eigenvalue bounded below via the invariant-subspace distance
-    m = k_max
     phi = q.phi
     hyp_phi = (half_params and max(phi, q.c_f * lam_t[k_max - 1] * phi) <= 0.5)
-    for j in range(m):
+    for j in range(k_max):
         rhs = ((1 - 2 * q.alpha_h) * (1 - 2 * q.beta_h)
                * (1 + c_hat * (q.alpha_tilde + q.beta_tilde) * phi) ** (-2)
                * (1 - q.c_f ** 2 * lam_t[k_max - 1] * phi ** 2) * lam[j])
@@ -566,13 +577,10 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     # plain random members of V_h (mostly skipped by the hypothesis gate).
     rng = np.random.default_rng(inst.seed + 777)
     for j in range(1, k_max + 1):
-        P_aj, P_bj = q.P_a[j - 1], q.P_b[j - 1]
-        Zj = inst.extended_eigvecs(j)
-        near = q.P_h @ (Zj @ rng.standard_normal((j, _N_PROBE - _N_PROBE // 3)))
-        far = inst.V @ rng.standard_normal((spec.n_h, _N_PROBE // 3))
+        near = q.P_h @ (Z[:, :j] @ rng.standard_normal((j, _N_PROBE - _N_PROBE // 3)))
+        far = inst.V @ rng.standard_normal((inst.spec.n_h, _N_PROBE // 3))
         probes = np.concatenate([near, far], axis=1)
-        pa = P_aj @ probes
-        pb = P_bj @ probes
+        pa, pb = q.P_a[j - 1] @ probes, q.P_b[j - 1] @ probes
         ev = probes - pa
         eps = _column_norms(G_a, ev) / _column_norms(G_a, probes)
         na = _column_norms(G_b, pa)
@@ -643,33 +651,28 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
         report.add("defect_q_factor_bound", j + 1, q_val,
                    q.defect_dual[j] / math.sqrt(lam_t[0]), True)
 
-    # form-ratio bounds on U_{k_max}^e (exact suprema)
-    Z = inst.extended_eigvecs(k_max)
-    dA = inst.G_a - inst.A_e
-    dB = inst.G_b - inst.B_e
-    ratio_a = max(np.abs(eigvalsh(_gram(dA, Z), _gram(inst.A_e, Z))).max(),
-                  np.abs(eigvalsh(_gram(dA, Z), _gram(G_a, Z))).max())
-    ratio_b = max(np.abs(eigvalsh(_gram(dB, Z), _gram(inst.B_e, Z))).max(),
-                  np.abs(eigvalsh(_gram(dB, Z), _gram(G_b, Z))).max())
+    # form-ratio bounds on U_{k_max}^e (exact suprema); the sup of
+    # |(a_h - a)(v, v)| / a_h(v, v) is alpha_h itself
+    ae, be = _gram(inst.A_e, Z), _gram(inst.B_e, Z)
+    ratio_a = max(_pencil_sup(_gram(G_a - inst.A_e, Z), ae), q.alpha_h)
+    ratio_b = max(_pencil_sup(_gram(G_b - inst.B_e, Z), be), q.beta_h)
     report.add("form_ratio_a", None, ratio_a, q.alpha_h / (1 - q.alpha_h), half_params)
     report.add("form_ratio_b", None, ratio_b, q.beta_h / (1 - q.beta_h), half_params)
 
-    # extension/lifting operator norm bounds (exact suprema)
+    # extension/lifting operator norm bounds (exact suprema); E U_k is Z
     U_k = inst.U[:, :k_max]
-    EU = inst.E @ U_k
-    sup_ext_a = math.sqrt(max(eigvalsh(_gram(G_a, EU), _gram(inst.M_a, U_k)).max(), 0.0))
-    sup_ext_b = math.sqrt(max(eigvalsh(_gram(G_b, EU), _gram(inst.M_b, U_k)).max(), 0.0))
+    sup_ext_a = math.sqrt(max(eigvalsh(q.gram_a, _gram(inst.M_a, U_k)).max(), 0.0))
+    sup_ext_b = math.sqrt(max(eigvalsh(q.gram_b, _gram(inst.M_b, U_k)).max(), 0.0))
     report.add("extension_norm_a", None, sup_ext_a, 1.0 + q.alpha_h, half_params)
     report.add("extension_norm_b", None, sup_ext_b, 1.0 + q.beta_h, half_params)
-    sup_l_a = math.sqrt(max(eigvalsh(_gram(inst.A_e, EU), _gram(G_a, EU)).max(), 0.0))
-    sup_l_b = math.sqrt(max(eigvalsh(_gram(inst.B_e, EU), _gram(G_b, EU)).max(), 0.0))
+    sup_l_a = math.sqrt(max(eigvalsh(ae, q.gram_a).max(), 0.0))
+    sup_l_b = math.sqrt(max(eigvalsh(be, q.gram_b).max(), 0.0))
     report.add("lifting_norm_a", None, sup_l_a, 1.0 + q.alpha_h, half_params)
     report.add("lifting_norm_b", None, sup_l_b, 1.0 + q.beta_h, half_params)
 
     # --- norm equivalence on U_j^e
     for j in range(1, k_max + 1):
-        Zj = inst.extended_eigvecs(j)
-        vals = eigvalsh(_gram(G_a, Zj), _gram(G_b, Zj))
+        vals = eigvalsh(q.gram_a[:j, :j], q.gram_b[:j, :j])
         report.add("norm_equivalence_lower", j, 0.25 * lam[0], vals.min(), half_params)
         report.add("norm_equivalence_upper", j, vals.max(), 4.0 * lam[j - 1], half_params)
 
@@ -712,14 +715,11 @@ def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]
     """Verify the bound suite on ``trials`` seeded random instances.
 
     Instance ``i`` is fully determined by its seed ``seed + i``.  The
-    instances run in seed order on the calling thread: each is about 45
-    dense LAPACK calls on matrices of order 16 or less and up to about 160
-    checks, so worker threads only add overhead.  Those calls go straight
-    to LAPACK through the ``veclap.eigensolve`` kernels, because at this
-    size the ``scipy.linalg`` wrappers cost several times the work itself.
-    For the same reason the per-check Python is kept small: the 24
-    projection-comparison checks of each ``j`` come from one matrix product
-    per projection and are stored as rows in one block.
+    instances run in seed order on the calling thread: each is about 37
+    dense LAPACK calls (through the ``veclap.eigensolve`` kernels, as the
+    ``scipy.linalg`` wrappers cost more than the work) on matrices of order
+    16 or less and up to about 160 checks, so worker threads only add
+    overhead.
     """
     if mode not in ("exact", "perturbed"):
         raise InputError(f"mode must be 'exact' or 'perturbed', got {mode!r}")

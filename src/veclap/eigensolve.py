@@ -106,10 +106,19 @@ def factorize(A):
         raise InputError("A is singular") from exc
 
 
-def _shift_invert_solve(A, B, m, lu) -> tuple[np.ndarray, np.ndarray, int]:
+def solve_smallest(A, B, m: int, tol: float = 1e-10) -> EigenPairs:
+    """Compute the m smallest eigenpairs of A x = lambda B x (A, B SPD).
+
+    A and B are sparse, in any format (or dense), and are used as given:
+    the CSC copy that ``factorize`` makes of A, once, here, is the only
+    conversion.  Raises ConvergenceError if any relative residual exceeds
+    ``tol``.
+    """
+    _check_pencil(A, B, m)
     n = A.shape[0]
     if m >= n:
         raise InputError(f"the shift-invert solver needs fewer than {n} pairs, got {m}")
+    lu = factorize(A)
     solves = 0
 
     def apply_inverse(x):
@@ -125,26 +134,13 @@ def _shift_invert_solve(A, B, m, lu) -> tuple[np.ndarray, np.ndarray, int]:
         raise ConvergenceError(
             f"ARPACK converged {exc.eigenvalues.size} of {m} pairs",
             residuals=_residuals(A, B, exc.eigenvalues, exc.eigenvectors)) from exc
-    return w, X, solves
-
-
-def solve_smallest(A, B, m: int, tol: float = 1e-10) -> EigenPairs:
-    """Compute the m smallest eigenpairs of A x = lambda B x (A, B SPD).
-
-    A and B are sparse, in any format (or dense), and are used as given:
-    the CSC copy that ``factorize`` makes of A, once, here, is the only
-    conversion.  Raises ConvergenceError if any relative residual exceeds
-    ``tol``.
-    """
-    _check_pencil(A, B, m)
-    w, X, iterations = _shift_invert_solve(A, B, m, factorize(A))
     res = _residuals(A, B, w, X)
     if np.any(res > tol):
         raise ConvergenceError(
             f"shift-invert Lanczos residual {res.max():.3e} exceeds {tol:.1e}",
             residuals=res)
     return EigenPairs(eigenvalues=w, vectors=X, residuals=res,
-                      method="iterative", iterations=iterations)
+                      method="iterative", iterations=solves)
 
 
 def full_spectrum(A, B) -> EigenPairs:

@@ -65,7 +65,6 @@ __all__ = [
     "ExtendedPairings",
     "build_space",
     "assemble",
-    "interpolate",
     "write_matrix_market",
 ]
 
@@ -374,28 +373,6 @@ def assemble(space: FeSpace, eta_coeff: float = 1.0,
     return AssembledForms(A=A, B=B, pairings=tuple(
         ExtendedPairings(a_ee=a_ee, b_ee=b_ee, a_vec=a_vec, b_vec=b_vec)
         for a_vec, b_vec, a_ee, b_ee in sums))
-
-
-def _node_positions(space: FeSpace) -> np.ndarray:
-    """Lifted positions of the FE nodes, each from its first owning element."""
-    conn = space.numbering.connectivity
-    ne, nk = conn.shape
-    _, first = np.unique(conn.ravel(), return_index=True)
-    x = space.pmap.evaluate(np.arange(ne), reference_triangle(space.degree).nodes)
-    return x.reshape(ne * nk, 3)[first]
-
-
-def interpolate(field, space: FeSpace) -> np.ndarray:
-    """Componentwise nodal interpolation of the extended field on Gamma_h.
-
-    ``field`` is a callable taking points of shape (..., 3) and returning
-    values of the same shape; it is evaluated at the closest-point lift of
-    the FE nodes onto the space's exact surface, per the constant-normal
-    extension.
-    """
-    pos = _node_positions(space)
-    values = np.asarray(field(space.mesh.surface.closest_point(pos)), dtype=float)
-    return values.ravel()
 
 
 def write_matrix_market(matrix: sp.spmatrix, path, comment: str = "") -> None:

@@ -1,11 +1,19 @@
-"""Per-probe reference for the projection comparison checks of
-``veclap.abstract_framework.verify_bounds``, used only by the tests.
+"""Per-probe and per-subspace references for
+``veclap.abstract_framework``, used only by the tests.
 
-This is the probe loop one vector at a time: each probe's norms are
-vector-matrix-vector products and its two checks are scalar ``add`` calls,
-upper then lower.  ``verify_bounds`` checks the probes of one ``j`` together
-as matrix products and adds each bound's checks as one block; the tests
-compare the two.
+``reference_projection_probes`` is the probe loop one vector at a time:
+each probe's norms are vector-matrix-vector products and its two checks
+are scalar ``add`` calls, upper then lower.  ``verify_bounds`` checks the
+probes of one ``j`` together as matrix products and adds each bound's
+checks as one block.
+
+``reference_quantities`` takes every route that the module takes once per
+instance anew for each subspace: the Gram matrices of each ``U_j^e`` from
+its own basis ``extended_eigvecs(j)``, a projector that builds its own
+Gram matrix, the one-subspace consistency constants as the top singular
+value of the Cholesky-whitened block, and the form-ratio, extension,
+lifting and norm-equivalence suprema as generalized eigenvalues of Gram
+matrices formed where they are used.  The tests compare the two.
 """
 
 from __future__ import annotations
@@ -13,8 +21,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg as sla
 
-from veclap.abstract_framework import _N_PROBE, BoundCheckReport
+from veclap.abstract_framework import (
+    _N_PROBE,
+    BoundCheckReport,
+    _gram,
+    _orth_union,
+    sup_bilinear,
+    sup_quadratic,
+)
+from veclap.eigensolve import full_spectrum
 
 
 def reference_projection_probes(inst, q) -> BoundCheckReport:
@@ -47,3 +64,89 @@ def reference_projection_probes(inst, q) -> BoundCheckReport:
             report.add("projection_comparison_upper", j, nb, (1 + delta_v) * na, hyp)
             report.add("projection_comparison_lower", j, (1 - delta_v) * na, nb, hyp)
     return report
+
+
+def _projector(G, Z) -> np.ndarray:
+    return Z @ np.linalg.solve(_gram(G, Z), Z.T @ G)
+
+
+def _whitened_sup(delta_form, Z, G) -> float:
+    """sup over unit u, v in span(Z) of |u' delta v| in the G-induced norm,
+    as the top singular value of L^-1 (Z' delta Z) L^-T with L L' the Gram
+    matrix of Z."""
+    half = sla.cholesky(_gram(G, Z), lower=True)
+    m = sla.solve_triangular(half, Z.T @ delta_form @ Z, lower=True)
+    m = sla.solve_triangular(half, m.T, lower=True).T
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _pencil_max(num, den) -> float:
+    return float(sla.eigvalsh(num, den).max())
+
+
+def reference_quantities(inst) -> dict:
+    """The framework parameters of ``inst`` and the exact suprema of its
+    operator-norm checks, by the per-subspace routes.
+
+    Keys: the ``FrameworkQuantities`` fields ``theta``, ``phi``,
+    ``alpha_h``, ``beta_h``, ``alpha_tilde``, ``beta_tilde``,
+    ``alpha_hat``, ``beta_hat``, ``c_f``, ``P_a``, ``P_b`` and
+    ``defect_dual``, and the ``lhs`` of ``form_ratio_a``/``_b``,
+    ``extension_norm_a``/``_b`` and ``lifting_norm_a``/``_b``, and the
+    norm-equivalence extremes ``norm_equivalence_min``/``_max`` per ``j``.
+    """
+    k_max = inst.spec.k_max
+    G_a, G_b = inst.G_a, inst.G_b
+    Z = inst.extended_eigvecs(k_max)
+    dA_tilde = inst.A_tilde - inst.A_e
+    dB_tilde = inst.B_tilde - inst.B_e
+    dA, dB = dA_tilde + inst.K_a, dB_tilde + inst.K_b
+    big = _orth_union(inst.V, Z)
+    A_v = _gram(G_a, inst.V)
+    U_disc = inst.V @ full_spectrum(A_v, _gram(G_b, inst.V)).vectors[:, :k_max]
+    ref = {
+        "alpha_h": _whitened_sup(dA, Z, G_a),
+        "beta_h": _whitened_sup(dB, Z, G_b),
+        "alpha_tilde": sup_bilinear(dA, Z, G_a, big, G_a),
+        "beta_tilde": sup_bilinear(dB, Z, G_b, big, G_b),
+        "alpha_hat": sup_quadratic(dA_tilde, U_disc, G_a),
+        "beta_hat": sup_quadratic(dB_tilde, U_disc, G_b),
+        "c_f": math.sqrt(max(_pencil_max(_gram(G_b, big), _gram(G_a, big)), 0.0)),
+    }
+
+    P_h = _projector(G_a, inst.V)
+    eye = np.eye(inst.E.shape[0])
+    err = (eye - P_h).T @ G_a @ (eye - P_h)
+    ref["theta"] = np.array([
+        math.sqrt(max(sup_quadratic(err, inst.extended_eigvecs(j), G_a), 0.0))
+        for j in range(1, k_max + 1)])
+    ref["P_a"] = [_projector(G_a, inst.extended_eigvecs(j)) for j in range(1, k_max + 1)]
+    ref["P_b"] = [_projector(G_b, inst.extended_eigvecs(j)) for j in range(1, k_max + 1)]
+    err_a = (eye - ref["P_a"][-1]).T @ G_a @ (eye - ref["P_a"][-1])
+    ref["phi"] = math.sqrt(max(sup_quadratic(err_a, U_disc, G_a), 0.0))
+    defect = []
+    for j in range(k_max):
+        u_e = inst.extended_eigvecs(j + 1)[:, -1]
+        r = inst.V.T @ (G_a @ u_e - inst.lam[j] * (G_b @ u_e))
+        defect.append(math.sqrt(max(float(r @ np.linalg.solve(A_v, r)), 0.0)))
+    ref["defect_dual"] = np.array(defect)
+
+    for form, exact, G in (("a", inst.A_e, G_a), ("b", inst.B_e, G_b)):
+        delta = _gram(G - exact, Z)
+        ref[f"form_ratio_{form}"] = max(
+            np.abs(sla.eigvalsh(delta, _gram(exact, Z))).max(),
+            np.abs(sla.eigvalsh(delta, _gram(G, Z))).max())
+    U_k = inst.U[:, :k_max]
+    EU = inst.E @ U_k
+    for form, cont, exact, G in (("a", inst.M_a, inst.A_e, G_a),
+                                 ("b", inst.M_b, inst.B_e, G_b)):
+        ref[f"extension_norm_{form}"] = math.sqrt(max(
+            _pencil_max(_gram(G, EU), _gram(cont, U_k)), 0.0))
+        ref[f"lifting_norm_{form}"] = math.sqrt(max(
+            _pencil_max(_gram(exact, EU), _gram(G, EU)), 0.0))
+    pencils = [sla.eigvalsh(_gram(G_a, inst.extended_eigvecs(j)),
+                            _gram(G_b, inst.extended_eigvecs(j)))
+               for j in range(1, k_max + 1)]
+    ref["norm_equivalence_min"] = np.array([vals.min() for vals in pencils])
+    ref["norm_equivalence_max"] = np.array([vals.max() for vals in pencils])
+    return ref

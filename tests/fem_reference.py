@@ -7,7 +7,8 @@ pairing of one extended field with the basis.  ``veclap.mesh`` and
 ``veclap.fem`` compute the same sums as (batched) matrix products; the
 tests compare the two.  The global matrices are summed here from COO
 triplets, against which the direct CSR accumulation of ``veclap.fem`` is
-checked.
+checked.  Nodal interpolation of a field into a space, which only the tests
+need, lives here too.
 """
 
 from __future__ import annotations
@@ -150,3 +151,25 @@ def reference_scatter(blocks, dofs, n):
     rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
     cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def node_positions(space) -> np.ndarray:
+    """Lifted positions of the FE nodes, each from its first owning element."""
+    conn = space.numbering.connectivity
+    ne, nk = conn.shape
+    _, first = np.unique(conn.ravel(), return_index=True)
+    x = space.pmap.evaluate(np.arange(ne), reference_triangle(space.degree).nodes)
+    return x.reshape(ne * nk, 3)[first]
+
+
+def interpolate(field, space) -> np.ndarray:
+    """Componentwise nodal interpolation of the extended field on Gamma_h.
+
+    ``field`` is a callable taking points of shape (..., 3) and returning
+    values of the same shape; it is evaluated at the closest-point lift of
+    the FE nodes onto the space's exact surface, per the constant-normal
+    extension.
+    """
+    pos = node_positions(space)
+    values = np.asarray(field(space.mesh.surface.closest_point(pos)), dtype=float)
+    return values.ravel()

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from abstract_reference import reference_projection_probes
+from abstract_reference import reference_projection_probes, reference_quantities
 from veclap import abstract_framework, eigensolve
 from veclap.abstract_framework import (
     BoundCheckReport,
     InstanceSpec,
+    _gram,
     compute_quantities,
     make_instance,
     rembest_instance,
@@ -242,6 +243,27 @@ class TestBoundCheckReport:
             ("projection_comparison_lower", None, "nan", "nan", False, None)]
 
 
+class TestRoundOffTies:
+    def test_aggregated_rows_survive_a_reassociated_gram(self, monkeypatch):
+        # ties among checks whose slacks agree to round-off (P_a = P_b in
+        # exact mode) must not decide the reported row, so a change of
+        # summation order moves every aggregated row by round-off only
+        def rows():
+            reports = sweep(25, 0, "exact") + sweep(25, 9000, "perturbed")
+            return [(rep.seed, c) for rep in reports for c in rep.aggregated()]
+
+        ours = rows()
+        monkeypatch.setattr(abstract_framework, "_gram",
+                            lambda G, Z: abstract_framework._sym(Z.T @ (G @ Z)))
+        theirs = rows()
+        assert [(seed, c.bound, c.hypotheses_met, c.passed) for seed, c in ours] == [
+            (seed, c.bound, c.hypotheses_met, c.passed) for seed, c in theirs]
+        for (seed, a), (_, b) in zip(ours, theirs):
+            for x, y in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
+                assert abs(x - y) <= 1e-8 * max(1.0, abs(x)) or (
+                    math.isnan(x) and math.isnan(y)), (seed, a, b)
+
+
 class TestProjectionProbes:
     @staticmethod
     def assert_probes_match_the_reference(inst):
@@ -270,6 +292,70 @@ class TestProjectionProbes:
         probes = [c for c in verify_bounds(inst).checks
                   if c.bound.startswith("projection_comparison")]
         assert len(probes) == 144 and not any(c.hypotheses_met for c in probes)
+
+
+def _sweep_instance(seed, mode):
+    return make_instance(
+        abstract_framework._sweep_spec(np.random.default_rng(seed), mode), seed)
+
+
+def _assert_close(ours, theirs, what):
+    ours, theirs = np.asarray(ours, dtype=float), np.asarray(theirs, dtype=float)
+    assert ours.shape == theirs.shape, what
+    shift = np.abs(ours - theirs) / np.maximum(1.0, np.abs(theirs))
+    assert shift.max(initial=0.0) <= 1e-12, (what, shift.max())
+
+
+class TestPerSubspaceReference:
+    """Each Gram matrix on U_{k_max}^e is built once and U_j^e's is its
+    leading j x j block; the per-subspace routes give the same numbers."""
+
+    QUANTITIES = ("alpha_h", "beta_h", "alpha_tilde",
+                  "beta_tilde", "alpha_hat", "beta_hat", "c_f", "defect_dual")
+    SUPREMA = ("form_ratio_a", "form_ratio_b", "extension_norm_a",
+               "extension_norm_b", "lifting_norm_a", "lifting_norm_b")
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_quantities_equal_the_per_subspace_reference(self, mode):
+        for seed in range(20):
+            inst = _sweep_instance(seed, mode)
+            q, ref = compute_quantities(inst), reference_quantities(inst)
+            for name in self.QUANTITIES:
+                _assert_close(getattr(q, name), ref[name], (seed, name))
+            # theta and phi are square roots of suprema that vanish when V_h
+            # contains U_k^e, where a square root turns round-off of 1e-17
+            # into 1e-9: compare the suprema
+            for name in ("theta", "phi"):
+                _assert_close(np.square(getattr(q, name)), np.square(ref[name]),
+                              (seed, name))
+            for name in ("P_a", "P_b"):
+                for j, (ours, theirs) in enumerate(zip(getattr(q, name), ref[name],
+                                                       strict=True), 1):
+                    _assert_close(ours, theirs, (seed, name, j))
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_operator_norm_checks_equal_the_per_subspace_reference(self, mode):
+        for seed in range(20):
+            inst = _sweep_instance(seed, mode)
+            ref = reference_quantities(inst)
+            checks = verify_bounds(inst).checks
+            lhs = {c.bound: c.lhs for c in checks if c.j is None}
+            for name in self.SUPREMA:
+                _assert_close(lhs[name], ref[name], (seed, name))
+            lower = [c.rhs for c in checks if c.bound == "norm_equivalence_lower"]
+            upper = [c.lhs for c in checks if c.bound == "norm_equivalence_upper"]
+            _assert_close(lower, ref["norm_equivalence_min"], (seed, "lower"))
+            _assert_close(upper, ref["norm_equivalence_max"], (seed, "upper"))
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_leading_blocks_are_the_subspace_grams(self, mode):
+        for seed in range(20):
+            inst = _sweep_instance(seed, mode)
+            q = compute_quantities(inst)
+            for j in range(1, inst.spec.k_max + 1):
+                Zj = inst.extended_eigvecs(j)
+                _assert_close(q.gram_a[:j, :j], _gram(inst.G_a, Zj), (seed, "a", j))
+                _assert_close(q.gram_b[:j, :j], _gram(inst.G_b, Zj), (seed, "b", j))
 
 
 class TestSweeps:

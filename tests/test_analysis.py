@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from fem_reference import interpolate, node_positions
 
 from veclap import analysis, fem
 from veclap.analysis import (
@@ -25,7 +26,7 @@ from veclap.analysis import (
 )
 from veclap.eigensolve import full_spectrum, solve_smallest
 from veclap.errors import InputError
-from veclap.fem import _node_positions, assemble, build_space, interpolate
+from veclap.fem import assemble, build_space
 from veclap.geometry import KillingField, Sphere
 from veclap.mesh import icosphere, mesh_size, parametric_lift
 from veclap.quadrature import triangle_rule
@@ -64,7 +65,7 @@ def normal_shares(eta_coeff: float) -> np.ndarray:
     space = build_space(pmap, 2)
     forms = assemble(space, eta_coeff=eta_coeff)
     pairs = full_spectrum(forms.A, forms.B)
-    x = _node_positions(space)
+    x = node_positions(space)
     n = x / np.linalg.norm(x, axis=1, keepdims=True)
     u = pairs.vectors.reshape(space.n_scalar, 3, -1)   # node-major
     u_n = np.einsum("pcm,pc->pm", u, n)

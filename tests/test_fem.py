@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from fem_reference import (
     ReferencePointData,
+    interpolate,
     reference_local_matrices,
     reference_pairings,
     reference_scatter,
@@ -22,7 +23,6 @@ from veclap.fem import (
     _PointData,
     assemble,
     build_space,
-    interpolate,
     write_matrix_market,
 )
 from veclap.geometry import KillingField, Sphere
