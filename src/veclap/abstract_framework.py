@@ -30,6 +30,8 @@ the one on Z.  The Gram matrices on Z and what reads them:
 
 Every inequality of the error theory is checked with its own hypotheses
 evaluated first; checks whose hypotheses fail are skipped, never failed.
+A bound's checks for all tracked eigenpairs j = 1..k_max are computed at
+once, on the columns of Z, and added to the report as one block.
 A report keeps each check as a plain row ``(bound, j, lhs, rhs,
 hypotheses_met)`` and judges it within ``_RTOL * max(1, |lhs|, |rhs|)``
 when it is read.  A bound's aggregated record is its first check whose
@@ -39,16 +41,15 @@ checks do not decide which one is reported.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .analysis import ClusterWindow
-from .eigensolve import (cholesky, eigvalsh, full_spectrum, null_space,
-                         solve_triangular)
+from .eigensolve import (cholesky, eigvalsh, full_spectrum, null_space, qr,
+                         solve_spd, solve_triangular, svd)
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -145,7 +146,7 @@ class SyntheticInstance:
 
 
 def _random_spd(rng, n, cond_spread=0.5) -> np.ndarray:
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    q = qr(rng.standard_normal((n, n)))
     d = 1.0 + cond_spread * rng.random(n)
     return q @ np.diag(d) @ q.T
 
@@ -190,15 +191,17 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
             lam[1] = lam[0]
     M_b = _random_spd(rng, n)
     half = cholesky(M_b)
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    q = qr(rng.standard_normal((n, n)))
     U = solve_triangular(half.T, q, lower=False)
     M_a = _sym(M_b @ U @ np.diag(lam) @ U.T @ M_b)
 
     # extension with orthonormal columns, lifting via a random weighted
-    # pseudo-inverse (a left inverse that is not the adjoint)
-    E = np.linalg.qr(rng.standard_normal((n_ex, n)))[0]
+    # pseudo-inverse (a left inverse that is not the adjoint); E' W E is
+    # symmetrized like every Gram matrix here, so no triangle of it is
+    # preferred
+    E = qr(rng.standard_normal((n_ex, n)))
     w = 0.5 + 1.5 * rng.random(n_ex)
-    E_linv = np.linalg.solve(E.T @ (w[:, None] * E), E.T * w[None, :])
+    E_linv = solve_spd(_gram(np.diag(w), E), E.T * w[None, :])
 
     D_a = _scaled_sym_perturbation(rng, M_a, spec.delta_a)
     D_b = _scaled_sym_perturbation(rng, M_b, spec.delta_b)
@@ -250,7 +253,7 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
                 * np.linalg.norm(lead, axis=0, keepdims=True)
         raw = np.concatenate(
             [lead, rng.standard_normal((n_ex, n_h - spec.k_max))], axis=1)
-    V = np.linalg.qr(raw)[0]
+    V = qr(raw)
 
     return SyntheticInstance(
         spec=spec, seed=seed, lam=lam, M_a=M_a, M_b=M_b, U=U, E=E,
@@ -301,7 +304,7 @@ def sup_bilinear(delta_form, Z1, G1, Z2, G2) -> float:
     block = Z1.T @ delta_form @ Z2
     m = solve_triangular(l1, block, lower=True)
     m = solve_triangular(l2, m.T, lower=True).T
-    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+    return float(svd(m, compute_uv=False)[0]) if m.size else 0.0
 
 
 def sup_quadratic(delta_form, Z, G) -> float:
@@ -313,17 +316,17 @@ def sup_quadratic(delta_form, Z, G) -> float:
 def _projector(G, Z, gram) -> np.ndarray:
     """G-orthogonal projector onto span(Z) as an explicit matrix, given
     ``gram = _gram(G, Z)``."""
-    return Z @ np.linalg.solve(gram, Z.T @ G)
+    return Z @ solve_spd(gram, Z.T @ G)
 
 
 def _column_norms(G, Z) -> np.ndarray:
-    """G-induced norms of the columns of Z."""
-    return np.sqrt(np.maximum(np.einsum("ip,ip->p", Z, G @ Z), 0.0))
+    """G-induced norms of the columns of Z, or of each matrix in a stack Z."""
+    return np.sqrt(np.maximum(np.einsum("...ip,...ip->...p", Z, G @ Z), 0.0))
 
 
 def _orth_union(*bases, tol=1e-11) -> np.ndarray:
     stacked = np.concatenate(bases, axis=1)
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+    u, s, _ = svd(stacked)
     return u[:, s > tol * s[0]]
 
 
@@ -345,8 +348,8 @@ class FrameworkQuantities:
     discrete: object           # EigenPairs of (A_h, B_h) on V_h
     defect_dual: np.ndarray    # (k_max,) ||d_{lambda_j}(u_j^e, .)||_{V_h'}
     P_h: np.ndarray            # a_h-orthogonal projector onto V_h
-    P_a: list                  # P_{a_h,j} onto U_j^e, j = 1..k_max
-    P_b: list
+    P_a: np.ndarray            # (k_max, N_ex, N_ex) P_{a_h,j} onto U_j^e, j = 1..k_max
+    P_b: np.ndarray
     gram_a: np.ndarray         # (k_max, k_max) a_h Gram matrix of U_{k_max}^e
     gram_b: np.ndarray         # b_h; U_j^e's are their leading j x j blocks
     approximability_ok: bool   # dim(P_h U_{k_max}^e) == k_max and Theta < 1
@@ -381,22 +384,22 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
     P_h = _projector(G_a, inst.V, A_v)
     eye = np.eye(inst.E.shape[0])
     err = _gram(_sym((eye - P_h).T @ G_a @ (eye - P_h)), Z)
-    theta = np.empty(k_max)
-    P_a, P_b = [], []
-    for j in range(1, k_max + 1):
-        theta[j - 1] = math.sqrt(max(_pencil_sup(err[:j, :j], gram_a[:j, :j]), 0.0))
-        P_a.append(_projector(G_a, Z[:, :j], gram_a[:j, :j]))
-        P_b.append(_projector(G_b, Z[:, :j], gram_b[:j, :j]))
+    js = range(1, k_max + 1)
+    theta = np.array([math.sqrt(max(_pencil_sup(err[:j, :j], gram_a[:j, :j]), 0.0))
+                      for j in js])
+    P_a = np.stack([_projector(G_a, Z[:, :j], gram_a[:j, :j]) for j in js])
+    P_b = np.stack([_projector(G_b, Z[:, :j], gram_b[:j, :j]) for j in js])
     err_a = _sym((eye - P_a[-1]).T @ G_a @ (eye - P_a[-1]))
     phi = math.sqrt(max(sup_quadratic(err_a, U_disc, G_a), 0.0))
 
-    # approximability flag: dim(P_h U_{k_max}^e) == k_max
-    approx_ok = bool(np.linalg.matrix_rank(P_h @ Z, tol=1e-10) == k_max
-                     and theta[-1] < 1.0)
+    # approximability flag: dim(P_h U_{k_max}^e) == k_max, as the rank of
+    # P_h Z with singular values above 1e-10
+    rank = np.count_nonzero(svd(P_h @ Z, compute_uv=False) > 1e-10)
+    approx_ok = bool(rank == k_max and theta[-1] < 1.0)
 
     # d_{lambda_j}(u_j^e, .) on V_h for every j, in the A_h^-1 dual norm
     r = inst.V.T @ (G_a @ Z - (G_b @ Z) * inst.lam[:k_max])
-    defect = np.sqrt(np.maximum(np.einsum("ij,ij->j", r, np.linalg.solve(A_v, r)), 0.0))
+    defect = np.sqrt(np.maximum(np.einsum("ij,ij->j", r, solve_spd(A_v, r)), 0.0))
 
     return FrameworkQuantities(
         theta=theta, phi=phi, alpha_h=alpha_h, beta_h=beta_h,
@@ -446,11 +449,18 @@ class BoundCheckReport:
     rows: list = field(default_factory=list)
 
     def add(self, bound, j, lhs, rhs, hypotheses_met):
-        """Record one check, or one per entry when ``lhs``, ``rhs`` and
-        ``hypotheses_met`` are equally long 1-d arrays."""
+        """Record one check, or one per entry when ``lhs`` is a 1-d array.
+        ``rhs`` and ``hypotheses_met`` are then arrays of its length or
+        scalars shared by every entry, and ``j`` is a sequence of its length
+        or an int or None shared by every entry."""
         if isinstance(lhs, np.ndarray):
-            self.rows.extend(zip(repeat(bound), repeat(j), lhs.tolist(),
-                                 rhs.tolist(), hypotheses_met.tolist()))
+            self.rows.extend(zip(
+                repeat(bound),
+                repeat(j) if j is None or isinstance(j, int) else j,
+                lhs.tolist(),
+                rhs.tolist() if isinstance(rhs, np.ndarray) else repeat(float(rhs)),
+                (hypotheses_met.tolist() if isinstance(hypotheses_met, np.ndarray)
+                 else repeat(bool(hypotheses_met)))))
         else:
             self.rows.append((bound, j, float(lhs), float(rhs),
                               bool(hypotheses_met)))
@@ -518,14 +528,17 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     """Check every inequality of the framework on one instance.
 
     The cluster window of each tracked eigenvalue extends to the midpoints
-    between distinct exact values.
+    between distinct exact values.  Each bound's checks are computed for
+    all tracked eigenpairs ``j = 1..k_max`` at once, on the columns of
+    ``Z = E U_{k_max}``, and added as one block in the order of ``j``.
     """
     k_max = inst.spec.k_max
     q = compute_quantities(inst)
     report = BoundCheckReport(seed=inst.seed,
                               mode="exact" if inst.exact_consistency else "perturbed")
-    lam = inst.lam
-    lam_t = q.discrete.eigenvalues
+    js = range(1, k_max + 1)
+    lam, lam_t = inst.lam, q.discrete.eigenvalues
+    lam_k, lam_tk = lam[:k_max], lam_t[:k_max]
     G_a, G_b = inst.G_a, inst.G_b
     Z = inst.extended_eigvecs(k_max)
     windows = _default_windows(lam, k_max)
@@ -541,115 +554,108 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     stab_exact = (inst.exact_consistency and q.approximability_ok
                   and _penalty_condition(
                       ka, kb, 2.0 * lam[k_max - 1] / (1.0 - q.theta[-1] ** 2)))
-    for j in range(k_max):
-        rel = (lam_t[j] - lam[j]) / lam_t[j]
-        report.add("ev_relative_error_lower", j + 1, 0.0, rel, stab_exact)
-        report.add("ev_relative_error_upper", j + 1, rel, q.theta[j] ** 2, stab_exact)
+    rel = (lam_tk - lam_k) / lam_tk
+    report.add("ev_relative_error_lower", js, np.zeros(k_max), rel, stab_exact)
+    report.add("ev_relative_error_upper", js, rel, q.theta ** 2, stab_exact)
 
     # exact eigenvalue bounded below by the discrete one times consistency factors
-    for j in range(k_max):
-        hyp = half_params and q.approximability_ok and q.theta[j] <= 0.5
-        rhs = ((1 - 2 * q.alpha_h) * (1 - 2 * q.beta_h)
-               * (1 - q.theta[j] ** 2)
-               * (1 - 2 * c_hat * (q.alpha_tilde + q.beta_tilde) * q.theta[j])
-               * lam_t[j])
-        report.add("ev_lower_bound_consistency", j + 1, rhs, lam[j], hyp)
+    hyp = (half_params and q.approximability_ok) & (q.theta <= 0.5)
+    rhs = ((1 - 2 * q.alpha_h) * (1 - 2 * q.beta_h)
+           * (1 - q.theta ** 2)
+           * (1 - 2 * c_hat * (q.alpha_tilde + q.beta_tilde) * q.theta)
+           * lam_tk)
+    report.add("ev_lower_bound_consistency", js, rhs, lam_k, hyp)
 
     # discrete eigenvalue bounded below via consistency on the discrete span
     stab_disc = _penalty_condition(ka, kb, 2.0 * lam_t[k_max - 1])
     hyp_upper = stab_disc and q.beta_hat < 0.5 and q.alpha_hat < 1.0
-    for j in range(k_max):
-        rhs = (1 - 2 * q.beta_hat) / (1 + 2 * q.alpha_hat) * lam[j]
-        report.add("ev_upper_bound_discrete_consistency", j + 1, rhs, lam_t[j], hyp_upper)
+    rhs = (1 - 2 * q.beta_hat) / (1 + 2 * q.alpha_hat) * lam_k
+    report.add("ev_upper_bound_discrete_consistency", js, rhs, lam_tk, hyp_upper)
 
     # discrete eigenvalue bounded below via the invariant-subspace distance
     phi = q.phi
     hyp_phi = (half_params and max(phi, q.c_f * lam_t[k_max - 1] * phi) <= 0.5)
-    for j in range(k_max):
-        rhs = ((1 - 2 * q.alpha_h) * (1 - 2 * q.beta_h)
-               * (1 + c_hat * (q.alpha_tilde + q.beta_tilde) * phi) ** (-2)
-               * (1 - q.c_f ** 2 * lam_t[k_max - 1] * phi ** 2) * lam[j])
-        report.add("ev_upper_bound_invariant_distance", j + 1, rhs, lam_t[j], hyp_phi)
+    rhs = ((1 - 2 * q.alpha_h) * (1 - 2 * q.beta_h)
+           * (1 + c_hat * (q.alpha_tilde + q.beta_tilde) * phi) ** (-2)
+           * (1 - q.c_f ** 2 * lam_t[k_max - 1] * phi ** 2) * lam_k)
+    report.add("ev_upper_bound_invariant_distance", js, rhs, lam_tk, hyp_phi)
 
     # comparison of the two eigenspace projections for probe vectors in V_h.
     # Probes mix projected extended eigenvectors (which satisfy the bound's
     # closeness hypothesis, like the vectors the eigenvalue bounds act on) with
     # plain random members of V_h (mostly skipped by the hypothesis gate).
+    # The draws for j take the leading j rows of near[j - 1], so Z @ near[j - 1]
+    # combines U_j^e only; every j is then checked in one stacked product.
     rng = np.random.default_rng(inst.seed + 777)
-    for j in range(1, k_max + 1):
-        near = q.P_h @ (Z[:, :j] @ rng.standard_normal((j, _N_PROBE - _N_PROBE // 3)))
-        far = inst.V @ rng.standard_normal((inst.spec.n_h, _N_PROBE // 3))
-        probes = np.concatenate([near, far], axis=1)
-        pa, pb = q.P_a[j - 1] @ probes, q.P_b[j - 1] @ probes
-        ev = probes - pa
-        eps = _column_norms(G_a, ev) / _column_norms(G_a, probes)
-        na = _column_norms(G_b, pa)
-        nb = _column_norms(G_b, pb)
-        hyp = half_params & (eps <= 0.5)
-        delta_v = c_hat * (q.alpha_tilde + q.beta_tilde) * eps
-        report.add("projection_comparison_upper", j, nb, (1 + delta_v) * na, hyp)
-        report.add("projection_comparison_lower", j, (1 - delta_v) * na, nb, hyp)
+    n_far = _N_PROBE // 3
+    near = np.zeros((k_max, k_max, _N_PROBE - n_far))
+    far = np.empty((k_max, inst.spec.n_h, n_far))
+    for j in js:
+        near[j - 1, :j] = rng.standard_normal((j, _N_PROBE - n_far))
+        far[j - 1] = rng.standard_normal((inst.spec.n_h, n_far))
+    probes = np.concatenate([q.P_h @ (Z @ near), inst.V @ far], axis=2)
+    pa, pb = q.P_a @ probes, q.P_b @ probes
+    eps = (_column_norms(G_a, probes - pa) / _column_norms(G_a, probes)).ravel()
+    na, nb = _column_norms(G_b, pa).ravel(), _column_norms(G_b, pb).ravel()
+    hyp = half_params & (eps <= 0.5)
+    delta_v = c_hat * (q.alpha_tilde + q.beta_tilde) * eps
+    probe_js = [j for j in js for _ in range(_N_PROBE)]
+    report.add("projection_comparison_upper", probe_js, nb, (1 + delta_v) * na, hyp)
+    report.add("projection_comparison_lower", probe_js, (1 - delta_v) * na, nb, hyp)
 
-    # --- eigenvector identities and bounds, per tracked eigenpair
+    # --- eigenvector identities and bounds; column j - 1 of each (., k_max)
+    # array below belongs to u_j^e = Z[:, j - 1] and its window
     X = q.discrete.vectors          # V_h coordinates, b_h-orthonormal
-    n_disc = lam_t.size
-    for j in range(k_max):
-        lam_j = lam[j]
-        lo, hi = windows[j]
-        inside = (lam_t >= lo) & (lam_t <= hi)
-        gamma = ClusterWindow(lo, hi).gamma(lam_t, lam_j)
-        u_e = inst.extended_eigvecs(j + 1)[:, -1]
-        norm_b_ue = math.sqrt(max(u_e @ (G_b @ u_e), 0.0))
+    lo, hi = np.array(windows).T
+    inside = (lam_t[:, None] >= lo) & (lam_t[:, None] <= hi)
+    # the gap parameter of analysis.ClusterWindow.gamma for every window;
+    # each window holds its lam_j strictly inside, so no outside distance is 0
+    dist = np.abs(lam_t[:, None] - lam_k)
+    gamma = np.divide(lam_t[:, None], dist, out=np.zeros_like(dist),
+                      where=~inside).max(axis=0)
 
-        bvals = X.T @ (inst.V.T @ (G_b @ u_e))     # b_h(u^e, u~_i)
-        avals = X.T @ (inst.V.T @ (G_a @ u_e))     # a_h(u^e, u~_i)
-        dvals = avals - lam_j * bvals              # d_lambda(u^e, u~_i)
-        dual = math.sqrt(float(np.sum(dvals ** 2 / lam_t)))
+    bvals = X.T @ (inst.V.T @ (G_b @ Z))       # b_h(u_j^e, u~_i)
+    avals = X.T @ (inst.V.T @ (G_a @ Z))       # a_h(u_j^e, u~_i)
+    dvals = avals - lam_k * bvals              # d_lambda_j(u_j^e, u~_i)
+    dual = np.sqrt(np.sum(dvals ** 2 / lam_t[:, None], axis=0))
 
-        # dual-norm formula consistency (basis sum equals SPD-solve value)
-        report.add("dualnorm_formula", j + 1,
-                   abs(dual - q.defect_dual[j]),
-                   1e-10 * max(1.0, q.defect_dual[j]), True)
+    # dual-norm formula consistency (basis sum equals SPD-solve value)
+    report.add("dualnorm_formula", js, np.abs(dual - q.defect_dual),
+               1e-10 * np.maximum(1.0, q.defect_dual), True)
 
-        # residual decomposition identity, checked as vectors in H^ex
-        Qlam = inst.V @ (X[:, inside] @ (X[:, inside].T @ (inst.V.T @ (G_b @ u_e))))
-        res = u_e - Qlam
-        denom = np.where(inside, 1.0, lam_t - lam_j)  # inside entries unused
-        factors = np.where(inside, 0.0, lam_t / denom)
-        e_p = u_e - q.P_h @ u_e
-        bvals_ep = X.T @ (inst.V.T @ (G_b @ e_p))
-        rhs_vec = inst.V @ (X @ (factors * bvals_ep))
-        rhs_vec = rhs_vec + (e_p - inst.V @ (X @ bvals_ep))
-        dfac = np.where(inside, 0.0, 1.0 / denom)
-        rhs_vec = rhs_vec + inst.V @ (X @ (dfac * dvals))
-        idres = rhs_vec - res
-        idnorm = math.sqrt(max(idres @ (G_b @ idres), 0.0))
-        report.add("projection_identity", j + 1, idnorm, 1e-10 * max(1.0, norm_b_ue), True)
+    # residual decomposition identity, checked as vectors in H^ex
+    res = Z - inst.V @ (X @ np.where(inside, bvals, 0.0))
+    denom = np.where(inside, 1.0, lam_t[:, None] - lam_k)  # inside entries unused
+    factors = np.where(inside, 0.0, lam_t[:, None] / denom)
+    e_p = Z - q.P_h @ Z
+    bvals_ep = X.T @ (inst.V.T @ (G_b @ e_p))
+    rhs_vec = inst.V @ (X @ (factors * bvals_ep))
+    rhs_vec = rhs_vec + (e_p - inst.V @ (X @ bvals_ep))
+    dfac = np.where(inside, 0.0, 1.0 / denom)
+    rhs_vec = rhs_vec + inst.V @ (X @ (dfac * dvals))
+    report.add("projection_identity", js, _column_norms(G_b, rhs_vec - res),
+               1e-10 * np.maximum(1.0, _column_norms(G_b, Z)), True)
 
-        # eigenvector error bounds in ||.||_h and in energy, with I_{V_h} = P_h
-        err_b = math.sqrt(max(res @ (G_b @ res), 0.0))
-        err_a = math.sqrt(max(res @ (G_a @ res), 0.0))
-        pe_b = math.sqrt(max(e_p @ (G_b @ e_p), 0.0))
-        pe_a = math.sqrt(max(e_p @ (G_a @ e_p), 0.0))
-        hyp_gamma = math.isfinite(gamma)
-        rhs1 = max(1.0, gamma) * pe_b + gamma / math.sqrt(lam_t[0]) * q.defect_dual[j]
-        report.add("evec_error_bh_norm", j + 1, err_b, rhs1, hyp_gamma)
-        rhs2 = ((gamma + 1.0) * (math.sqrt(lam_t[n_disc - 1]) * pe_b + 3.0 * pe_a)
-                + gamma * q.defect_dual[j])
-        report.add("evec_error_energy_norm", j + 1, err_a, rhs2, hyp_gamma)
+    # eigenvector error bounds in ||.||_h and in energy, with I_{V_h} = P_h
+    err_b, err_a = _column_norms(G_b, res), _column_norms(G_a, res)
+    pe_b, pe_a = _column_norms(G_b, e_p), _column_norms(G_a, e_p)
+    hyp_gamma = np.isfinite(gamma)
+    rhs1 = np.maximum(1.0, gamma) * pe_b + gamma / math.sqrt(lam_t[0]) * q.defect_dual
+    report.add("evec_error_bh_norm", js, err_b, rhs1, hyp_gamma)
+    rhs2 = ((gamma + 1.0) * (math.sqrt(lam_t[-1]) * pe_b + 3.0 * pe_a)
+            + gamma * q.defect_dual)
+    report.add("evec_error_energy_norm", js, err_a, rhs2, hyp_gamma)
 
-        # defect dual norm bounded by the consistency parameters
-        hyp_dl = q.alpha_h <= 0.5
-        rhs_dl = math.sqrt(2.0 * lam_j) * (q.alpha_tilde
-                                           + lam_j * q.c_f ** 2 * q.beta_tilde)
-        report.add("defect_dual_norm_bound", j + 1, q.defect_dual[j], rhs_dl, hyp_dl)
+    # defect dual norm bounded by the consistency parameters
+    rhs_dl = np.sqrt(2.0 * lam_k) * (q.alpha_tilde + lam_k * q.c_f ** 2 * q.beta_tilde)
+    report.add("defect_dual_norm_bound", js, q.defect_dual, rhs_dl, q.alpha_h <= 0.5)
 
-        # record the sharper q-factor next to its dual-norm route bound;
-        # whether q is generally the smaller quantity is left open, both
-        # values are reported for inspection
-        q_val = math.sqrt(float(np.sum((dvals[~inside] / lam_t[~inside]) ** 2)))
-        report.add("defect_q_factor_bound", j + 1, q_val,
-                   q.defect_dual[j] / math.sqrt(lam_t[0]), True)
+    # record the sharper q-factor next to its dual-norm route bound;
+    # whether q is generally the smaller quantity is left open, both
+    # values are reported for inspection
+    q_val = np.sqrt(np.sum(np.where(inside, 0.0, dvals / lam_t[:, None]) ** 2, axis=0))
+    report.add("defect_q_factor_bound", js, q_val,
+               q.defect_dual / math.sqrt(lam_t[0]), True)
 
     # form-ratio bounds on U_{k_max}^e (exact suprema); the sup of
     # |(a_h - a)(v, v)| / a_h(v, v) is alpha_h itself
@@ -670,18 +676,18 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     report.add("lifting_norm_a", None, sup_l_a, 1.0 + q.alpha_h, half_params)
     report.add("lifting_norm_b", None, sup_l_b, 1.0 + q.beta_h, half_params)
 
-    # --- norm equivalence on U_j^e
-    for j in range(1, k_max + 1):
-        vals = eigvalsh(q.gram_a[:j, :j], q.gram_b[:j, :j])
-        report.add("norm_equivalence_lower", j, 0.25 * lam[0], vals.min(), half_params)
-        report.add("norm_equivalence_upper", j, vals.max(), 4.0 * lam[j - 1], half_params)
+    # --- norm equivalence on U_j^e (eigenvalues come ascending)
+    vals = [eigvalsh(q.gram_a[:j, :j], q.gram_b[:j, :j]) for j in js]
+    report.add("norm_equivalence_lower", js, np.full(k_max, 0.25 * lam[0]),
+               np.array([v[0] for v in vals]), half_params)
+    report.add("norm_equivalence_upper", js, np.array([v[-1] for v in vals]),
+               4.0 * lam_k, half_params)
 
     # --- fundamental relation P_{a_h,j} = P_{b_h,j} in exact-consistency mode
     if inst.exact_consistency:
-        for j in range(1, k_max + 1):
-            diff = np.abs(q.P_a[j - 1] - q.P_b[j - 1]).max()
-            scale = max(1.0, np.abs(q.P_a[j - 1]).max())
-            report.add("projections_coincide", j, diff, 1e-12 * scale, True)
+        diff = np.abs(q.P_a - q.P_b).max(axis=(1, 2))
+        scale = np.maximum(1.0, np.abs(q.P_a).max(axis=(1, 2)))
+        report.add("projections_coincide", js, diff, 1e-12 * scale, True)
 
     return report
 
@@ -715,11 +721,11 @@ def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]
     """Verify the bound suite on ``trials`` seeded random instances.
 
     Instance ``i`` is fully determined by its seed ``seed + i``.  The
-    instances run in seed order on the calling thread: each is about 37
-    dense LAPACK calls (through the ``veclap.eigensolve`` kernels, as the
-    ``scipy.linalg`` wrappers cost more than the work) on matrices of order
-    16 or less and up to about 160 checks, so worker threads only add
-    overhead.
+    instances run in seed order on the calling thread: each is about 54
+    dense LAPACK calls (all through the ``veclap.eigensolve`` kernels, as
+    the ``scipy.linalg`` and ``numpy.linalg`` wrappers cost more than the
+    work) on matrices of order 16 or less and up to about 160 checks, so
+    worker threads only add overhead.
     """
     if mode not in ("exact", "perturbed"):
         raise InputError(f"mode must be 'exact' or 'perturbed', got {mode!r}")
@@ -734,19 +740,33 @@ def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]
     return reports
 
 
+# a JSONL line as json.dumps(obj, sort_keys=True) writes it, keys in order
+_JSONL_LINE = ('{{"bound": {}, "hypotheses_met": {}, "lhs": {}, "mode": {}, '
+               '"pass": {}, "rhs": {}, "seed": {}, "slack": {}}}\n')
+_JSON_LITERAL = {True: "true", False: "false", None: "null"}
+# float reprs that json spells otherwise; a NaN number means "no value"
+_JSON_SPECIAL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(x: float) -> str:
+    """``x`` as ``json`` writes a float, except NaN, which becomes null."""
+    text = float.__repr__(x)
+    return _JSON_SPECIAL.get(text, text)
+
+
 def write_jsonl(reports, fileobj) -> None:
-    """One JSON object per (instance seed, bound id), aggregated over j."""
-    encoder = json.JSONEncoder(sort_keys=True)
+    """One JSON object per (instance seed, bound id), aggregated over j.
+
+    Each line holds the keys ``bound``, ``hypotheses_met``, ``lhs``,
+    ``mode``, ``pass``, ``rhs``, ``seed`` and ``slack`` in that (sorted)
+    order, with the bytes ``json.dumps(obj, sort_keys=True)`` would write;
+    a NaN number is written as null.
+    """
     for rep in reports:
-        for check in rep.aggregated():
-            obj = {
-                "seed": rep.seed,
-                "mode": rep.mode,
-                "bound": check.bound,
-                "lhs": None if math.isnan(check.lhs) else check.lhs,
-                "rhs": None if math.isnan(check.rhs) else check.rhs,
-                "slack": None if math.isnan(check.slack) else check.slack,
-                "hypotheses_met": check.hypotheses_met,
-                "pass": check.passed,
-            }
-            fileobj.write(encoder.encode(obj) + "\n")
+        mode = encode_basestring_ascii(rep.mode)
+        fileobj.write("".join(
+            _JSONL_LINE.format(
+                encode_basestring_ascii(c.bound), _JSON_LITERAL[c.hypotheses_met],
+                _json_number(c.lhs), mode, _JSON_LITERAL[c.passed],
+                _json_number(c.rhs), int(rep.seed), _json_number(c.slack))
+            for c in rep.aggregated()))

@@ -10,6 +10,7 @@ Subcommands:
   JSONL output.
 
 Exit codes: 0 success, 2 argument/validation error, 3 numerical failure.
+An ``--out`` file that cannot be written exits 2 before any work.
 The ``VECLAP_THREADS`` environment variable sets worker-thread count;
 outputs are byte-identical for any setting.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from . import analysis
 from .abstract_framework import sweep, write_jsonl
@@ -115,24 +117,53 @@ def _study_config(args, levels, fields) -> analysis.StudyConfig:
         jitter=args.jitter, mesh_seed=args.mesh_seed)
 
 
-def _write_records(records, path) -> None:
+def _check_output_file(path) -> None:
+    """Raise InputError unless the file ``path`` (None: standard output)
+    can be created or overwritten; creates nothing, so a run that fails
+    later leaves no file."""
     if path is None:
-        analysis.write_csv(records, sys.stdout)
-    else:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise InputError(f"output path {path!r} names a directory, not a file")
+    if not os.path.isdir(directory):
+        raise InputError(f"output directory {directory!r} does not exist")
+    if not os.access(directory, os.W_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise InputError(f"output path {path!r} is not writable")
+
+
+def _write_output(path, write) -> None:
+    """``write(f)`` to standard output, or to the file ``path``."""
+    if path is None:
+        write(sys.stdout)
+        return
+    try:
         with open(path, "w", encoding="ascii", newline="") as f:
-            analysis.write_csv(records, f)
+            write(f)
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc.strerror}") from exc
+
+
+def _make_export_dir(path) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create export directory {path!r}: "
+                         f"{exc.strerror}") from exc
 
 
 def _cmd_converge(args) -> int:
+    _check_output_file(args.out)
     cfg = _study_config(args, _parse_levels(args.levels),
                         _parse_fields(args.fields))
 
     hook = None
     if args.export_mesh or args.export_matrices:
         if args.export_mesh:
-            os.makedirs(args.export_mesh, exist_ok=True)
+            _make_export_dir(args.export_mesh)
         if args.export_matrices:
-            os.makedirs(args.export_matrices, exist_ok=True)
+            _make_export_dir(args.export_matrices)
 
         def hook(level, mesh, forms):
             if args.export_mesh:
@@ -147,7 +178,7 @@ def _cmd_converge(args) -> int:
                         comment=f"{name}_h, level {level}, k={cfg.k}, kg={cfg.k_g}")
 
     records = analysis.convergence_study(cfg, on_assembled=hook)
-    _write_records(records, args.out)
+    _write_output(args.out, partial(analysis.write_csv, records))
     return EXIT_OK
 
 
@@ -163,21 +194,19 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_area(args) -> int:
+    _check_output_file(args.out)
     records = analysis.area_study(
         args.kg, _parse_levels(args.levels), surface=Sphere(args.radius),
         quad_degree=args.quad_degree, jitter=args.jitter,
         mesh_seed=args.mesh_seed)
-    _write_records(records, args.out)
+    _write_output(args.out, partial(analysis.write_csv, records))
     return EXIT_OK
 
 
 def _cmd_abstract(args) -> int:
+    _check_output_file(args.out)
     reports = sweep(args.trials, args.seed, args.mode)
-    if args.out is None:
-        write_jsonl(reports, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="ascii", newline="") as f:
-            write_jsonl(reports, f)
+    _write_output(args.out, partial(write_jsonl, reports))
     n_viol = sum(len(r.violations()) for r in reports)
     if n_viol:
         print(f"error: {n_viol} bound violations with hypotheses met",

@@ -15,14 +15,18 @@ pivoting is stable because A is SPD.  Both solvers return B-orthonormal
 eigenvectors sorted ascending.  The Lanczos start vector is a fixed
 function of the problem size, so repeated solves are bitwise reproducible.
 
-Dense kernels.  ``eigvalsh``, ``eigh``, ``cholesky``, ``solve_triangular``
-and ``null_space`` call ``scipy.linalg.lapack`` directly, with exactly the
-routine and arguments that the ``scipy.linalg`` function of the same name
-picks for a real float64 array, so they return the same bytes; they keep
-its results on empty matrices.  They exist because the abstract framework
-makes about 45 of these calls per instance on matrices of order 16 or
-less, where the ``scipy.linalg`` wrappers cost several times the LAPACK
-work.  The routines are
+Dense kernels.  ``eigvalsh``, ``eigh``, ``cholesky``, ``solve_triangular``,
+``solve_spd``, ``qr``, ``svd`` and ``null_space`` call ``scipy.linalg.lapack``
+directly.  ``qr`` and ``svd`` make the LAPACK calls of ``numpy.linalg.qr``
+and ``numpy.linalg.svd`` (reduced factors) and return their bytes, in C
+order like theirs; the others make exactly the call that the
+``scipy.linalg`` function of the same name picks for a real float64 array
+and return its bytes, and ``solve_spd`` returns those of
+``scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)``.
+They keep the results of those functions on empty matrices.  They exist
+because the abstract framework makes about 54 of these calls per instance
+on matrices of order 16 or less, where the wrappers cost several times
+the LAPACK work.  The routines are
 
 * ``eigvalsh(a)``: ``dsyevr`` on the lower triangle, with its workspace
   query; ``eigvalsh(a, b)`` and ``eigh(a, b)``: ``dsygvd`` with itype 1
@@ -30,6 +34,11 @@ work.  The routines are
 * ``cholesky``: ``dpotrf``, lower factor, upper triangle zeroed;
 * ``solve_triangular``: ``dtrtrs``, called with the transposed system
   when the factor is not Fortran-ordered;
+* ``solve_spd``: ``dposv`` on the lower triangle;
+* ``qr``: ``dgeqrf`` then ``dorgqr``, each with its workspace query, for
+  the orthonormal factor Q only;
+* ``svd``: ``dgesdd`` with its workspace query, singular values only or
+  the thin factors;
 * ``null_space``: ``dgesdd`` with full factors, cutting singular values
   below ``eps * max(m, n) * s_max``.
 
@@ -37,8 +46,9 @@ Failures map to the package's errors.  A non-finite entry, a malformed
 shape, and a pencil whose B is not positive definite (``dsygvd`` info > n)
 are ``InputError``.  A routine that does not converge (``dsygvd`` with
 0 < info <= n, ``dgesdd``) raises ``ConvergenceError``; a non-positive
-Cholesky pivot, a singular triangular factor, an internal ``dsyevr``
-failure and an illegal argument raise ``NumericalError``.
+Cholesky pivot (``dpotrf``, ``dposv``), a singular triangular factor, an
+internal ``dsyevr`` failure and an illegal argument raise
+``NumericalError``.
 """
 
 from __future__ import annotations
@@ -53,7 +63,8 @@ from scipy.linalg import lapack
 from .errors import ConvergenceError, InputError, NumericalError
 
 __all__ = ["EigenPairs", "factorize", "solve_smallest", "full_spectrum",
-           "eigvalsh", "eigh", "cholesky", "solve_triangular", "null_space"]
+           "eigvalsh", "eigh", "cholesky", "solve_triangular", "solve_spd", "qr",
+           "svd", "null_space"]
 
 DENSE_LIMIT = 3000
 
@@ -257,6 +268,72 @@ def solve_triangular(a, b, lower=False) -> np.ndarray:
     if info < 0:
         raise _illegal("dtrtrs", info)
     return x
+
+
+def solve_spd(a, b) -> np.ndarray:
+    """Solve ``a x = b`` for the SPD ``a`` (lower triangle read) and the
+    matrix ``b``."""
+    a, b = _operand(a), _operand(b, square=False)
+    if a.shape[0] != b.shape[0]:
+        raise InputError(f"shapes {a.shape} and {b.shape} do not match")
+    if b.size == 0:
+        return np.empty_like(b)
+    _, x, info = lapack.dposv(a, b, lower=1, overwrite_a=0, overwrite_b=0)
+    if info > 0:
+        raise NumericalError(f"matrix is not positive definite (leading "
+                             f"minor of order {info})")
+    if info < 0:
+        raise _illegal("dposv", info)
+    return x
+
+
+def qr(a) -> np.ndarray:
+    """Orthonormal factor Q (m x min(m, n)) of the reduced QR factorization
+    of ``a``, C-ordered like ``numpy.linalg.qr``'s; no caller needs R."""
+    a = _operand(a, square=False)
+    m, n = a.shape
+    k = min(m, n)
+    if k == 0:
+        return np.empty((m, k))
+    work, info = lapack.dgeqrf_lwork(m, n)
+    if info:
+        raise _illegal("dgeqrf_lwork", info)
+    packed, tau, _, info = lapack.dgeqrf(a, lwork=int(work), overwrite_a=0)
+    if info < 0:
+        raise _illegal("dgeqrf", info)
+    packed = packed[:, :k]
+    _, work, info = lapack.dorgqr(packed, tau, lwork=-1)
+    if info < 0:
+        raise _illegal("dorgqr", info)
+    q, _, info = lapack.dorgqr(packed, tau, lwork=int(work[0]), overwrite_a=1)
+    if info < 0:
+        raise _illegal("dorgqr", info)
+    return np.ascontiguousarray(q)
+
+
+def svd(a, compute_uv=True):
+    """Singular values of ``a`` (m x n), descending, or with
+    ``compute_uv`` the thin factors ``(u, s, vt)``, u m x k and vt k x n
+    for k = min(m, n), C-ordered like ``numpy.linalg.svd``'s."""
+    a = _operand(a, square=False)
+    m, n = a.shape
+    k = min(m, n)
+    if k == 0:
+        return (np.empty((m, k)), np.empty(0), np.empty((k, n))) if compute_uv \
+            else np.empty(0)
+    work, info = lapack.dgesdd_lwork(m, n, compute_uv=int(compute_uv),
+                                     full_matrices=0)
+    if info:
+        raise _illegal("dgesdd_lwork", info)
+    u, s, vt, info = lapack.dgesdd(a, compute_uv=int(compute_uv), full_matrices=0,
+                                   lwork=int(work), overwrite_a=0)
+    if info > 0:
+        raise ConvergenceError("dgesdd did not converge")
+    if info < 0:
+        raise _illegal("dgesdd", info)
+    if not compute_uv:
+        return s
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
 
 
 def null_space(a) -> np.ndarray:

@@ -1,11 +1,17 @@
-"""Per-probe and per-subspace references for
+"""Per-probe, per-eigenpair and per-subspace references for
 ``veclap.abstract_framework``, used only by the tests.
 
 ``reference_projection_probes`` is the probe loop one vector at a time:
 each probe's norms are vector-matrix-vector products and its two checks
-are scalar ``add`` calls, upper then lower.  ``verify_bounds`` checks the
-probes of one ``j`` together as matrix products and adds each bound's
-checks as one block.
+are scalar ``add`` calls, upper then lower.  ``reference_eigenvector_checks``
+is the eigenvector loop one tracked eigenpair at a time, with
+``u_j^e = extended_eigvecs(j)[:, -1]``, its window's ``ClusterWindow`` and
+scalar ``add`` calls.  ``verify_bounds`` checks the probes of every ``j``
+in one stacked product, the eigenpairs as the columns of one matrix, and
+adds each bound's checks as one block.
+
+``reference_write_jsonl`` writes the JSONL report through the ``json``
+encoder, where ``write_jsonl`` fills in a template.
 
 ``reference_quantities`` takes every route that the module takes once per
 instance anew for each subspace: the Gram matrices of each ``U_j^e`` from
@@ -18,6 +24,7 @@ matrices formed where they are used.  The tests compare the two.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -26,11 +33,13 @@ import scipy.linalg as sla
 from veclap.abstract_framework import (
     _N_PROBE,
     BoundCheckReport,
+    _default_windows,
     _gram,
     _orth_union,
     sup_bilinear,
     sup_quadratic,
 )
+from veclap.analysis import ClusterWindow
 from veclap.eigensolve import full_spectrum
 
 
@@ -63,6 +72,68 @@ def reference_projection_probes(inst, q) -> BoundCheckReport:
             nb = math.sqrt(max(pb @ (G_b @ pb), 0.0))
             report.add("projection_comparison_upper", j, nb, (1 + delta_v) * na, hyp)
             report.add("projection_comparison_lower", j, (1 - delta_v) * na, nb, hyp)
+    return report
+
+
+def reference_eigenvector_checks(inst, q) -> BoundCheckReport:
+    """The eigenvector identity and bound checks of ``inst`` (bounds
+    ``dualnorm_formula``, ``projection_identity``, ``evec_error_bh_norm``,
+    ``evec_error_energy_norm``, ``defect_dual_norm_bound`` and
+    ``defect_q_factor_bound``), given its ``compute_quantities``, one
+    tracked eigenpair at a time."""
+    report = BoundCheckReport(seed=inst.seed, mode="reference")
+    k_max = inst.spec.k_max
+    G_a, G_b = inst.G_a, inst.G_b
+    lam, lam_t = inst.lam, q.discrete.eigenvalues
+    X = q.discrete.vectors
+    n_disc = lam_t.size
+    for j, (lo, hi) in enumerate(_default_windows(lam, k_max)):
+        lam_j = lam[j]
+        inside = (lam_t >= lo) & (lam_t <= hi)
+        gamma = ClusterWindow(lo, hi).gamma(lam_t, lam_j)
+        u_e = inst.extended_eigvecs(j + 1)[:, -1]
+        norm_b_ue = math.sqrt(max(u_e @ (G_b @ u_e), 0.0))
+
+        bvals = X.T @ (inst.V.T @ (G_b @ u_e))
+        avals = X.T @ (inst.V.T @ (G_a @ u_e))
+        dvals = avals - lam_j * bvals
+        dual = math.sqrt(float(np.sum(dvals ** 2 / lam_t)))
+        report.add("dualnorm_formula", j + 1, abs(dual - q.defect_dual[j]),
+                   1e-10 * max(1.0, q.defect_dual[j]), True)
+
+        Qlam = inst.V @ (X[:, inside] @ (X[:, inside].T @ (inst.V.T @ (G_b @ u_e))))
+        res = u_e - Qlam
+        denom = np.where(inside, 1.0, lam_t - lam_j)
+        factors = np.where(inside, 0.0, lam_t / denom)
+        e_p = u_e - q.P_h @ u_e
+        bvals_ep = X.T @ (inst.V.T @ (G_b @ e_p))
+        rhs_vec = inst.V @ (X @ (factors * bvals_ep))
+        rhs_vec = rhs_vec + (e_p - inst.V @ (X @ bvals_ep))
+        dfac = np.where(inside, 0.0, 1.0 / denom)
+        rhs_vec = rhs_vec + inst.V @ (X @ (dfac * dvals))
+        idres = rhs_vec - res
+        idnorm = math.sqrt(max(idres @ (G_b @ idres), 0.0))
+        report.add("projection_identity", j + 1, idnorm, 1e-10 * max(1.0, norm_b_ue), True)
+
+        err_b = math.sqrt(max(res @ (G_b @ res), 0.0))
+        err_a = math.sqrt(max(res @ (G_a @ res), 0.0))
+        pe_b = math.sqrt(max(e_p @ (G_b @ e_p), 0.0))
+        pe_a = math.sqrt(max(e_p @ (G_a @ e_p), 0.0))
+        hyp_gamma = math.isfinite(gamma)
+        rhs1 = max(1.0, gamma) * pe_b + gamma / math.sqrt(lam_t[0]) * q.defect_dual[j]
+        report.add("evec_error_bh_norm", j + 1, err_b, rhs1, hyp_gamma)
+        rhs2 = ((gamma + 1.0) * (math.sqrt(lam_t[n_disc - 1]) * pe_b + 3.0 * pe_a)
+                + gamma * q.defect_dual[j])
+        report.add("evec_error_energy_norm", j + 1, err_a, rhs2, hyp_gamma)
+
+        rhs_dl = math.sqrt(2.0 * lam_j) * (q.alpha_tilde
+                                           + lam_j * q.c_f ** 2 * q.beta_tilde)
+        report.add("defect_dual_norm_bound", j + 1, q.defect_dual[j], rhs_dl,
+                   q.alpha_h <= 0.5)
+
+        q_val = math.sqrt(float(np.sum((dvals[~inside] / lam_t[~inside]) ** 2)))
+        report.add("defect_q_factor_bound", j + 1, q_val,
+                   q.defect_dual[j] / math.sqrt(lam_t[0]), True)
     return report
 
 
@@ -150,3 +221,22 @@ def reference_quantities(inst) -> dict:
     ref["norm_equivalence_min"] = np.array([vals.min() for vals in pencils])
     ref["norm_equivalence_max"] = np.array([vals.max() for vals in pencils])
     return ref
+
+
+def reference_write_jsonl(reports, fileobj) -> None:
+    """``write_jsonl`` through the ``json`` encoder: one key-sorted object
+    per (instance seed, bound id), NaN written as null."""
+    encoder = json.JSONEncoder(sort_keys=True)
+    for rep in reports:
+        for check in rep.aggregated():
+            obj = {
+                "seed": rep.seed,
+                "mode": rep.mode,
+                "bound": check.bound,
+                "lhs": None if math.isnan(check.lhs) else check.lhs,
+                "rhs": None if math.isnan(check.rhs) else check.rhs,
+                "slack": None if math.isnan(check.slack) else check.slack,
+                "hypotheses_met": check.hypotheses_met,
+                "pass": check.passed,
+            }
+            fileobj.write(encoder.encode(obj) + "\n")

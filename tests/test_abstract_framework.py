@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from abstract_reference import reference_projection_probes, reference_quantities
+from abstract_reference import (
+    reference_eigenvector_checks,
+    reference_projection_probes,
+    reference_quantities,
+    reference_write_jsonl,
+)
 from veclap import abstract_framework, eigensolve
 from veclap.abstract_framework import (
     BoundCheckReport,
@@ -242,6 +247,24 @@ class TestBoundCheckReport:
             ("projection_comparison_upper", 2, "1.0", "3.0", True, False),
             ("projection_comparison_lower", None, "nan", "nan", False, None)]
 
+    def test_a_block_with_a_j_per_entry_equals_scalar_adds(self):
+        lhs = np.array([0.5, 1.0, 2.0, 9.0])
+        rhs = np.array([3.0, 3.0, 4.0, 1.0])
+        met = np.array([True, False, True, True])
+        js = [1, 1, 2, 3]
+        block = BoundCheckReport(seed=1, mode="exact")
+        scalar = BoundCheckReport(seed=1, mode="exact")
+        block.add("evec_error_bh_norm", js, lhs, rhs, met)
+        block.add("norm_equivalence_lower", range(1, 5), lhs, 2.5, True)
+        for j, li, ri, hi in zip(js, lhs, rhs, met):
+            scalar.add("evec_error_bh_norm", j, li, ri, hi)
+        for j, li in enumerate(lhs, 1):
+            scalar.add("norm_equivalence_lower", j, li, 2.5, True)
+        for read in (lambda rep: rep.checks, lambda rep: rep.violations(),
+                     lambda rep: rep.aggregated()):
+            assert _as_tuples(read(block)) == _as_tuples(read(scalar))
+        assert [c.j for c in block.checks] == js + [1, 2, 3, 4]
+
 
 class TestRoundOffTies:
     def test_aggregated_rows_survive_a_reassociated_gram(self, monkeypatch):
@@ -292,6 +315,31 @@ class TestProjectionProbes:
         probes = [c for c in verify_bounds(inst).checks
                   if c.bound.startswith("projection_comparison")]
         assert len(probes) == 144 and not any(c.hypotheses_met for c in probes)
+
+
+class TestEigenvectorChecks:
+    BOUNDS = ("dualnorm_formula", "projection_identity", "evec_error_bh_norm",
+              "evec_error_energy_norm", "defect_dual_norm_bound",
+              "defect_q_factor_bound")
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_columns_equal_the_per_eigenpair_reference(self, mode):
+        # the per-j loop reads u_j^e from extended_eigvecs(j), which differs
+        # from the column Z[:, j - 1] in the last bits
+        for seed in range(20):
+            inst = _sweep_instance(seed, mode)
+            checks = verify_bounds(inst).checks
+            ref = reference_eigenvector_checks(inst, compute_quantities(inst)).checks
+            for bound in self.BOUNDS:
+                ours = [c for c in checks if c.bound == bound]
+                theirs = [c for c in ref if c.bound == bound]
+                assert [c.j for c in ours] == list(range(1, inst.spec.k_max + 1))
+                assert [(c.j, c.hypotheses_met, c.passed) for c in ours] == [
+                    (c.j, c.hypotheses_met, c.passed) for c in theirs], (seed, bound)
+                for side in ("lhs", "rhs"):
+                    _assert_close([getattr(c, side) for c in ours],
+                                  [getattr(c, side) for c in theirs],
+                                  (seed, bound, side))
 
 
 def _sweep_instance(seed, mode):
@@ -388,6 +436,21 @@ class TestSweeps:
                 assert (ca.bound, ca.j, ca.lhs, ca.rhs) == (cb.bound, cb.j,
                                                             cb.lhs, cb.rhs)
 
+    def test_jsonl_equals_the_json_encoder_reference(self):
+        reports = sweep(10, 0, "exact") + sweep(10, 9000, "perturbed")
+        odd = BoundCheckReport(seed=12, mode="perturbed")
+        odd.add("infinite_rhs", 1, 0.0, math.inf, True)
+        odd.add("infinite_lhs", 2, math.inf, 1.0, True)
+        odd.add("nan_lhs", None, math.nan, 1.0, True)
+        odd.add("no_hypotheses", None, 1.0, 2.0, False)
+        odd.add('quoted "bound"\u00e9', np.array([3, 4]).tolist(),
+                np.array([1e-300, -0.0]), np.array([5e300, 1.0 / 3.0]), True)
+        ours, theirs = io.StringIO(), io.StringIO()
+        write_jsonl(reports + [odd], ours)
+        reference_write_jsonl(reports + [odd], theirs)
+        assert ours.getvalue() == theirs.getvalue()
+        assert "Infinity" in ours.getvalue() and "-Infinity" in ours.getvalue()
+
     def test_jsonl_equals_the_scipy_linalg_reference(self, monkeypatch):
         def jsonl():
             buf = io.StringIO()
@@ -402,6 +465,13 @@ class TestSweeps:
         monkeypatch.setattr(abstract_framework, "solve_triangular",
                             sla.solve_triangular)
         monkeypatch.setattr(abstract_framework, "null_space", sla.null_space)
+        # and the numpy.linalg oracles of qr and svd, and dposv's own steps
+        monkeypatch.setattr(abstract_framework, "qr", lambda a: np.linalg.qr(a)[0])
+        monkeypatch.setattr(abstract_framework, "svd",
+                            lambda a, compute_uv=True: np.linalg.svd(
+                                a, full_matrices=False, compute_uv=compute_uv))
+        monkeypatch.setattr(abstract_framework, "solve_spd",
+                            lambda a, b: sla.cho_solve(sla.cho_factor(a, lower=True), b))
         assert jsonl() == ours
 
     @pytest.mark.parametrize("trials,seed,mode,extra", [
@@ -431,7 +501,9 @@ class TestSweeps:
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="full_spectrum reduces the pencil by B_h, whose "
                               "condition number is 1.9e10 on this instance, and "
-                              "the projection identity misses 1e-10 for j = 2..4")
+                              "the projection identity misses 1e-10 for every j, "
+                              "for j = 2, 3 by more than the 1e-9 floor of the "
+                              "check tolerance")
     def test_perturbed_instance_9607_has_no_violation(self):
         (rep,) = sweep(1, 9607, "perturbed")
         assert not rep.violations()

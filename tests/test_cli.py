@@ -299,6 +299,57 @@ class TestAbstract:
         assert captured.out == "" and "seed" in captured.err
 
 
+class TestOutputPaths:
+    """An output that cannot be written exits 2 before any work, and a
+    numerical failure after the check leaves no file behind."""
+
+    @staticmethod
+    def forbid_work(monkeypatch):
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+
+        def no_instance(*args, **kwargs):
+            raise AssertionError("built an instance for an unwritable output")
+
+        monkeypatch.setattr(abstract_framework, "make_instance", no_instance)
+
+    @pytest.mark.parametrize("argv", [
+        ["abstract", "--trials", "1"],
+        ["area", "--kg", "1", "--levels", "1..2"],
+        ["converge", "--k", "1", "--kg", "1", "--levels", "2..3"],
+    ])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_2_before_any_work(self, argv, where, tmp_path,
+                                                    monkeypatch, capsys):
+        self.forbid_work(monkeypatch)
+        out = tmp_path / "missing" / "x.out" if where == "missing_dir" else tmp_path
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert str(out.parent if where == "missing_dir" else out) in captured.err
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--export-mesh", "--export-matrices"])
+    def test_export_dir_over_a_file_exits_2_before_meshing(self, flag, tmp_path,
+                                                           monkeypatch, capsys):
+        self.forbid_work(monkeypatch)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert cli.main(["converge", "--k", "1", "--kg", "1", "--levels", "2..3",
+                         flag, str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert "export directory" in err and "Traceback" not in err
+
+    def test_numerical_failure_after_the_check_leaves_no_file(self, tmp_path,
+                                                             monkeypatch, capsys):
+        def failing_sweep(*args, **kwargs):
+            raise NumericalError("synthetic failure")
+
+        monkeypatch.setattr(cli, "sweep", failing_sweep)
+        out = tmp_path / "bounds.jsonl"
+        assert cli.main(["abstract", "--trials", "1", "--out", str(out)]) == 3
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_numerical_failure_maps_to_3(self, monkeypatch, capsys):
         def boom(args):

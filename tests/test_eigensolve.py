@@ -108,12 +108,46 @@ class TestDenseKernels:
                 E[:, -1] *= np.finfo(float).eps * (n + 2)
             self.assert_same(es.null_space(E.T), sla.null_space(E.T))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_qr_and_svd_equal_numpy_linalg(self, order):
+        # tall, wide and square shapes, empty ones included
+        rng = np.random.default_rng(7)
+        shapes = [(m, n) for m in range(18) for n in range(18)]
+        shapes += [tuple(rng.integers(1, 60, 2)) for _ in range(40)]
+        for m, n in shapes:
+            a = np.array(rng.standard_normal((m, n)), order=order)
+            # the layout too: a product with a C- or a Fortran-ordered
+            # factor can round differently
+            for ours, ref in ((es.qr(a), np.linalg.qr(a)[0]),
+                              *zip(es.svd(a)[::2], np.linalg.svd(a)[::2])):
+                assert ours.flags.c_contiguous == ref.flags.c_contiguous
+            self.assert_same(es.qr(a), np.linalg.qr(a)[0])
+            self.assert_same(es.svd(a, compute_uv=False),
+                             np.linalg.svd(a, compute_uv=False))
+            for ours, ref in zip(es.svd(a), np.linalg.svd(a, full_matrices=False),
+                                 strict=True):
+                self.assert_same(ours, ref)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", range(17))
+    def test_solve_spd_equals_a_cholesky_solve(self, n, order):
+        # dposv is dpotrf then dpotrs, as cho_factor then cho_solve
+        rng = np.random.default_rng(200 + n)
+        _, B = random_spd_pencil(rng, n)
+        B = np.array(B + 1e-15 * rng.standard_normal((n, n)), order=order)
+        rhs = np.array(rng.standard_normal((n, 4)), order=order)
+        self.assert_same(es.solve_spd(B, rhs),
+                         sla.cho_solve(sla.cho_factor(B, lower=True), rhs))
+
     def test_non_finite_entries_are_input_errors(self):
         bad = np.eye(3)
         bad[1, 0] = np.nan
         calls = [lambda: es.eigvalsh(bad), lambda: es.eigvalsh(np.eye(3), bad),
                  lambda: es.eigh(bad, np.eye(3)), lambda: es.cholesky(bad),
                  lambda: es.solve_triangular(np.eye(3), bad),
+                 lambda: es.solve_spd(bad, np.ones((3, 1))),
+                 lambda: es.solve_spd(np.eye(3), bad), lambda: es.qr(bad),
+                 lambda: es.svd(bad), lambda: es.svd(bad, compute_uv=False),
                  lambda: es.null_space(bad), lambda: full_spectrum(bad, np.eye(3))]
         for call in calls:
             with pytest.raises(InputError, match="non-finite"):
@@ -130,7 +164,35 @@ class TestDenseKernels:
         with pytest.raises(ConvergenceError):
             es.eigvalsh(np.eye(3), np.eye(3))
 
+    def test_svd_no_convergence_is_a_convergence_error(self, monkeypatch):
+        def failing(a, **kwargs):
+            return np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)), 1
+
+        monkeypatch.setattr(es.lapack, "dgesdd", failing)
+        for call in (lambda: es.svd(np.eye(2)),
+                     lambda: es.svd(np.eye(2), compute_uv=False)):
+            with pytest.raises(ConvergenceError):
+                call()
+
+    @pytest.mark.parametrize("routine,call", [
+        ("dposv", lambda: es.solve_spd(np.eye(2), np.ones((2, 1)))),
+        ("dgeqrf", lambda: es.qr(np.eye(2))),
+        ("dorgqr", lambda: es.qr(np.eye(2))),
+        ("dgesdd", lambda: es.svd(np.eye(2))),
+    ])
+    def test_illegal_arguments_are_numerical_errors(self, routine, call, monkeypatch):
+        real = getattr(es.lapack, routine)
+
+        def illegal(*args, **kwargs):
+            return (*real(*args, **kwargs)[:-1], -1)
+
+        monkeypatch.setattr(es.lapack, routine, illegal)
+        with pytest.raises(NumericalError, match=f"{routine}: illegal value"):
+            call()
+
     def test_factor_failures_are_numerical_errors(self):
+        with pytest.raises(NumericalError, match="positive definite"):
+            es.solve_spd(np.diag([1.0, -1.0]), np.ones((2, 1)))
         with pytest.raises(NumericalError, match="positive definite"):
             es.cholesky(np.diag([1.0, -1.0]))
         with pytest.raises(NumericalError, match="singular"):
@@ -143,6 +205,14 @@ class TestDenseKernels:
             es.eigh(np.eye(2), np.eye(3))
         with pytest.raises(InputError):
             es.solve_triangular(np.eye(2), np.ones((3, 1)))
+        with pytest.raises(InputError):
+            es.solve_spd(np.eye(2), np.ones((3, 1)))
+        with pytest.raises(InputError):
+            es.solve_spd(np.ones((2, 3)), np.ones((2, 1)))
+        with pytest.raises(InputError):
+            es.qr(np.ones(3))
+        with pytest.raises(InputError):
+            es.svd(np.ones((2, 2, 2)))
 
 
 class TestFactorize:

@@ -1,9 +1,14 @@
 """Public surface: every module imports and every ``__all__`` name
-resolves, and only ``veclap.eigensolve`` imports ``scipy.linalg``."""
+resolves, only ``veclap.eigensolve`` imports ``scipy.linalg``, the abstract
+framework calls no ``numpy.linalg`` decomposition, and importing the CLI
+does not load ``scipy.special``."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,33 @@ def test_only_eigensolve_imports_scipy_linalg():
     importers = sorted(path.stem for path in Path(veclap.__file__).parent.glob("*.py")
                        if _imports_scipy_linalg(ast.parse(path.read_text())))
     assert importers == ["eigensolve"]
+
+
+def test_abstract_framework_calls_no_numpy_linalg_decomposition():
+    # its decompositions go through the veclap.eigensolve kernels; only the
+    # norm, which is no LAPACK call, is read from numpy.linalg
+    tree = ast.parse((Path(veclap.__file__).parent / "abstract_framework.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            assert not node.module.startswith(("numpy.linalg", "scipy")), node.module
+            assert not (node.module == "numpy"
+                        and any(a.name == "linalg" for a in node.names))
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("numpy.linalg") for a in node.names)
+    assert used <= {"norm"}, used
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    src = str(Path(veclap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    probe = "import sys, veclap.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -1,11 +1,14 @@
-"""Triangle quadrature: weight normalization and polynomial exactness."""
+"""Triangle quadrature: weight normalization, polynomial exactness, and
+the one-dimensional rules against ``scipy.special`` and 40-digit values."""
 
 from math import factorial
 
 import numpy as np
 import pytest
 
-from veclap.quadrature import triangle_rule
+from numpy.polynomial.legendre import leggauss
+
+from veclap.quadrature import _gauss_jacobi_10, triangle_rule
 
 
 def monomial_integral(a: int, b: int) -> float:
@@ -41,3 +44,31 @@ def test_points_inside_reference_triangle():
 def test_invalid_degree():
     with pytest.raises(ValueError):
         triangle_rule(-1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_dimensional_rules_match_scipy_special(n):
+    special = pytest.importorskip("scipy.special")
+    s, ws = leggauss(n)
+    s_ref, ws_ref = special.roots_legendre(n)
+    np.testing.assert_allclose(s, s_ref, rtol=0, atol=2e-15)
+    np.testing.assert_allclose(ws, ws_ref, rtol=0, atol=2e-15)
+    t, wt = _gauss_jacobi_10(n)
+    t_ref, wt_ref = special.roots_jacobi(n, 1.0, 0.0)
+    np.testing.assert_allclose(t, t_ref, rtol=0, atol=2e-15)
+    # scipy's own n = 9 weights are 5.1e-15 from the exact ones
+    np.testing.assert_allclose(wt, wt_ref, rtol=0, atol=6e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gauss_jacobi_weights_equal_40_digit_values(n):
+    mpmath = pytest.importorskip("mpmath")
+    t, wt = _gauss_jacobi_10(n)
+    with mpmath.workdps(40):
+        def p(x):
+            return mpmath.jacobi(n, 1, 0, x)
+
+        roots = [mpmath.findroot(p, mpmath.mpf(float(x))) for x in t]
+        exact = [4 / ((1 - x ** 2) * mpmath.diff(p, x) ** 2) for x in roots]
+        np.testing.assert_allclose(t, [float(x) for x in roots], rtol=0, atol=2e-16)
+        np.testing.assert_allclose(wt, [float(w) for w in exact], rtol=0, atol=1e-15)
