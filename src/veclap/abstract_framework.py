@@ -158,15 +158,10 @@ def _sym(mat) -> np.ndarray:
 def _scaled_sym_perturbation(rng, metric, delta) -> np.ndarray:
     """Symmetric D with spectral norm of M^-1/2 D M^-1/2 equal to
     delta/(1+delta), so the realized consistency constant is <= delta."""
-    n = metric.shape[0]
     if delta == 0.0:
-        return np.zeros((n, n))
-    raw = _sym(rng.standard_normal((n, n)))
-    half = cholesky(metric)
-    whitened = solve_triangular(half, solve_triangular(
-        half, raw.T, lower=True).T, lower=True)
-    norm = np.abs(eigvalsh(_sym(whitened))).max()
-    return raw * (delta / (1.0 + delta) / norm)
+        return np.zeros_like(metric)
+    raw = _sym(rng.standard_normal(metric.shape))
+    return raw * (delta / (1.0 + delta) / _pencil_sup(raw, metric))
 
 
 def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
@@ -240,8 +235,7 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
         S = E @ rng.standard_normal((n, max(1, n // 2)))
         leak = _sym(S @ S.T)
         z = E @ U[:, :spec.k_max]
-        gram = z.T @ A_e @ z
-        top = np.abs(eigvalsh(z.T @ leak @ z, gram)).max()
+        top = _pencil_sup(z.T @ leak @ z, z.T @ A_e @ z)
         K_a = K_a + leak * (0.25 * spec.delta_a / top)
 
     if spec.approx_noise is None:
@@ -379,18 +373,17 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
     alpha_hat = sup_quadratic(dA_tilde, U_disc, G_a)
     beta_hat = sup_quadratic(dB_tilde, U_disc, G_b)
 
-    c_f = math.sqrt(max(eigvalsh(_gram(G_b, big), _gram(G_a, big)).max(), 0.0))
+    c_f = math.sqrt(_pencil_sup(_gram(G_b, big), _gram(G_a, big)))
 
     P_h = _projector(G_a, inst.V, A_v)
     eye = np.eye(inst.E.shape[0])
     err = _gram(_sym((eye - P_h).T @ G_a @ (eye - P_h)), Z)
     js = range(1, k_max + 1)
-    theta = np.array([math.sqrt(max(_pencil_sup(err[:j, :j], gram_a[:j, :j]), 0.0))
-                      for j in js])
+    theta = np.array([math.sqrt(_pencil_sup(err[:j, :j], gram_a[:j, :j])) for j in js])
     P_a = np.stack([_projector(G_a, Z[:, :j], gram_a[:j, :j]) for j in js])
     P_b = np.stack([_projector(G_b, Z[:, :j], gram_b[:j, :j]) for j in js])
     err_a = _sym((eye - P_a[-1]).T @ G_a @ (eye - P_a[-1]))
-    phi = math.sqrt(max(sup_quadratic(err_a, U_disc, G_a), 0.0))
+    phi = math.sqrt(sup_quadratic(err_a, U_disc, G_a))
 
     # approximability flag: dim(P_h U_{k_max}^e) == k_max, as the rank of
     # P_h Z with singular values above 1e-10
@@ -667,12 +660,12 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
 
     # extension/lifting operator norm bounds (exact suprema); E U_k is Z
     U_k = inst.U[:, :k_max]
-    sup_ext_a = math.sqrt(max(eigvalsh(q.gram_a, _gram(inst.M_a, U_k)).max(), 0.0))
-    sup_ext_b = math.sqrt(max(eigvalsh(q.gram_b, _gram(inst.M_b, U_k)).max(), 0.0))
+    sup_ext_a = math.sqrt(_pencil_sup(q.gram_a, _gram(inst.M_a, U_k)))
+    sup_ext_b = math.sqrt(_pencil_sup(q.gram_b, _gram(inst.M_b, U_k)))
     report.add("extension_norm_a", None, sup_ext_a, 1.0 + q.alpha_h, half_params)
     report.add("extension_norm_b", None, sup_ext_b, 1.0 + q.beta_h, half_params)
-    sup_l_a = math.sqrt(max(eigvalsh(ae, q.gram_a).max(), 0.0))
-    sup_l_b = math.sqrt(max(eigvalsh(be, q.gram_b).max(), 0.0))
+    sup_l_a = math.sqrt(_pencil_sup(ae, q.gram_a))
+    sup_l_b = math.sqrt(_pencil_sup(be, q.gram_b))
     report.add("lifting_norm_a", None, sup_l_a, 1.0 + q.alpha_h, half_params)
     report.add("lifting_norm_b", None, sup_l_b, 1.0 + q.beta_h, half_params)
 
@@ -721,11 +714,12 @@ def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]
     """Verify the bound suite on ``trials`` seeded random instances.
 
     Instance ``i`` is fully determined by its seed ``seed + i``.  The
-    instances run in seed order on the calling thread: each is about 54
-    dense LAPACK calls (all through the ``veclap.eigensolve`` kernels, as
-    the ``scipy.linalg`` and ``numpy.linalg`` wrappers cost more than the
-    work) on matrices of order 16 or less and up to about 160 checks, so
-    worker threads only add overhead.
+    instances run in seed order on the calling thread: each is about 58
+    dense LAPACK calls in exact mode and 61 in perturbed mode (all through
+    the ``veclap.eigensolve`` kernels, as the ``scipy.linalg`` and
+    ``numpy.linalg`` wrappers cost more than the work) on matrices of order
+    16 or less and up to about 160 checks, so worker threads only add
+    overhead.
     """
     if mode not in ("exact", "perturbed"):
         raise InputError(f"mode must be 'exact' or 'perturbed', got {mode!r}")

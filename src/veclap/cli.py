@@ -10,7 +10,8 @@ Subcommands:
   JSONL output.
 
 Exit codes: 0 success, 2 argument/validation error, 3 numerical failure.
-An ``--out`` file that cannot be written exits 2 before any work.
+An ``--out`` file that cannot be written exits 2 before any work; an
+export file that cannot be written exits 2 when its level is reached.
 The ``VECLAP_THREADS`` environment variable sets worker-thread count;
 outputs are byte-identical for any setting.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 
 from . import analysis
@@ -133,16 +135,23 @@ def _check_output_file(path) -> None:
         raise InputError(f"output path {path!r} is not writable")
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing the file ``path`` into an
+    InputError (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc.strerror}") from exc
+
+
 def _write_output(path, write) -> None:
     """``write(f)`` to standard output, or to the file ``path``."""
     if path is None:
         write(sys.stdout)
         return
-    try:
-        with open(path, "w", encoding="ascii", newline="") as f:
-            write(f)
-    except OSError as exc:
-        raise InputError(f"cannot write {path!r}: {exc.strerror}") from exc
+    with _writing(path), open(path, "w", encoding="ascii", newline="") as f:
+        write(f)
 
 
 def _make_export_dir(path) -> None:
@@ -167,15 +176,17 @@ def _cmd_converge(args) -> int:
 
         def hook(level, mesh, forms):
             if args.export_mesh:
-                write_off(mesh, os.path.join(args.export_mesh,
-                                             f"mesh_level{level}.off"))
+                path = os.path.join(args.export_mesh, f"mesh_level{level}.off")
+                with _writing(path):
+                    write_off(mesh, path)
             if args.export_matrices:
                 for name, mat in (("A", forms.A), ("B", forms.B)):
-                    write_matrix_market(
-                        mat,
-                        os.path.join(args.export_matrices,
-                                     f"{name}_level{level}.mtx"),
-                        comment=f"{name}_h, level {level}, k={cfg.k}, kg={cfg.k_g}")
+                    path = os.path.join(args.export_matrices,
+                                        f"{name}_level{level}.mtx")
+                    with _writing(path):
+                        write_matrix_market(
+                            mat, path, comment=f"{name}_h, level {level}, "
+                                               f"k={cfg.k}, kg={cfg.k_g}")
 
     records = analysis.convergence_study(cfg, on_assembled=hook)
     _write_output(args.out, partial(analysis.write_csv, records))

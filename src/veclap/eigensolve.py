@@ -24,9 +24,10 @@ order like theirs; the others make exactly the call that the
 and return its bytes, and ``solve_spd`` returns those of
 ``scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)``.
 They keep the results of those functions on empty matrices.  They exist
-because the abstract framework makes about 54 of these calls per instance
-on matrices of order 16 or less, where the wrappers cost several times
-the LAPACK work.  The routines are
+because the abstract framework makes about 58 LAPACK calls per instance
+(exact mode; 61 in perturbed mode; workspace queries of ``dsyevr``,
+``dgeqrf`` and ``dgesdd`` not counted) on matrices of order 16 or less,
+where the wrappers cost several times the LAPACK work.  The routines are
 
 * ``eigvalsh(a)``: ``dsyevr`` on the lower triangle, with its workspace
   query; ``eigvalsh(a, b)`` and ``eigh(a, b)``: ``dsygvd`` with itype 1
@@ -42,12 +43,13 @@ the LAPACK work.  The routines are
 * ``null_space``: ``dgesdd`` with full factors, cutting singular values
   below ``eps * max(m, n) * s_max``.
 
-Failures map to the package's errors.  A non-finite entry, a malformed
-shape, and a pencil whose B is not positive definite (``dsygvd`` info > n)
-are ``InputError``.  A routine that does not converge (``dsygvd`` with
-0 < info <= n, ``dgesdd``) raises ``ConvergenceError``; a non-positive
-Cholesky pivot (``dpotrf``, ``dposv``), a singular triangular factor, an
-internal ``dsyevr`` failure and an illegal argument raise
+Every routine and workspace query is called through ``_call``, which
+turns LAPACK's ``info`` into the package's errors.  A non-finite entry, a
+malformed shape, and a pencil whose B is not positive definite (``dsygvd``
+info > n) are ``InputError``.  A routine that does not converge
+(``dsygvd`` with 0 < info <= n, ``dgesdd``) raises ``ConvergenceError``; a
+non-positive Cholesky pivot (``dpotrf``, ``dposv``), a singular triangular
+factor, an internal ``dsyevr`` failure and an illegal argument raise
 ``NumericalError``.
 """
 
@@ -185,8 +187,34 @@ def _operand(a, square=True) -> np.ndarray:
     return a
 
 
-def _illegal(routine, info) -> NumericalError:
-    return NumericalError(f"{routine}: illegal value in argument {-info}")
+def _system(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The operands of ``a x = b``: a square ``a`` and a matrix ``b`` with as
+    many rows."""
+    a, b = _operand(a), _operand(b, square=False)
+    if a.shape[0] != b.shape[0]:
+        raise InputError(f"shapes {a.shape} and {b.shape} do not match")
+    return a, b
+
+
+def _call(routine, *args, failed=None, **kw):
+    """Call ``lapack.<routine>``, looked up at each call so that a test can
+    replace it, and return its outputs without the trailing ``info`` (the
+    one output itself if there is only one).  A negative ``info`` raises
+    NumericalError for the illegal argument; a positive one raises
+    ``failed(info)``, by default a NumericalError."""
+    out = getattr(lapack, routine)(*args, **kw)
+    info = out[-1]
+    if info < 0:
+        raise NumericalError(f"{routine}: illegal value in argument {-info}")
+    if info > 0:
+        raise (failed(info) if failed else
+               NumericalError(f"{routine} failed internally (info {info})"))
+    return out[0] if len(out) == 2 else out[:-1]
+
+
+def _not_spd(info) -> NumericalError:
+    return NumericalError(f"matrix is not positive definite (leading "
+                          f"minor of order {info})")
 
 
 def _sygvd(a, b, jobz) -> tuple[np.ndarray, np.ndarray]:
@@ -196,16 +224,15 @@ def _sygvd(a, b, jobz) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if n == 0:
         return np.empty(0), np.empty((0, 0))
-    w, v, info = lapack.dsygvd(a, b, itype=1, jobz=jobz, uplo="L",
-                               overwrite_a=0, overwrite_b=0)
-    if info > n:
-        raise InputError(f"B is not symmetric positive definite (leading "
-                         f"minor of order {info - n})")
-    if info > 0:
-        raise ConvergenceError(f"dsygvd did not converge (info {info})")
-    if info < 0:
-        raise _illegal("dsygvd", info)
-    return w, v
+
+    def failed(info):
+        if info > n:
+            return InputError(f"B is not symmetric positive definite (leading "
+                              f"minor of order {info - n})")
+        return ConvergenceError(f"dsygvd did not converge (info {info})")
+
+    return _call("dsygvd", a, b, itype=1, jobz=jobz, uplo="L", overwrite_a=0,
+                 overwrite_b=0, failed=failed)
 
 
 def eigvalsh(a, b=None) -> np.ndarray:
@@ -217,16 +244,9 @@ def eigvalsh(a, b=None) -> np.ndarray:
     n = a.shape[0]
     if n == 0:
         return np.empty(0)
-    work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
-    if info:
-        raise _illegal("dsyevr_lwork", info)
-    w, _, _, _, info = lapack.dsyevr(a, compute_v=0, lower=1, lwork=int(work),
-                                     liwork=int(iwork), overwrite_a=0)
-    if info > 0:
-        raise NumericalError(f"dsyevr failed internally (info {info})")
-    if info < 0:
-        raise _illegal("dsyevr", info)
-    return w
+    work, iwork = _call("dsyevr_lwork", n, lower=1)
+    return _call("dsyevr", a, compute_v=0, lower=1, lwork=int(work),
+                 liwork=int(iwork), overwrite_a=0)[0]
 
 
 def eigh(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -240,51 +260,30 @@ def cholesky(a) -> np.ndarray:
     a = _operand(a)
     if a.size == 0:
         return np.empty_like(a)
-    c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise NumericalError(f"matrix is not positive definite (leading "
-                             f"minor of order {info})")
-    if info < 0:
-        raise _illegal("dpotrf", info)
-    return c
+    return _call("dpotrf", a, lower=1, clean=1, overwrite_a=0, failed=_not_spd)
 
 
 def solve_triangular(a, b, lower=False) -> np.ndarray:
     """Solve ``a x = b`` for the triangular ``a`` and the matrix ``b``."""
-    a, b = _operand(a), _operand(b, square=False)
-    if a.shape[0] != b.shape[0]:
-        raise InputError(f"shapes {a.shape} and {b.shape} do not match")
+    a, b = _system(a, b)
     if b.size == 0:
         return np.empty_like(b)
-    if a.flags.f_contiguous:
-        x, info = lapack.dtrtrs(a, b, lower=lower, trans=0, unitdiag=0,
-                                overwrite_b=0)
-    else:  # dtrtrs reads Fortran order: solve the transposed system
-        x, info = lapack.dtrtrs(a.T, b, lower=not lower, trans=1, unitdiag=0,
-                                overwrite_b=0)
-    if info > 0:
-        raise NumericalError(f"singular triangular matrix (zero diagonal "
-                             f"entry {info - 1})")
-    if info < 0:
-        raise _illegal("dtrtrs", info)
-    return x
+    trans = int(not a.flags.f_contiguous)
+    if trans:  # dtrtrs reads Fortran order: solve the transposed system
+        a, lower = a.T, not lower
+    return _call("dtrtrs", a, b, lower=lower, trans=trans, unitdiag=0,
+                 overwrite_b=0, failed=lambda info: NumericalError(
+                     f"singular triangular matrix (zero diagonal entry {info - 1})"))
 
 
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a x = b`` for the SPD ``a`` (lower triangle read) and the
     matrix ``b``."""
-    a, b = _operand(a), _operand(b, square=False)
-    if a.shape[0] != b.shape[0]:
-        raise InputError(f"shapes {a.shape} and {b.shape} do not match")
+    a, b = _system(a, b)
     if b.size == 0:
         return np.empty_like(b)
-    _, x, info = lapack.dposv(a, b, lower=1, overwrite_a=0, overwrite_b=0)
-    if info > 0:
-        raise NumericalError(f"matrix is not positive definite (leading "
-                             f"minor of order {info})")
-    if info < 0:
-        raise _illegal("dposv", info)
-    return x
+    return _call("dposv", a, b, lower=1, overwrite_a=0, overwrite_b=0,
+                 failed=_not_spd)[1]
 
 
 def qr(a) -> np.ndarray:
@@ -295,20 +294,23 @@ def qr(a) -> np.ndarray:
     k = min(m, n)
     if k == 0:
         return np.empty((m, k))
-    work, info = lapack.dgeqrf_lwork(m, n)
-    if info:
-        raise _illegal("dgeqrf_lwork", info)
-    packed, tau, _, info = lapack.dgeqrf(a, lwork=int(work), overwrite_a=0)
-    if info < 0:
-        raise _illegal("dgeqrf", info)
+    work = _call("dgeqrf_lwork", m, n)
+    packed, tau, _ = _call("dgeqrf", a, lwork=int(work), overwrite_a=0)
     packed = packed[:, :k]
-    _, work, info = lapack.dorgqr(packed, tau, lwork=-1)
-    if info < 0:
-        raise _illegal("dorgqr", info)
-    q, _, info = lapack.dorgqr(packed, tau, lwork=int(work[0]), overwrite_a=1)
-    if info < 0:
-        raise _illegal("dorgqr", info)
-    return np.ascontiguousarray(q)
+    work = _call("dorgqr", packed, tau, lwork=-1)[1]
+    return np.ascontiguousarray(
+        _call("dorgqr", packed, tau, lwork=int(work[0]), overwrite_a=1)[0])
+
+
+def _gesdd(a, compute_uv, full_matrices) -> tuple:
+    """``dgesdd`` on the non-empty ``a`` with its workspace query: ``(u, s,
+    vt)``, in Fortran order; u and vt are placeholders without
+    ``compute_uv``."""
+    work = _call("dgesdd_lwork", *a.shape, compute_uv=compute_uv,
+                 full_matrices=full_matrices)
+    return _call("dgesdd", a, compute_uv=compute_uv, full_matrices=full_matrices,
+                 lwork=int(work), overwrite_a=0,
+                 failed=lambda info: ConvergenceError("dgesdd did not converge"))
 
 
 def svd(a, compute_uv=True):
@@ -321,16 +323,7 @@ def svd(a, compute_uv=True):
     if k == 0:
         return (np.empty((m, k)), np.empty(0), np.empty((k, n))) if compute_uv \
             else np.empty(0)
-    work, info = lapack.dgesdd_lwork(m, n, compute_uv=int(compute_uv),
-                                     full_matrices=0)
-    if info:
-        raise _illegal("dgesdd_lwork", info)
-    u, s, vt, info = lapack.dgesdd(a, compute_uv=int(compute_uv), full_matrices=0,
-                                   lwork=int(work), overwrite_a=0)
-    if info > 0:
-        raise ConvergenceError("dgesdd did not converge")
-    if info < 0:
-        raise _illegal("dgesdd", info)
+    u, s, vt = _gesdd(a, int(compute_uv), 0)
     if not compute_uv:
         return s
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
@@ -342,15 +335,7 @@ def null_space(a) -> np.ndarray:
     m, n = a.shape
     if a.size == 0:
         return np.eye(n)
-    work, info = lapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=1)
-    if info:
-        raise _illegal("dgesdd_lwork", info)
-    _, s, vt, info = lapack.dgesdd(a, compute_uv=1, full_matrices=1,
-                                   lwork=int(work), overwrite_a=0)
-    if info > 0:
-        raise ConvergenceError("dgesdd did not converge")
-    if info < 0:
-        raise _illegal("dgesdd", info)
+    _, s, vt = _gesdd(a, 1, 1)
     rank = np.sum(s > np.amax(s, initial=0.0) * (np.finfo(float).eps * max(m, n)),
                   dtype=int)
     return vt[rank:].T

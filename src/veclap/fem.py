@@ -380,9 +380,11 @@ def write_matrix_market(matrix: sp.spmatrix, path, comment: str = "") -> None:
 
     Stores the lower triangle with 1-based indices, as the symmetric variant
     of the format requires, with 17 significant digits, so the values read
-    back exactly.
+    back exactly.  The file is opened here, as ``scipy.io.mmwrite`` given a
+    path that cannot be opened writes nothing and raises nothing.
     """
     import scipy.io  # here, not at the top: it slows `import veclap.cli` by ~20 ms
 
-    scipy.io.mmwrite(path, sp.coo_matrix(matrix), comment=comment,
-                     symmetry="symmetric", precision=17)
+    with open(path, "wb") as f:
+        scipy.io.mmwrite(f, sp.coo_matrix(matrix), comment=comment,
+                         symmetry="symmetric", precision=17)

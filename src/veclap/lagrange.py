@@ -21,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["ReferenceTriangle", "reference_triangle", "NodeNumbering"]
+__all__ = ["ReferenceTriangle", "reference_triangle", "unique_edges",
+           "NodeNumbering"]
 
 
 def _node_lattice(degree: int) -> np.ndarray:
@@ -93,6 +94,22 @@ def reference_triangle(degree: int) -> ReferenceTriangle:
                              basis_coeffs=np.linalg.inv(vand))
 
 
+def unique_edges(triangles):
+    """Unique edges of a triangulation, keyed by sorted vertex pair.
+
+    Returns ``edges`` (ne, 2), the pairs (lower, higher vertex) in ascending
+    lexicographic order; ``edge_of`` (nt, 3), the edge id of each triangle's
+    local edges (0,1), (1,2), (2,0); and ``aligned`` (nt, 3), whether a local
+    edge runs from its lower vertex to its higher one.
+    """
+    nt = triangles.shape[0]
+    raw = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
+                          triangles[:, [2, 0]]], axis=0)
+    keys = np.sort(raw, axis=1)
+    edges, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return edges, inverse.reshape(3, nt).T, (raw[:, 0] == keys[:, 0]).reshape(3, nt).T
+
+
 class NodeNumbering:
     """Global numbering of the degree-m Lagrange lattice over a triangulation.
 
@@ -125,16 +142,8 @@ class NodeNumbering:
             raise ValueError(f"degree must be >= 1, got {degree}")
         nv, nt = v.shape[0], t.shape[0]
 
-        # unique edges keyed by sorted vertex pair
-        local_edges = [(0, 1), (1, 2), (2, 0)]
-        raw = np.concatenate([t[:, [a, b]] for a, b in local_edges], axis=0)
-        lo = np.minimum(raw[:, 0], raw[:, 1])
-        hi = np.maximum(raw[:, 0], raw[:, 1])
-        keys = np.stack([lo, hi], axis=1)
-        edges, inverse = np.unique(keys, axis=0, return_inverse=True)
+        edges, edge_of, aligned = unique_edges(t)
         ne = edges.shape[0]
-        edge_of = inverse.reshape(3, nt).T          # (nt, 3) global edge ids
-        aligned = (raw[:, 0] == lo).reshape(3, nt).T  # local dir == canonical?
 
         n_edge = m - 1
         n_int = (m - 1) * (m - 2) // 2

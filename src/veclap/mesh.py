@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Sphere
-from .lagrange import NodeNumbering, reference_triangle
+from .lagrange import NodeNumbering, reference_triangle, unique_edges
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -128,13 +128,9 @@ def _subdivide(vertices, triangles):
     Returns the refined vertices, the old ones followed by one midpoint per
     edge, and the refined triangles.
     """
-    nv = vertices.shape[0]
-    pairs = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]], axis=0)
-    keys = np.sort(pairs, axis=1)
-    edges, inverse = np.unique(keys, axis=0, return_inverse=True)
+    edges, edge_of, _ = unique_edges(triangles)
     mid = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
-    m01, m12, m20 = np.split(nv + inverse, 3)
+    m01, m12, m20 = (vertices.shape[0] + edge_of).T
     t0, t1, t2 = triangles[:, 0], triangles[:, 1], triangles[:, 2]
     new_tris = np.concatenate([
         np.stack([t0, m01, m20], axis=1),

@@ -8,7 +8,8 @@ pairing of one extended field with the basis.  ``veclap.mesh`` and
 tests compare the two.  The global matrices are summed here from COO
 triplets, against which the direct CSR accumulation of ``veclap.fem`` is
 checked.  Nodal interpolation of a field into a space, which only the tests
-need, lives here too.
+need, lives here too, and so does a second edge numbering, the reference
+for ``veclap.lagrange.unique_edges``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from veclap.lagrange import reference_triangle
+
+
+def reference_unique_edges(triangles):
+    """``lagrange.unique_edges`` with the edge keys taken as
+    ``np.minimum``/``np.maximum`` of each local edge's ends."""
+    nt = triangles.shape[0]
+    raw = np.concatenate([triangles[:, [a, b]]
+                          for a, b in ((0, 1), (1, 2), (2, 0))])
+    lo = np.minimum(raw[:, 0], raw[:, 1])
+    hi = np.maximum(raw[:, 0], raw[:, 1])
+    edges, inverse = np.unique(np.stack([lo, hi], axis=1), axis=0,
+                               return_inverse=True)
+    return edges, inverse.reshape(3, nt).T, (raw[:, 0] == lo).reshape(3, nt).T
 
 
 def _element_coeffs(pmap, elements):

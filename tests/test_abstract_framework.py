@@ -23,6 +23,8 @@ from veclap.abstract_framework import (
     BoundCheckReport,
     InstanceSpec,
     _gram,
+    _random_spd,
+    _scaled_sym_perturbation,
     compute_quantities,
     make_instance,
     rembest_instance,
@@ -89,6 +91,26 @@ class TestConformingCases:
         assert checks and all(c.hypotheses_met for c in checks)
         assert all(abs(c.lhs) <= 1e-9 and abs(c.rhs) <= 1e-9 for c in checks)
         assert not rep.violations()
+
+
+class TestScaledPerturbation:
+    """The perturbation's contract: max |eig(D, M)| = delta / (1 + delta)."""
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    @pytest.mark.parametrize("delta", [0.005, 0.05, 0.3, 0.49])
+    def test_whitened_spectral_norm(self, n, delta):
+        rng = np.random.default_rng(17 * n)
+        for metric in (_random_spd(rng, n), _random_spd(rng, n, cond_spread=50.0),
+                       np.diag(np.logspace(-3, 3, n))):
+            D = _scaled_sym_perturbation(rng, metric, delta)
+            assert np.array_equal(D, D.T)
+            top = np.abs(sla.eigvalsh(D, metric)).max()
+            assert top == pytest.approx(delta / (1.0 + delta), rel=1e-14)
+
+    def test_zero_delta_gives_zeros(self):
+        rng = np.random.default_rng(3)
+        D = _scaled_sym_perturbation(rng, _random_spd(rng, 5), 0.0)
+        assert D.shape == (5, 5) and not D.any()
 
 
 class TestSpecValidation:

@@ -339,6 +339,17 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert "export directory" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,name", [("--export-mesh", "mesh_level2.off"),
+                                           ("--export-matrices", "A_level2.mtx")])
+    def test_export_file_over_a_directory_exits_2(self, flag, name, tmp_path, capsys):
+        # the directory is there, but a directory takes the first file's name
+        (tmp_path / name).mkdir()
+        assert cli.main(["converge", "--k", "1", "--kg", "1", "--levels", "2..3",
+                         flag, str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "cannot write" in captured.err and name in captured.err
+
     def test_numerical_failure_after_the_check_leaves_no_file(self, tmp_path,
                                                              monkeypatch, capsys):
         def failing_sweep(*args, **kwargs):

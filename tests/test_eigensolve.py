@@ -170,15 +170,43 @@ class TestDenseKernels:
 
         monkeypatch.setattr(es.lapack, "dgesdd", failing)
         for call in (lambda: es.svd(np.eye(2)),
-                     lambda: es.svd(np.eye(2), compute_uv=False)):
+                     lambda: es.svd(np.eye(2), compute_uv=False),
+                     lambda: es.null_space(np.ones((1, 2)))):
             with pytest.raises(ConvergenceError):
                 call()
 
+    def test_dsyevr_failure_is_a_numerical_error(self, monkeypatch):
+        def failing(a, **kwargs):
+            return np.zeros(a.shape[0]), np.zeros(a.shape), 0, np.zeros(0), 1
+
+        monkeypatch.setattr(es.lapack, "dsyevr", failing)
+        with pytest.raises(NumericalError, match="dsyevr failed internally"):
+            es.eigvalsh(np.eye(3))
+
     @pytest.mark.parametrize("routine,call", [
+        ("dsygvd", lambda: es.eigh(np.eye(2), np.eye(2))),
+        pytest.param("dsygvd", lambda: es.eigvalsh(np.eye(2), np.eye(2)),
+                     id="dsygvd-values"),
+        ("dsyevr", lambda: es.eigvalsh(np.eye(2))),
+        ("dsyevr_lwork", lambda: es.eigvalsh(np.eye(2))),
+        ("dpotrf", lambda: es.cholesky(np.eye(2))),
+        ("dtrtrs", lambda: es.solve_triangular(np.eye(2), np.ones((2, 1)))),
+        pytest.param("dtrtrs", lambda: es.solve_triangular(
+            np.asfortranarray(np.eye(2)), np.ones((2, 1))), id="dtrtrs-fortran"),
         ("dposv", lambda: es.solve_spd(np.eye(2), np.ones((2, 1)))),
+        ("dgeqrf_lwork", lambda: es.qr(np.eye(2))),
         ("dgeqrf", lambda: es.qr(np.eye(2))),
         ("dorgqr", lambda: es.qr(np.eye(2))),
+        ("dgesdd_lwork", lambda: es.svd(np.eye(2))),
+        pytest.param("dgesdd_lwork", lambda: es.svd(np.eye(2), compute_uv=False),
+                     id="dgesdd_lwork-values"),
+        pytest.param("dgesdd_lwork", lambda: es.null_space(np.ones((1, 2))),
+                     id="dgesdd_lwork-null_space"),
         ("dgesdd", lambda: es.svd(np.eye(2))),
+        pytest.param("dgesdd", lambda: es.svd(np.eye(2), compute_uv=False),
+                     id="dgesdd-values"),
+        pytest.param("dgesdd", lambda: es.null_space(np.ones((1, 2))),
+                     id="dgesdd-null_space"),
     ])
     def test_illegal_arguments_are_numerical_errors(self, routine, call, monkeypatch):
         real = getattr(es.lapack, routine)

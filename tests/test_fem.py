@@ -405,3 +405,11 @@ def test_matrix_market_export(tmp_path):
         # reconstruct and compare against the assembled matrix
         full = low + low.T - sp.diags(low.diagonal())
         assert np.abs((full - mat).toarray()).max() <= 1e-13
+
+
+def test_matrix_market_export_to_an_unopenable_path_raises(tmp_path):
+    # scipy.io.mmwrite given such a path writes nothing and raises nothing
+    _, forms = setup_forms(1, 1, 0)
+    (tmp_path / "A.mtx").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_matrix_market(forms.A, tmp_path / "A.mtx")

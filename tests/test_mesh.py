@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from fem_reference import reference_evaluate, reference_jacobians
+from fem_reference import (reference_evaluate, reference_jacobians,
+                           reference_unique_edges)
 
+import veclap.lagrange
+import veclap.mesh
 from veclap.analysis import eoc
 from veclap.errors import GeometryError, InputError
 from veclap.fem import _PointData, assemble, build_space
@@ -294,3 +297,22 @@ class TestNodeNumbering:
         n_edges = m.n_vertices + m.n_triangles - 2  # Euler characteristic 2
         edge_ids = slice(m.n_vertices, m.n_vertices + 2 * n_edges)
         assert np.all(counts[edge_ids] == 2)
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_one_edge_routine_keeps_every_array(self, level, monkeypatch):
+        # the refinement and every numbering of degree 1..5 are bitwise the
+        # ones built with the reference edge numbering
+        def arrays():
+            m = icosphere(level, jitter=0.3, seed=1)
+            out = [m.vertices, m.triangles]
+            for degree in range(1, 6):
+                num = NodeNumbering(m.vertices, m.triangles, degree)
+                out += [num.connectivity, num.coords, np.array(num.n_nodes)]
+            return out
+
+        ours = arrays()
+        monkeypatch.setattr(veclap.mesh, "unique_edges", reference_unique_edges)
+        monkeypatch.setattr(veclap.lagrange, "unique_edges", reference_unique_edges)
+        for a, b in zip(ours, arrays(), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()

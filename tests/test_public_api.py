@@ -1,7 +1,8 @@
 """Public surface: every module imports and every ``__all__`` name
-resolves, only ``veclap.eigensolve`` imports ``scipy.linalg``, the abstract
-framework calls no ``numpy.linalg`` decomposition, and importing the CLI
-does not load ``scipy.special``."""
+resolves, only ``veclap.eigensolve`` imports ``scipy.linalg``, and in it
+only ``_call`` reads a LAPACK routine, the abstract framework calls no
+``numpy.linalg`` decomposition, and importing the CLI does not load
+``scipy.special``."""
 
 import ast
 import importlib
@@ -46,6 +47,27 @@ def test_only_eigensolve_imports_scipy_linalg():
     importers = sorted(path.stem for path in Path(veclap.__file__).parent.glob("*.py")
                        if _imports_scipy_linalg(ast.parse(path.read_text())))
     assert importers == ["eigensolve"]
+
+
+def test_only_the_call_helper_reads_a_lapack_routine():
+    # veclap.eigensolve._call turns every LAPACK info into a typed error; a
+    # kernel that read lapack.<routine> itself would handle its info again
+    tree = ast.parse((Path(veclap.__file__).parent / "eigensolve.py").read_text())
+    call, = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "_call"]
+    inside = {id(node) for node in ast.walk(call)}
+    readers = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and node.id == "lapack"
+               and id(node) not in inside]
+    assert readers == [], f"lapack read outside _call on lines {readers}"
+    assert any(isinstance(node, ast.Name) and node.id == "lapack"
+               for node in ast.walk(call))
+    for node in ast.walk(tree):  # no other name for LAPACK or its routines
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "scipy.linalg.lapack", node.lineno
+            assert all(a.name != "lapack" or a.asname is None for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("scipy.linalg") for a in node.names)
 
 
 def test_abstract_framework_calls_no_numpy_linalg_decomposition():
