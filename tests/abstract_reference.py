@@ -16,10 +16,11 @@ encoder, where ``write_jsonl`` fills in a template.
 ``reference_quantities`` takes every route that the module takes once per
 instance anew for each subspace: the Gram matrices of each ``U_j^e`` from
 its own basis ``extended_eigvecs(j)``, a projector that builds its own
-Gram matrix, the one-subspace consistency constants as the top singular
-value of the Cholesky-whitened block, and the form-ratio, extension,
-lifting and norm-equivalence suprema as generalized eigenvalues of Gram
-matrices formed where they are used.  The tests compare the two.
+Gram matrix, the consistency constants over one and two subspaces as the
+top singular value of the Cholesky-whitened block (``reference_sup_bilinear``,
+where the module takes a pencil eigenvalue), and the form-ratio,
+extension, lifting and norm-equivalence suprema as generalized eigenvalues
+of Gram matrices formed where they are used.  The tests compare the two.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from veclap.abstract_framework import (
     _default_windows,
     _gram,
     _orth_union,
-    sup_bilinear,
     sup_quadratic,
 )
 from veclap.analysis import ClusterWindow
@@ -141,14 +141,15 @@ def _projector(G, Z) -> np.ndarray:
     return Z @ np.linalg.solve(_gram(G, Z), Z.T @ G)
 
 
-def _whitened_sup(delta_form, Z, G) -> float:
-    """sup over unit u, v in span(Z) of |u' delta v| in the G-induced norm,
-    as the top singular value of L^-1 (Z' delta Z) L^-T with L L' the Gram
-    matrix of Z."""
-    half = sla.cholesky(_gram(G, Z), lower=True)
-    m = sla.solve_triangular(half, Z.T @ delta_form @ Z, lower=True)
-    m = sla.solve_triangular(half, m.T, lower=True).T
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+def reference_sup_bilinear(delta_form, Z1, G1, Z2, G2) -> float:
+    """sup over unit u in span(Z1), v in span(Z2) of |u' delta v| in the
+    norms induced by G1 and G2, as the top singular value of
+    L1^-1 (Z1' delta Z2) L2^-T with L L' the Gram matrices of the bases."""
+    l1 = sla.cholesky(_gram(G1, Z1), lower=True)
+    l2 = sla.cholesky(_gram(G2, Z2), lower=True)
+    m = sla.solve_triangular(l1, Z1.T @ delta_form @ Z2, lower=True)
+    m = sla.solve_triangular(l2, m.T, lower=True).T
+    return float(sla.svdvals(m)[0]) if m.size else 0.0
 
 
 def _pencil_max(num, den) -> float:
@@ -176,10 +177,10 @@ def reference_quantities(inst) -> dict:
     A_v = _gram(G_a, inst.V)
     U_disc = inst.V @ full_spectrum(A_v, _gram(G_b, inst.V)).vectors[:, :k_max]
     ref = {
-        "alpha_h": _whitened_sup(dA, Z, G_a),
-        "beta_h": _whitened_sup(dB, Z, G_b),
-        "alpha_tilde": sup_bilinear(dA, Z, G_a, big, G_a),
-        "beta_tilde": sup_bilinear(dB, Z, G_b, big, G_b),
+        "alpha_h": reference_sup_bilinear(dA, Z, G_a, Z, G_a),
+        "beta_h": reference_sup_bilinear(dB, Z, G_b, Z, G_b),
+        "alpha_tilde": reference_sup_bilinear(dA, Z, G_a, big, G_a),
+        "beta_tilde": reference_sup_bilinear(dB, Z, G_b, big, G_b),
         "alpha_hat": sup_quadratic(dA_tilde, U_disc, G_a),
         "beta_hat": sup_quadratic(dB_tilde, U_disc, G_b),
         "c_f": math.sqrt(max(_pencil_max(_gram(G_b, big), _gram(G_a, big)), 0.0)),

@@ -16,12 +16,14 @@ from abstract_reference import (
     reference_eigenvector_checks,
     reference_projection_probes,
     reference_quantities,
+    reference_sup_bilinear,
     reference_write_jsonl,
 )
 from veclap import abstract_framework, eigensolve
 from veclap.abstract_framework import (
     BoundCheckReport,
     InstanceSpec,
+    _discrete_pairs,
     _gram,
     _random_spd,
     _scaled_sym_perturbation,
@@ -197,7 +199,109 @@ class TestDegenerateSubspaces:
         with pytest.raises(NumericalError):
             sup_bilinear(np.eye(4), Z, I, Z, I)
         with pytest.raises(NumericalError):
+            sup_bilinear(np.eye(4), I, I, Z, I)
+        with pytest.raises(NumericalError):
             sup_quadratic(np.eye(4), Z, I)
+
+
+class TestSupBilinear:
+    """The largest eigenvalue of (K' G1^-1 K, G2) against the top singular
+    value of the Cholesky-whitened block."""
+
+    @pytest.mark.parametrize("spread", [0.5, 1e2, 1e4, 1e6])
+    def test_equals_the_whitened_svd(self, spread):
+        rng = np.random.default_rng(int(spread))
+        for _ in range(20):
+            n = int(rng.integers(4, 13))
+            d1, d2 = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+            Z1, Z2 = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+            # metrics with condition numbers up to 1 + spread
+            G1 = _random_spd(rng, n, cond_spread=spread)
+            G2 = _random_spd(rng, n, cond_spread=spread)
+            D = rng.standard_normal((n, n))
+            ours = sup_bilinear(D, Z1, G1, Z2, G2)
+            assert ours == pytest.approx(reference_sup_bilinear(D, Z1, G1, Z2, G2),
+                                         rel=1e-12)
+
+    def test_a_zero_block_and_empty_bases_give_zero(self):
+        rng = np.random.default_rng(5)
+        Z1, Z2, G = rng.standard_normal((6, 2)), rng.standard_normal((6, 3)), np.eye(6)
+        # the form vanishes on span(Z1) x span(Z2): Z1' D Z2 = 0
+        D = eigensolve.null_space(Z1.T) @ rng.standard_normal((4, 6))
+        assert sup_bilinear(D, Z1, G, Z2, G) <= 1e-15
+        assert sup_bilinear(np.zeros((6, 6)), Z1, G, Z2, G) == 0.0
+        for left, right in ((Z1[:, :0], Z2), (Z1, Z2[:, :0]), (Z1[:, :0], Z2[:, :0])):
+            assert sup_bilinear(rng.standard_normal((6, 6)), left, G, right, G) == 0.0
+
+
+class TestDiscretePairs:
+    def test_an_ill_conditioned_mass_matrix(self):
+        # cond(B) = 3.3e10: reduced by the Cholesky factor of B, the small
+        # eigenvalues lose about eps cond(B) |A| absolutely; reduced by A's,
+        # they keep full relative accuracy
+        rng = np.random.default_rng(3)
+        q = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        a = np.arange(1.0, 9.0)
+        b = np.array([1.0] * 6 + [1e-10, 3e-11])
+        A, B = q @ np.diag(a) @ q.T, q @ np.diag(b) @ q.T
+        A, B = 0.5 * (A + A.T), 0.5 * (B + B.T)
+        exact = np.sort(a / b)[:6]
+        pairs = _discrete_pairs(A, B)
+        np.testing.assert_allclose(pairs.eigenvalues[:6], exact, rtol=1e-12)
+        assert np.all(np.diff(pairs.eigenvalues) > 0)
+        # the tracked (smallest) pairs are B-orthonormal and accurate
+        X = pairs.vectors[:, :6]
+        assert np.abs(X.T @ B @ X - np.eye(6)).max() <= 1e-12
+        assert pairs.residuals[:6].max() <= 1e-12
+        direct = eigensolve.full_spectrum(A, B).eigenvalues[:6]
+        assert (np.abs(direct - exact) / exact).max() > 1e-7
+
+    def test_equals_the_direct_reduction_on_a_well_conditioned_pencil(self):
+        rng = np.random.default_rng(4)
+        A, B = _random_spd(rng, 9, 5.0), _random_spd(rng, 9)
+        ours, direct = _discrete_pairs(A, B), eigensolve.full_spectrum(A, B)
+        np.testing.assert_allclose(ours.eigenvalues, direct.eigenvalues, rtol=1e-13)
+        # eigenvectors agree up to sign
+        np.testing.assert_allclose(np.abs(ours.vectors.T @ B @ direct.vectors),
+                                   np.eye(9), atol=1e-12)
+
+
+class TestApproximability:
+    @staticmethod
+    def rank_rule(inst, q):
+        # the rule the flag stands for: P_h Z has full rank under a 1e-10
+        # singular-value cut, and Theta < 1
+        Z = inst.extended_eigvecs(inst.spec.k_max)
+        s = np.linalg.svd(q.P_h @ Z, compute_uv=False)
+        return bool(np.count_nonzero(s > 1e-10) == inst.spec.k_max
+                    and q.theta[-1] < 1.0)
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_flag_equals_the_rank_rule(self, mode):
+        for seed in range(20):
+            inst = _sweep_instance(seed, mode)
+            q = compute_quantities(inst)
+            assert q.approximability_ok == self.rank_rule(inst, q), seed
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_vh_a_orthogonal_to_the_first_eigenvector(self, mode):
+        # P_h u_1^e = 0, so Theta = 1 up to round-off, on either side of it
+        for seed in range(20):
+            inst = _sweep_instance(seed, mode)
+            u1 = inst.extended_eigvecs(1)
+            inst.V = eigensolve.null_space((inst.G_a @ u1).T)
+            q = compute_quantities(inst)
+            assert abs(q.theta[-1] - 1.0) <= 1e-14, seed
+            assert not q.approximability_ok and not self.rank_rule(inst, q), seed
+
+    def test_theta_and_phi_vanish_to_round_off_where_vh_contains_the_eigenvectors(self):
+        # approx_noise = 0: U_k^e lies in V_h, and for seed 5282 the discrete
+        # eigenvectors lie in U_k^e
+        for seed in (4943, 5282):
+            inst = _sweep_instance(seed, "perturbed")
+            assert inst.spec.approx_noise == 0.0
+            assert compute_quantities(inst).theta.max() <= 1e-14
+        assert compute_quantities(_sweep_instance(5282, "perturbed")).phi <= 1e-14
 
 
 class TestIdentitiesAndGating:
@@ -286,6 +390,31 @@ class TestBoundCheckReport:
                      lambda rep: rep.aggregated()):
             assert _as_tuples(read(block)) == _as_tuples(read(scalar))
         assert [c.j for c in block.checks] == js + [1, 2, 3, 4]
+
+
+class TestSelfToleranced:
+    """An identity check carries its tolerance in its rhs and is judged by
+    lhs <= rhs alone; an inequality keeps the relative slack."""
+
+    @pytest.mark.parametrize("bound", sorted(abstract_framework._SELF_TOLERANCED))
+    def test_an_identity_means_its_stated_tolerance(self, bound):
+        rep = BoundCheckReport(seed=1, mode="perturbed")
+        # j = 2 at twice its rhs: within the 1e-9 floor of an inequality
+        rep.add(bound, [1, 2, 3], np.array([1e-11, 2e-10, 1e-10]), 1e-10, True)
+        rep.add("evec_error_bh_norm", 1, 1.0 + 5e-10, 1.0, True)
+        assert [c.passed for c in rep.checks] == [True, False, True, True]
+        assert [(c.bound, c.j) for c in rep.violations()] == [(bound, 2)]
+        identity, inequality = rep.aggregated()
+        assert (identity.j, identity.passed) == (2, False)
+        assert inequality.passed
+
+    @pytest.mark.parametrize("bound", sorted(abstract_framework._SELF_TOLERANCED))
+    def test_an_identity_reports_its_worst_check(self, bound):
+        # all three pass; the slacks differ by less than 1e-9
+        rep = BoundCheckReport(seed=1, mode="exact")
+        rep.add(bound, [1, 2, 3], np.array([1e-13, 3e-11, 2e-11]), 1e-10, True)
+        (row,) = rep.aggregated()
+        assert (row.j, row.lhs, row.passed) == (2, 3e-11, True)
 
 
 class TestRoundOffTies:
@@ -490,8 +619,7 @@ class TestSweeps:
         # and the numpy.linalg oracles of qr and svd, and dposv's own steps
         monkeypatch.setattr(abstract_framework, "qr", lambda a: np.linalg.qr(a)[0])
         monkeypatch.setattr(abstract_framework, "svd",
-                            lambda a, compute_uv=True: np.linalg.svd(
-                                a, full_matrices=False, compute_uv=compute_uv))
+                            lambda a: np.linalg.svd(a, full_matrices=False))
         monkeypatch.setattr(abstract_framework, "solve_spd",
                             lambda a, b: sla.cho_solve(sla.cho_factor(a, lower=True), b))
         assert jsonl() == ours
@@ -520,15 +648,29 @@ class TestSweeps:
                          for c in rep.checks)
         assert counts == expected
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="full_spectrum reduces the pencil by B_h, whose "
-                              "condition number is 1.9e10 on this instance, and "
-                              "the projection identity misses 1e-10 for every j, "
-                              "for j = 2, 3 by more than the 1e-9 floor of the "
-                              "check tolerance")
     def test_perturbed_instance_9607_has_no_violation(self):
+        # cond(B_h) = 1.9e10 here: reduced by B_h's Cholesky factor, the
+        # discrete pairs miss the projection identity's 1e-10
         (rep,) = sweep(1, 9607, "perturbed")
         assert not rep.violations()
+
+    @pytest.mark.parametrize("mode,seed,per_instance", [("exact", 0, 60.28),
+                                                        ("perturbed", 500, 61.64)])
+    def test_lapack_calls_per_instance_are_the_documented_ones(
+            self, mode, seed, per_instance, monkeypatch):
+        # every kernel and workspace query goes through eigensolve._call
+        calls = Counter()
+        real = eigensolve._call
+
+        def counting(routine, *args, **kwargs):
+            calls[routine] += 1
+            return real(routine, *args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "_call", counting)
+        sweep(100, seed, mode)
+        assert sum(calls.values()) == round(100 * per_instance), calls
+        for doc in (eigensolve.__doc__, sweep.__doc__):
+            assert f"{per_instance:.2f}" in doc
 
     def test_mode_guard(self):
         with pytest.raises(InputError):
