@@ -56,8 +56,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .eigensolve import (EigenPairs, _residuals, cholesky, eigvalsh, full_spectrum,
-                         null_space, qr, solve_spd, solve_triangular, svd)
+from .eigensolve import eigvalsh, full_spectrum, qr, solve_spd, svd
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -156,12 +155,6 @@ class SyntheticInstance:
         return self.E @ self.U[:, :j]
 
 
-def _random_spd(rng, n, cond_spread=0.5) -> np.ndarray:
-    q = qr(rng.standard_normal((n, n)))
-    d = 1.0 + cond_spread * rng.random(n)
-    return q @ np.diag(d) @ q.T
-
-
 def _sym(mat) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
@@ -177,6 +170,13 @@ def _scaled_sym_perturbation(rng, metric, delta) -> np.ndarray:
 
 def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
     """Build a reproducible instance with the prescribed spectrum.
+
+    The instance is built from the factors it draws: M_b = Q diag(d) Q'
+    from an orthogonal Q, so U = Q diag(d)^-1/2 R is an M_b-orthonormal
+    eigenbasis for the orthogonal factor R of a second draw, and E and an
+    orthonormal basis of the complement of range(E) are the leading and
+    trailing columns of one orthogonal factor.  No matrix is factored
+    again to recover what its draw already gives.
 
     Exact-consistency mode (zero deltas) satisfies the structural identities
     of the penalized-but-consistent setting: the pulled-back forms agree
@@ -195,17 +195,20 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
         # plant a multiplicity-2 cluster inside the tracked window
         if spec.k_max >= 2 and rng.random() < 0.5:
             lam[1] = lam[0]
-    M_b = _random_spd(rng, n)
-    half = cholesky(M_b)
-    q = qr(rng.standard_normal((n, n)))
-    U = solve_triangular(half.T, q, lower=False)
+    Q = qr(rng.standard_normal((n, n)))
+    d = 1.0 + 0.5 * rng.random(n)
+    M_b = Q @ np.diag(d) @ Q.T
+    # U' M_b U = R' R = I for the orthogonal R
+    U = (Q / np.sqrt(d)) @ qr(rng.standard_normal((n, n)))
     M_a = _sym(M_b @ U @ np.diag(lam) @ U.T @ M_b)
 
-    # extension with orthonormal columns, lifting via a random weighted
-    # pseudo-inverse (a left inverse that is not the adjoint); E' W E is
-    # symmetrized like every Gram matrix here, so no triangle of it is
-    # preferred
-    E = qr(rng.standard_normal((n_ex, n)))
+    # extension with orthonormal columns, and an orthonormal basis of the
+    # complement of range(E), from one orthogonal factor; lifting via a
+    # random weighted pseudo-inverse (a left inverse that is not the
+    # adjoint); E' W E is symmetrized like every Gram matrix here, so no
+    # triangle of it is preferred
+    full = qr(rng.standard_normal((n_ex, n_ex)))
+    E, comp = full[:, :n], full[:, n:]
     w = 0.5 + 1.5 * rng.random(n_ex)
     E_linv = solve_spd(_gram(np.diag(w), E), E.T * w[None, :])
 
@@ -216,8 +219,7 @@ def make_instance(spec: InstanceSpec, seed: int) -> SyntheticInstance:
     A_tilde = _sym(E_linv.T @ (M_a + D_a) @ E_linv)
     B_tilde = _sym(E_linv.T @ (M_b + D_b) @ E_linv)
 
-    # penalties on a complement of range(E)
-    comp = null_space(E.T)                        # (n_ex, n_ex - n), orthonormal
+    # penalties on the complement of range(E)
     c_dim = comp.shape[1]
     if c_dim:
         R_a = rng.standard_normal((c_dim, c_dim))
@@ -270,7 +272,10 @@ def rembest_instance(n: int, delta: float, seed: int,
                      spectrum=None) -> SyntheticInstance:
     """The no-discretization-error special case: H = H^ex = V_h, no
     penalties, a~ = (1+delta) a and b~ = (1-delta) b, whose eigenvalues are
-    lambda_j (1+delta)/(1-delta) in closed form."""
+    lambda_j (1+delta)/(1-delta) in closed form.  Both forms are SPD
+    exactly when |delta| < 1; any other delta raises InputError."""
+    if not abs(delta) < 1.0:  # NaN fails this test too
+        raise InputError(f"delta must be finite with |delta| < 1, got {delta}")
     spec = InstanceSpec(n_h=n, n_cont=n, n_ex=n, k_max=n, spectrum=spectrum,
                         delta_a=0.0, delta_b=0.0)
     inst = make_instance(spec, seed)
@@ -322,15 +327,13 @@ def _projector(G, Z, gram) -> np.ndarray:
     return Z @ solve_spd(gram, Z.T @ G)
 
 
-def _discrete_pairs(A_v, B_v) -> EigenPairs:
-    """Eigenpairs of (A_v, B_v), ascending with B_v-orthonormal vectors,
-    from ``full_spectrum(B_v, A_v)``: mu = 1 / lambda, reduced by the
-    Cholesky factor of A_v."""
+def _discrete_pairs(A_v, B_v) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of (A_v, B_v), ascending, and their B_v-orthonormal
+    vectors, from ``full_spectrum(B_v, A_v)``: mu = 1 / lambda, reduced by
+    the Cholesky factor of A_v."""
     swapped = full_spectrum(B_v, A_v)
     lam = 1.0 / swapped.eigenvalues[::-1]
-    X = swapped.vectors[:, ::-1] * np.sqrt(lam)
-    return EigenPairs(eigenvalues=lam, vectors=X, residuals=_residuals(A_v, B_v, lam, X),
-                      method="dense", iterations=0)
+    return lam, swapped.vectors[:, ::-1] * np.sqrt(lam)
 
 
 def _column_norms(G, Z) -> np.ndarray:
@@ -359,7 +362,8 @@ class FrameworkQuantities:
     alpha_hat: float
     beta_hat: float
     c_f: float
-    discrete: object           # EigenPairs of (A_h, B_h) on V_h
+    lam_h: np.ndarray          # (n_h,) eigenvalues of (A_h, B_h) on V_h, ascending
+    X_h: np.ndarray            # (n_h, n_h) their b_h-orthonormal vectors, V_h coordinates
     defect_dual: np.ndarray    # (k_max,) ||d_{lambda_j}(u_j^e, .)||_{V_h'}
     P_h: np.ndarray            # a_h-orthogonal projector onto V_h
     P_a: np.ndarray            # (k_max, N_ex, N_ex) P_{a_h,j} onto U_j^e, j = 1..k_max
@@ -388,8 +392,8 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
     beta_tilde = sup_bilinear(dB, Z, G_b, big, G_b)
 
     A_v = _gram(G_a, inst.V)
-    discrete = _discrete_pairs(A_v, _gram(G_b, inst.V))
-    U_disc = inst.V @ discrete.vectors[:, :k_max]
+    lam_h, X_h = _discrete_pairs(A_v, _gram(G_b, inst.V))
+    U_disc = inst.V @ X_h[:, :k_max]
     alpha_hat = sup_quadratic(dA_tilde, U_disc, G_a)
     beta_hat = sup_quadratic(dB_tilde, U_disc, G_b)
 
@@ -417,7 +421,7 @@ def compute_quantities(inst: SyntheticInstance) -> FrameworkQuantities:
     return FrameworkQuantities(
         theta=theta, phi=phi, alpha_h=alpha_h, beta_h=beta_h,
         alpha_tilde=alpha_tilde, beta_tilde=beta_tilde,
-        alpha_hat=alpha_hat, beta_hat=beta_hat, c_f=c_f, discrete=discrete,
+        alpha_hat=alpha_hat, beta_hat=beta_hat, c_f=c_f, lam_h=lam_h, X_h=X_h,
         defect_dual=defect, P_h=P_h, P_a=P_a, P_b=P_b, gram_a=gram_a,
         gram_b=gram_b, approximability_ok=approx_ok)
 
@@ -552,7 +556,7 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     report = BoundCheckReport(seed=inst.seed,
                               mode="exact" if inst.exact_consistency else "perturbed")
     js = range(1, k_max + 1)
-    lam, lam_t = inst.lam, q.discrete.eigenvalues
+    lam, lam_t = inst.lam, q.lam_h
     lam_k, lam_tk = lam[:k_max], lam_t[:k_max]
     G_a, G_b = inst.G_a, inst.G_b
     Z = inst.extended_eigvecs(k_max)
@@ -562,7 +566,7 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
                    and q.alpha_tilde < 0.5 and q.beta_tilde < 0.5)
     c_hat = (8.0 / math.sqrt(3.0)) * q.c_f * math.sqrt(lam[k_max - 1])
     # penalty Gram matrices on the discrete span ~U_{k_max}
-    W = inst.V @ q.discrete.vectors[:, :k_max]
+    W = inst.V @ q.X_h[:, :k_max]
     ka, kb = _gram(inst.K_a, W), _gram(inst.K_b, W)
 
     # two-sided relative eigenvalue bound of the exact-consistency setting
@@ -620,7 +624,7 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
 
     # --- eigenvector identities and bounds; column j - 1 of each (., k_max)
     # array below belongs to u_j^e = Z[:, j - 1] and its window
-    X = q.discrete.vectors          # V_h coordinates, b_h-orthonormal
+    X = q.X_h                       # V_h coordinates, b_h-orthonormal
     lo, hi = np.array(windows).T
     inside = (lam_t[:, None] >= lo) & (lam_t[:, None] <= hi)
     # the gap parameter of analysis.ClusterWindow.gamma for every window;
@@ -736,8 +740,8 @@ def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]
     """Verify the bound suite on ``trials`` seeded random instances.
 
     Instance ``i`` is fully determined by its seed ``seed + i``.  The
-    instances run in seed order on the calling thread: each makes 60.28
-    dense LAPACK calls on average over exact-mode seeds 0..99 and 61.64
+    instances run in seed order on the calling thread: each makes 56.28
+    dense LAPACK calls on average over exact-mode seeds 0..99 and 57.64
     over perturbed-mode seeds 500..599, workspace queries included (all
     through the ``veclap.eigensolve`` kernels, as the ``scipy.linalg`` and
     ``numpy.linalg`` wrappers cost more than the work), on matrices of

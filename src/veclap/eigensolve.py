@@ -15,41 +15,35 @@ pivoting is stable because A is SPD.  Both solvers return B-orthonormal
 eigenvectors sorted ascending.  The Lanczos start vector is a fixed
 function of the problem size, so repeated solves are bitwise reproducible.
 
-Dense kernels.  ``eigvalsh``, ``eigh``, ``cholesky``, ``solve_triangular``,
-``solve_spd``, ``qr``, ``svd`` and ``null_space`` call ``scipy.linalg.lapack``
-directly.  ``qr`` and ``svd`` make the LAPACK calls of ``numpy.linalg.qr``
-and ``numpy.linalg.svd`` (reduced factors) and return their bytes, in C
-order like theirs; the others make exactly the call that the
-``scipy.linalg`` function of the same name picks for a real float64 array
-and return its bytes, and ``solve_spd`` returns those of
-``scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), b)``.
-They keep the results of those functions on empty matrices.  They exist
-because the abstract framework makes 60.28 LAPACK calls per instance,
-workspace queries included (the mean over exact-mode seeds 0..99; 61.64
-over perturbed-mode seeds 500..599), on matrices of order 16 or less,
-where the wrappers cost several times the LAPACK work.  The routines are
+Dense kernels.  ``eigvalsh``, ``eigh``, ``solve_spd``, ``qr`` and ``svd``
+call ``scipy.linalg.lapack`` directly.  ``qr`` and ``svd`` make the LAPACK
+calls of ``numpy.linalg.qr`` and ``numpy.linalg.svd`` (reduced factors) and
+return their bytes, in C order like theirs; ``eigvalsh`` and ``eigh`` make
+exactly the call that the ``scipy.linalg`` function of the same name picks
+for a real float64 array and return its bytes, and ``solve_spd`` returns
+those of ``scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True),
+b)``.  They keep the results of those functions on empty matrices.  They
+exist because the abstract framework makes 56.28 LAPACK calls per
+instance, workspace queries included (the mean over exact-mode seeds
+0..99; 57.64 over perturbed-mode seeds 500..599), on matrices of order 16
+or less, where the wrappers cost several times the LAPACK work.  The
+routines are
 
 * ``eigvalsh(a)``: ``dsyevr`` on the lower triangle, with its workspace
   query; ``eigvalsh(a, b)`` and ``eigh(a, b)``: ``dsygvd`` with itype 1
   and the lower triangles;
-* ``cholesky``: ``dpotrf``, lower factor, upper triangle zeroed;
-* ``solve_triangular``: ``dtrtrs``, called with the transposed system
-  when the factor is not Fortran-ordered;
 * ``solve_spd``: ``dposv`` on the lower triangle;
 * ``qr``: ``dgeqrf`` then ``dorgqr``, each with its workspace query, for
   the orthonormal factor Q only;
-* ``svd``: ``dgesdd`` with its workspace query, for the thin factors;
-* ``null_space``: ``dgesdd`` with full factors, cutting singular values
-  below ``eps * max(m, n) * s_max``.
+* ``svd``: ``dgesdd`` with its workspace query, for the thin factors.
 
 Every routine and workspace query is called through ``_call``, which
 turns LAPACK's ``info`` into the package's errors.  A non-finite entry, a
 malformed shape, and a pencil whose B is not positive definite (``dsygvd``
 info > n) are ``InputError``.  A routine that does not converge
 (``dsygvd`` with 0 < info <= n, ``dgesdd``) raises ``ConvergenceError``; a
-non-positive Cholesky pivot (``dpotrf``, ``dposv``), a singular triangular
-factor, an internal ``dsyevr`` failure and an illegal argument raise
-``NumericalError``.
+non-positive Cholesky pivot (``dposv``), an internal ``dsyevr`` failure
+and an illegal argument raise ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -64,8 +58,7 @@ from scipy.linalg import lapack
 from .errors import ConvergenceError, InputError, NumericalError
 
 __all__ = ["EigenPairs", "factorize", "solve_smallest", "full_spectrum",
-           "eigvalsh", "eigh", "cholesky", "solve_triangular", "solve_spd", "qr",
-           "svd", "null_space"]
+           "eigvalsh", "eigh", "solve_spd", "qr", "svd"]
 
 DENSE_LIMIT = 3000
 
@@ -186,15 +179,6 @@ def _operand(a, square=True) -> np.ndarray:
     return a
 
 
-def _system(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """The operands of ``a x = b``: a square ``a`` and a matrix ``b`` with as
-    many rows."""
-    a, b = _operand(a), _operand(b, square=False)
-    if a.shape[0] != b.shape[0]:
-        raise InputError(f"shapes {a.shape} and {b.shape} do not match")
-    return a, b
-
-
 def _call(routine, *args, failed=None, **kw):
     """Call ``lapack.<routine>``, looked up at each call so that a test can
     replace it, and return its outputs without the trailing ``info`` (the
@@ -209,11 +193,6 @@ def _call(routine, *args, failed=None, **kw):
         raise (failed(info) if failed else
                NumericalError(f"{routine} failed internally (info {info})"))
     return out[0] if len(out) == 2 else out[:-1]
-
-
-def _not_spd(info) -> NumericalError:
-    return NumericalError(f"matrix is not positive definite (leading "
-                          f"minor of order {info})")
 
 
 def _sygvd(a, b, jobz) -> tuple[np.ndarray, np.ndarray]:
@@ -254,35 +233,18 @@ def eigh(a, b) -> tuple[np.ndarray, np.ndarray]:
     return _sygvd(a, b, "V")
 
 
-def cholesky(a) -> np.ndarray:
-    """Lower factor L of the SPD ``a = L L^T`` (lower triangle read)."""
-    a = _operand(a)
-    if a.size == 0:
-        return np.empty_like(a)
-    return _call("dpotrf", a, lower=1, clean=1, overwrite_a=0, failed=_not_spd)
-
-
-def solve_triangular(a, b, lower=False) -> np.ndarray:
-    """Solve ``a x = b`` for the triangular ``a`` and the matrix ``b``."""
-    a, b = _system(a, b)
-    if b.size == 0:
-        return np.empty_like(b)
-    trans = int(not a.flags.f_contiguous)
-    if trans:  # dtrtrs reads Fortran order: solve the transposed system
-        a, lower = a.T, not lower
-    return _call("dtrtrs", a, b, lower=lower, trans=trans, unitdiag=0,
-                 overwrite_b=0, failed=lambda info: NumericalError(
-                     f"singular triangular matrix (zero diagonal entry {info - 1})"))
-
-
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a x = b`` for the SPD ``a`` (lower triangle read) and the
     matrix ``b``."""
-    a, b = _system(a, b)
+    a, b = _operand(a), _operand(b, square=False)
+    if a.shape[0] != b.shape[0]:
+        raise InputError(f"shapes {a.shape} and {b.shape} do not match")
     if b.size == 0:
         return np.empty_like(b)
     return _call("dposv", a, b, lower=1, overwrite_a=0, overwrite_b=0,
-                 failed=_not_spd)[1]
+                 failed=lambda info: NumericalError(
+                     f"matrix is not positive definite (leading minor of "
+                     f"order {info})"))[1]
 
 
 def qr(a) -> np.ndarray:
@@ -301,15 +263,6 @@ def qr(a) -> np.ndarray:
         _call("dorgqr", packed, tau, lwork=int(work[0]), overwrite_a=1)[0])
 
 
-def _gesdd(a, full_matrices) -> tuple:
-    """``dgesdd`` on the non-empty ``a`` with its workspace query: ``(u, s,
-    vt)``, in Fortran order."""
-    work = _call("dgesdd_lwork", *a.shape, compute_uv=1, full_matrices=full_matrices)
-    return _call("dgesdd", a, compute_uv=1, full_matrices=full_matrices,
-                 lwork=int(work), overwrite_a=0,
-                 failed=lambda info: ConvergenceError("dgesdd did not converge"))
-
-
 def svd(a):
     """Thin factors ``(u, s, vt)`` of ``a`` (m x n), u m x k and vt k x n
     for k = min(m, n), singular values descending, C-ordered like
@@ -318,17 +271,8 @@ def svd(a):
     m, n = a.shape
     if min(m, n) == 0:
         return np.empty((m, 0)), np.empty(0), np.empty((0, n))
-    u, s, vt = _gesdd(a, 0)
+    work = _call("dgesdd_lwork", m, n, compute_uv=1, full_matrices=0)
+    u, s, vt = _call("dgesdd", a, compute_uv=1, full_matrices=0, lwork=int(work),
+                     overwrite_a=0,
+                     failed=lambda info: ConvergenceError("dgesdd did not converge"))
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
-
-
-def null_space(a) -> np.ndarray:
-    """Orthonormal basis of the null space of ``a`` (m x n), as columns."""
-    a = _operand(a, square=False)
-    m, n = a.shape
-    if a.size == 0:
-        return np.eye(n)
-    _, s, vt = _gesdd(a, 1)
-    rank = np.sum(s > np.amax(s, initial=0.0) * (np.finfo(float).eps * max(m, n)),
-                  dtype=int)
-    return vt[rank:].T

@@ -84,8 +84,8 @@ def reference_eigenvector_checks(inst, q) -> BoundCheckReport:
     report = BoundCheckReport(seed=inst.seed, mode="reference")
     k_max = inst.spec.k_max
     G_a, G_b = inst.G_a, inst.G_b
-    lam, lam_t = inst.lam, q.discrete.eigenvalues
-    X = q.discrete.vectors
+    lam, lam_t = inst.lam, q.lam_h
+    X = q.X_h
     n_disc = lam_t.size
     for j, (lo, hi) in enumerate(_default_windows(lam, k_max)):
         lam_j = lam[j]

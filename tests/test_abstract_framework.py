@@ -1,7 +1,6 @@
 """Synthetic framework: closed-form cases, Monte-Carlo supremum oracle,
 identities, hypothesis gating, and seeded sweeps."""
 
-import functools
 import io
 import json
 import math
@@ -25,7 +24,6 @@ from veclap.abstract_framework import (
     InstanceSpec,
     _discrete_pairs,
     _gram,
-    _random_spd,
     _scaled_sym_perturbation,
     compute_quantities,
     make_instance,
@@ -40,6 +38,12 @@ from veclap.errors import InputError, NumericalError
 from veclap.runtime import THREADS_ENV
 
 
+def _random_spd(rng, n, cond_spread=0.5) -> np.ndarray:
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    d = 1.0 + cond_spread * rng.random(n)
+    return q @ np.diag(d) @ q.T
+
+
 class TestRembest:
     """The H = H^ex = V_h special case with scaled forms has closed forms."""
 
@@ -48,7 +52,7 @@ class TestRembest:
         inst = rembest_instance(7, delta, seed=12)
         q = compute_quantities(inst)
         expected = inst.lam * (1.0 + delta) / (1.0 - delta)
-        rel = np.abs(q.discrete.eigenvalues - expected) / expected
+        rel = np.abs(q.lam_h - expected) / expected
         assert rel.max() <= 1e-12
 
     def test_measured_consistency_parameters(self):
@@ -61,6 +65,49 @@ class TestRembest:
         assert q.alpha_h == pytest.approx(delta / (1.0 + delta), abs=1e-10)
         assert q.alpha_h <= delta / (1.0 - delta) + 1e-10
 
+    @pytest.mark.parametrize("delta", [1.0, -1.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_delta_outside_the_open_unit_interval_is_an_input_error(self, delta):
+        # for |delta| >= 1, b~ = (1 - delta) b or a~ = (1 + delta) a is not SPD
+        with pytest.raises(InputError, match=r"\|delta\| < 1"):
+            rembest_instance(4, delta, 0)
+
+
+class TestInstanceInvariants:
+    """What make_instance builds from its factors, at 1e-13 relative:
+    U' M_b U = I, M_a U = M_b U diag(lam), E' E = I, E' A_e E = M_a,
+    E' B_e E = M_b, and in exact mode K_a E = K_b E = 0."""
+
+    @staticmethod
+    def assert_invariants(inst):
+        def close(ours, theirs, what, scale=None):
+            scale = np.abs(theirs).max() if scale is None else scale
+            err = np.abs(ours - theirs).max()
+            assert err <= 1e-13 * max(1.0, scale), (inst.seed, what, err)
+
+        n = inst.spec.n_cont
+        U, E, M_b = inst.U, inst.E, inst.M_b
+        close(U.T @ M_b @ U, np.eye(n), "U' M_b U")
+        close(inst.M_a @ U, (M_b @ U) * inst.lam, "M_a U")
+        close(E.T @ E, np.eye(n), "E' E")
+        close(E.T @ inst.A_e @ E, inst.M_a, "E' A_e E")
+        close(E.T @ inst.B_e @ E, M_b, "E' B_e E")
+        if inst.exact_consistency:
+            for name in ("K_a", "K_b"):
+                K = getattr(inst, name)
+                close(K @ E, 0.0, f"{name} E", scale=np.abs(K).max())
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_sweep_instances(self, mode):
+        for seed in range(200):
+            self.assert_invariants(_sweep_instance(seed, mode))
+
+    def test_no_complement(self):
+        # n_ex == n_cont: E is orthogonal and the penalties vanish
+        spec = InstanceSpec(n_h=6, n_cont=6, n_ex=6, k_max=3, approx_noise=0.1)
+        inst = make_instance(spec, 8)
+        self.assert_invariants(inst)
+        assert not inst.K_a.any() and not inst.K_b.any()
+
 
 class TestConformingCases:
     def test_exact_conforming_instance(self):
@@ -69,7 +116,7 @@ class TestConformingCases:
         q = compute_quantities(inst)
         assert q.theta.max() <= 1e-7
         assert max(q.alpha_h, q.beta_h, q.alpha_tilde, q.beta_tilde) <= 1e-10
-        rel = np.abs(q.discrete.eigenvalues[:3] - inst.lam[:3]) / inst.lam[:3]
+        rel = np.abs(q.lam_h[:3] - inst.lam[:3]) / inst.lam[:3]
         assert rel.max() <= 1e-10
 
     def test_vh_equal_to_eigenspace(self):
@@ -165,7 +212,7 @@ class TestMonteCarloOracle:
             sampled = math.sqrt(self.sampled_quadratic_sup(err, Z, inst.G_a))
             assert sampled <= q.theta[j - 1] * (1.0 + 1e-9)
             assert sampled >= q.theta[j - 1] * 0.99
-        W = inst.V @ q.discrete.vectors[:, :3]
+        W = inst.V @ q.X_h[:, :3]
         err_a = (eye - q.P_a[2]).T @ inst.G_a @ (eye - q.P_a[2])
         sampled = math.sqrt(self.sampled_quadratic_sup(err_a, W, inst.G_a))
         assert sampled <= q.phi * (1.0 + 1e-9)
@@ -227,7 +274,7 @@ class TestSupBilinear:
         rng = np.random.default_rng(5)
         Z1, Z2, G = rng.standard_normal((6, 2)), rng.standard_normal((6, 3)), np.eye(6)
         # the form vanishes on span(Z1) x span(Z2): Z1' D Z2 = 0
-        D = eigensolve.null_space(Z1.T) @ rng.standard_normal((4, 6))
+        D = sla.null_space(Z1.T) @ rng.standard_normal((4, 6))
         assert sup_bilinear(D, Z1, G, Z2, G) <= 1e-15
         assert sup_bilinear(np.zeros((6, 6)), Z1, G, Z2, G) == 0.0
         for left, right in ((Z1[:, :0], Z2), (Z1, Z2[:, :0]), (Z1[:, :0], Z2[:, :0])):
@@ -246,23 +293,26 @@ class TestDiscretePairs:
         A, B = q @ np.diag(a) @ q.T, q @ np.diag(b) @ q.T
         A, B = 0.5 * (A + A.T), 0.5 * (B + B.T)
         exact = np.sort(a / b)[:6]
-        pairs = _discrete_pairs(A, B)
-        np.testing.assert_allclose(pairs.eigenvalues[:6], exact, rtol=1e-12)
-        assert np.all(np.diff(pairs.eigenvalues) > 0)
+        lam, X = _discrete_pairs(A, B)
+        np.testing.assert_allclose(lam[:6], exact, rtol=1e-12)
+        assert np.all(np.diff(lam) > 0)
         # the tracked (smallest) pairs are B-orthonormal and accurate
-        X = pairs.vectors[:, :6]
+        X = X[:, :6]
         assert np.abs(X.T @ B @ X - np.eye(6)).max() <= 1e-12
-        assert pairs.residuals[:6].max() <= 1e-12
+        AX = A @ X
+        residuals = (np.linalg.norm(AX - (B @ X) * lam[:6], axis=0)
+                     / np.linalg.norm(AX, axis=0))
+        assert residuals.max() <= 1e-12
         direct = eigensolve.full_spectrum(A, B).eigenvalues[:6]
         assert (np.abs(direct - exact) / exact).max() > 1e-7
 
     def test_equals_the_direct_reduction_on_a_well_conditioned_pencil(self):
         rng = np.random.default_rng(4)
         A, B = _random_spd(rng, 9, 5.0), _random_spd(rng, 9)
-        ours, direct = _discrete_pairs(A, B), eigensolve.full_spectrum(A, B)
-        np.testing.assert_allclose(ours.eigenvalues, direct.eigenvalues, rtol=1e-13)
+        (lam, X), direct = _discrete_pairs(A, B), eigensolve.full_spectrum(A, B)
+        np.testing.assert_allclose(lam, direct.eigenvalues, rtol=1e-13)
         # eigenvectors agree up to sign
-        np.testing.assert_allclose(np.abs(ours.vectors.T @ B @ direct.vectors),
+        np.testing.assert_allclose(np.abs(X.T @ B @ direct.vectors),
                                    np.eye(9), atol=1e-12)
 
 
@@ -289,7 +339,7 @@ class TestApproximability:
         for seed in range(20):
             inst = _sweep_instance(seed, mode)
             u1 = inst.extended_eigvecs(1)
-            inst.V = eigensolve.null_space((inst.G_a @ u1).T)
+            inst.V = sla.null_space((inst.G_a @ u1).T)
             q = compute_quantities(inst)
             assert abs(q.theta[-1] - 1.0) <= 1e-14, seed
             assert not q.approximability_ok and not self.rank_rule(inst, q), seed
@@ -611,11 +661,6 @@ class TestSweeps:
         ours = jsonl()
         monkeypatch.setattr(eigensolve, "eigh", sla.eigh)
         monkeypatch.setattr(abstract_framework, "eigvalsh", sla.eigvalsh)
-        monkeypatch.setattr(abstract_framework, "cholesky",
-                            functools.partial(sla.cholesky, lower=True))
-        monkeypatch.setattr(abstract_framework, "solve_triangular",
-                            sla.solve_triangular)
-        monkeypatch.setattr(abstract_framework, "null_space", sla.null_space)
         # and the numpy.linalg oracles of qr and svd, and dposv's own steps
         monkeypatch.setattr(abstract_framework, "qr", lambda a: np.linalg.qr(a)[0])
         monkeypatch.setattr(abstract_framework, "svd",
@@ -654,8 +699,8 @@ class TestSweeps:
         (rep,) = sweep(1, 9607, "perturbed")
         assert not rep.violations()
 
-    @pytest.mark.parametrize("mode,seed,per_instance", [("exact", 0, 60.28),
-                                                        ("perturbed", 500, 61.64)])
+    @pytest.mark.parametrize("mode,seed,per_instance", [("exact", 0, 56.28),
+                                                        ("perturbed", 500, 57.64)])
     def test_lapack_calls_per_instance_are_the_documented_ones(
             self, mode, seed, per_instance, monkeypatch):
         # every kernel and workspace query goes through eigensolve._call

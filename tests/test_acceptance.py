@@ -122,7 +122,7 @@ class TestCriterion8AbstractBoundSuite:
         inst = rembest_instance(6, 0.03, seed=1)
         q = compute_quantities(inst)
         closed = inst.lam * 1.03 / 0.97
-        rembest_ok = (np.abs(q.discrete.eigenvalues - closed) / closed).max() <= 1e-12
+        rembest_ok = (np.abs(q.lam_h - closed) / closed).max() <= 1e-12
         secs = time.perf_counter() - t0
         ok = not violations and id_failures == 0 and rembest_ok and secs <= 120.0
         report(8, ok, f"200 instances, violations={len(violations)}, "

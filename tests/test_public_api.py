@@ -1,8 +1,8 @@
 """Public surface: every module imports and every ``__all__`` name
-resolves, only ``veclap.eigensolve`` imports ``scipy.linalg``, and in it
-only ``_call`` reads a LAPACK routine, the abstract framework calls no
-``numpy.linalg`` decomposition, and importing the CLI does not load
-``scipy.special``."""
+resolves, no module imports another's private name, only
+``veclap.eigensolve`` imports ``scipy.linalg``, and in it only ``_call``
+reads a LAPACK routine, the abstract framework calls no ``numpy.linalg``
+decomposition, and importing the CLI does not load ``scipy.special``."""
 
 import ast
 import importlib
@@ -25,6 +25,37 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def _private_imports(tree) -> list[str]:
+    """The private names that ``tree`` imports from veclap modules, or reads
+    from a veclap module it imports whole."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "veclap"):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append(f"{node.module}.{alias.name}")
+                elif not node.module or node.module == "veclap":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name.split(".")[0] == "veclap")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(Path(veclap.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_module_imports_a_private_name_of_another(path):
+    # a private name may change with its own module; every other module
+    # goes through the public ones
+    assert _private_imports(ast.parse(path.read_text())) == []
 
 
 def _imports_scipy_linalg(tree) -> bool:
