@@ -11,7 +11,9 @@ is the oracle of the tests.
 
 ``factorize`` builds that factor with a symmetric fill-reducing ordering
 (minimum degree on A + A^T) and diagonal pivots; elimination without
-pivoting is stable because A is SPD.  Both solvers return B-orthonormal
+pivoting is stable because A is SPD.  It factors A^T, whose CSC arrays are
+the CSR arrays of A, so the exactly symmetric CSR ``A`` of the assembly is
+factored without a copy.  Both solvers return B-orthonormal
 eigenvectors sorted ascending.  The Lanczos start vector is a fixed
 function of the problem size, so repeated solves are bitwise reproducible.
 
@@ -95,17 +97,25 @@ def _check_pencil(A, B, m):
 
 
 def factorize(A):
-    """Sparse LU factor of the SPD matrix A; its ``solve`` applies A^-1.
+    """Sparse LU factor of the transpose of the SPD matrix A; its ``solve``
+    applies A^-T, which is A^-1.
 
-    The ordering is symmetric minimum degree on A + A^T and the pivots stay
-    on the diagonal, so L and U^T share one sparsity pattern, that of a
-    Cholesky factor of the permuted A.  On a matrix that is not SPD the
-    factor may be inaccurate; ``solve_smallest``'s residual gate catches
-    that.
+    SuperLU reads compressed columns only, and the CSR arrays of A are the
+    CSC arrays of A^T.  So a CSR A in canonical format, such as the exactly
+    symmetric ``A`` of ``fem.assemble``, is factored in its own arrays with
+    no copy; any other input is converted to CSR once.  The ordering is
+    symmetric minimum degree on A + A^T and the pivots stay on the diagonal,
+    so L and U^T share one sparsity pattern, that of a Cholesky factor of
+    the permuted A.  On a matrix that is not SPD the factor may be
+    inaccurate; ``solve_smallest``'s residual gate catches that.
     """
+    csr = sp.csr_matrix(A)
+    if not csr.has_canonical_format:
+        csr = csr.copy()  # splu would sort and sum A's own arrays in place
     try:
-        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0,
+        return spla.splu(sp.csc_matrix((csr.data, csr.indices, csr.indptr),
+                                       shape=csr.shape[::-1]),
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise InputError("A is singular") from exc
@@ -115,9 +125,9 @@ def solve_smallest(A, B, m: int, tol: float = 1e-10) -> EigenPairs:
     """Compute the m smallest eigenpairs of A x = lambda B x (A, B SPD).
 
     A and B are sparse, in any format (or dense), and are used as given:
-    the CSC copy that ``factorize`` makes of A, once, here, is the only
-    conversion.  Raises ConvergenceError if any relative residual exceeds
-    ``tol``.
+    ``factorize`` makes no copy of a canonical CSR A, such as that of
+    ``fem.assemble``, and one CSR conversion of any other.  Raises
+    ConvergenceError if any relative residual exceeds ``tol``.
     """
     _check_pencil(A, B, m)
     n = A.shape[0]

@@ -12,8 +12,9 @@ matrices:
 
 * ``A = a~ + k_a``: tangential-symmetric-gradient stiffness plus tangential
   mass, plus the normal-component penalty scaled ``eta = eta_coeff / h^2``.
-  Every entry of the scalar mass ``M`` carries one dense 3 x 3 block of it,
-  so ``A`` is a BSR matrix with 3 x 3 blocks on the pattern of ``M``;
+  Every entry (I, J) of the scalar mass ``M`` carries one dense 3 x 3 block
+  of it, so ``A`` is a CSR matrix whose row ``3I + c`` holds the columns
+  ``3J, 3J + 1, 3J + 2`` for each entry (I, J) of row I of ``M``;
 * ``B = b~ + k_b``: tangential plus normal mass.  Because
   ``P_h + n_h n_h^T = I`` this is the plain L2 vector mass matrix, built as
   ``M (x) I_3`` from the scalar mass matrix ``M``.
@@ -40,10 +41,16 @@ at a lifted point x, ``dp`` formed once per chunk for all fields.
 The element loop keeps its memory bounded: a chunk's size is set by the
 element's largest temporary (at most 256 elements, fewer at high degree),
 and each chunk's blocks are added straight into the preallocated ``data``
-arrays of ``A`` and ``M``, whose one pattern comes from the connectivity,
-as soon as the chunk is done.  Chunks are added in chunk order, and their
+arrays of ``A`` and ``M``, whose patterns come from the connectivity, as
+soon as the chunk is done.  Chunks are added in chunk order, and their
 size depends only on the element and the quadrature rule, so the matrices
 and the pairings are bitwise independent of the worker-thread count.
+
+``A`` and ``B`` are bitwise symmetric: the local blocks are symmetrized
+before they are added, so the entries (Ic, Jd) and (Jd, Ic) receive equal
+terms in the same element order.  The CSR arrays of ``A`` are therefore
+also its CSC arrays, and ``eigensolve.factorize`` hands them to SuperLU
+as they are.
 """
 
 from __future__ import annotations
@@ -122,14 +129,15 @@ class ExtendedPairings:
 
 @dataclass(frozen=True)
 class AssembledForms:
-    """The sparse symmetric penalized forms A and B, and the pairings of the
-    fields requested from :func:`assemble`.
+    """The sparse, bitwise symmetric penalized forms A and B, and the
+    pairings of the fields requested from :func:`assemble`.
 
-    ``A`` is a BSR matrix of 3 x 3 blocks whose ``indptr`` and ``indices``
-    are those of the scalar mass ``M``; ``B = M (x) I_3`` is CSR.
+    Both are CSR matrices with node-major DOFs and sorted indices: ``A``
+    holds a dense 3 x 3 block at each entry of the scalar mass ``M``, and
+    ``B = M (x) I_3``.
     """
 
-    A: sp.bsr_matrix
+    A: sp.csr_matrix
     B: sp.csr_matrix
     pairings: tuple[ExtendedPairings, ...] = ()
 
@@ -225,7 +233,10 @@ def _local_matrices(pd: _PointData, eta: float):
              - (t3 + np.swapaxes(t3, 1, 2)).reshape(ne, nk, 3, nk, 3)
              .transpose(0, 1, 3, 2, 4))
     m_loc = (wmu @ mm).reshape(ne, nk, nk)
-    return a_loc, m_loc
+    # exactly symmetric, as the sums above round (i, c, j, d) and
+    # (j, d, i, c) differently; so are A and M, which add these blocks
+    return (0.5 * (a_loc + a_loc.transpose(0, 2, 1, 4, 3)),
+            0.5 * (m_loc + np.swapaxes(m_loc, 1, 2)))
 
 
 def _field_pairings(pd: _PointData, fields, eta: float, p, dp) -> list[tuple]:
@@ -287,24 +298,46 @@ def _add_at(target: np.ndarray, positions: np.ndarray, values: np.ndarray) -> No
 
 
 class _CsrPattern:
-    """CSR pattern of the scalar mass ``M``, which holds one dense (nk, nk)
-    block per element at its connectivity, and the position of every
-    element entry in its ``data`` array.  The indices are sorted, with no
-    duplicates.  ``A`` shares the pattern, with a 3 x 3 block per entry.
+    """CSR patterns of the scalar mass ``M`` and of ``A``, the position of
+    every element entry in the ``data`` array of ``M``, and the offsets in
+    that of ``A`` of the 3 x 3 block of every entry of ``M``.
+
+    ``M`` holds one dense (nk, nk) block per element at its connectivity.
+    Row ``3I + c`` of ``A`` holds, for each entry (I, J) of row I of ``M``,
+    the columns ``3J, 3J + 1, 3J + 2``, so the entry (p, c, d) of ``A``
+    sits at ``9 start(I) + 3 c len(I) + 3 (p - start(I)) + d``, with p the
+    entry's position in ``M`` and ``start``/``len`` those of row I of ``M``.
+    Both patterns are symmetric, with sorted indices and no duplicates.
     """
 
     def __init__(self, conn: np.ndarray, n: int):
         ne, nk = conn.shape
         keys = (conn[:, :, None].astype(np.int64) * n + conn[:, None, :]).ravel()
         keys, position = np.unique(keys, return_inverse=True)
-        self.nnz = keys.size
+        self.nnz = nnz = keys.size
+        rows, cols = keys // n, keys % n
         # the index dtype scipy picks itself, so A and M keep the arrays
         # without a copy
-        idx = np.int32 if self.nnz < 2**31 else np.int64
-        self.position = position.reshape(ne, nk, nk)  # of entry (e, i, j)
-        self.indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
-        self.indices = (keys % n).astype(idx)
+        idx = np.int32 if 9 * nnz < 2**31 else np.int64
+        self.m_position = position.reshape(ne, nk, nk)  # of entry (e, i, j)
+        self.m_indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.m_indptr[1:])
+        self.m_indices = cols.astype(idx)
+
+        start = self.m_indptr[:-1]
+        length = np.diff(self.m_indptr)
+        self.a_indptr = np.zeros(3 * n + 1, dtype=idx)
+        np.cumsum(np.repeat(3 * length, 3), out=self.a_indptr[1:])
+        # of entry (p, c, d), built as (3c + d, p): long rows are faster
+        c, d = np.divmod(np.arange(9, dtype=idx)[:, None], 3)
+        offset = (6 * start[rows] + 3 * np.arange(nnz, dtype=idx)
+                  + 3 * length[rows] * c + d)
+        self.a_indices = np.empty(9 * nnz, dtype=idx)
+        self.a_indices[offset] = 3 * self.m_indices + d
+        # per entry of M, not per element entry: a table over every (e, i,
+        # j, c, d) raised the peak RSS of repeated k = 4 level-2 solves by
+        # 11 MB, through the heap layout it left
+        self.a_offset = np.ascontiguousarray(offset.T).reshape(nnz, 3, 3)
 
 
 def assemble(space: FeSpace, eta_coeff: float = 1.0,
@@ -346,15 +379,15 @@ def assemble(space: FeSpace, eta_coeff: float = 1.0,
 
     conn = space.numbering.connectivity
     pattern = _CsrPattern(conn, space.n_scalar)
-    a_data = np.zeros(9 * pattern.nnz)  # the 3 x 3 blocks, raveled
+    a_data = np.zeros(9 * pattern.nnz)
     m_data = np.zeros(pattern.nnz)
     # per field: a_vec, b_vec, a_ee, b_ee, summed in chunk order
     sums = [[np.zeros(space.n_dofs), np.zeros(space.n_dofs), 0.0, 0.0]
             for _ in fields]
     chunks = _chunks(space, rule)
     for elements, (a_loc, m_loc, per_field) in zip(chunks, map_ordered(work, chunks)):
-        position = pattern.position[elements]
-        _add_at(a_data, 9 * position[..., None] + np.arange(9), a_loc)
+        position = pattern.m_position[elements]
+        _add_at(a_data, np.take(pattern.a_offset, position, axis=0), a_loc)
         _add_at(m_data, position, m_loc)
         dofs = space.vector_dof(np.arange(3), conn[elements][:, :, None])
         for acc, (a_el, b_el, a_ee, b_ee) in zip(sums, per_field, strict=True):
@@ -363,9 +396,9 @@ def assemble(space: FeSpace, eta_coeff: float = 1.0,
             acc[2] += a_ee
             acc[3] += b_ee
     n = space.n_scalar
-    A = sp.bsr_matrix((a_data.reshape(-1, 3, 3), pattern.indices, pattern.indptr),
+    A = sp.csr_matrix((a_data, pattern.a_indices, pattern.a_indptr),
                       shape=(3 * n, 3 * n))
-    M = sp.csr_matrix((m_data, pattern.indices, pattern.indptr), shape=(n, n))
+    M = sp.csr_matrix((m_data, pattern.m_indices, pattern.m_indptr), shape=(n, n))
     if np.any(M.diagonal() <= 0.0):
         raise GeometryError("assembled B has non-positive diagonal entries")
     # b~ + k_b = M (x) I_3 because P_h + n_h n_h^T = I

@@ -2,6 +2,7 @@
 guards, and the dense LAPACK kernels against their scipy.linalg oracle."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,22 +206,68 @@ class TestDenseKernels:
             es.svd(np.ones((2, 2, 2)))
 
 
+def fem_matrix(k, level):
+    """``A`` from the assembly at k = k_g on the jittered icosphere."""
+    from veclap.fem import assemble, build_space
+    from veclap.geometry import Sphere
+    from veclap.mesh import icosphere, parametric_lift
+
+    mesh = icosphere(level, Sphere(), jitter=0.3)
+    return assemble(build_space(parametric_lift(mesh, k), k)).A
+
+
 class TestFactorize:
     def test_symmetric_ordering_on_fem_matrix(self):
-        from veclap.fem import assemble, build_space
-        from veclap.geometry import Sphere
-        from veclap.mesh import icosphere, parametric_lift
-
-        s = Sphere()
-        mesh = icosphere(1, s, jitter=0.3)
-        pmap = parametric_lift(mesh, 4)
-        A = assemble(build_space(pmap, 4)).A
+        A = fem_matrix(4, 1)
         lu = es.factorize(A)
         # pivots stay on the diagonal of the symmetrically permuted A
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
         # 284,292 against 820,584 for splu's default ordering and pivoting
         plain = spla.splu(sp.csc_matrix(A))
         assert lu.L.nnz + lu.U.nnz < 0.5 * (plain.L.nnz + plain.U.nnz)
+
+    def test_factors_the_fem_matrix_in_its_own_arrays(self, monkeypatch):
+        # A is exactly symmetric CSR, so its arrays are those of its CSC
+        # form: SuperLU gets A.data itself, and factorize allocates no copy
+        A = fem_matrix(2, 3)
+        args = []
+        splu = spla.splu
+
+        def capturing_splu(arg, *rest, **kwargs):
+            args.append(arg)
+            return splu(arg, *rest, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", capturing_splu)
+        tracemalloc.start()
+        try:
+            lu = es.factorize(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arg, = args
+        assert np.shares_memory(arg.data, A.data)
+        assert peak <= 0.1 * A.data.nbytes
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        x = lu.solve(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_leaves_a_non_canonical_input_unchanged(self):
+        # unsorted indices and a duplicate entry, which splu would sort and
+        # sum in the arrays it is given
+        rng = np.random.default_rng(4)
+        D, _ = random_spd_pencil(rng, 5)
+        data = np.concatenate([[0.5 * r[0], r[4], r[3], r[2], r[1], 0.5 * r[0]]
+                               for r in D])
+        indices = np.tile([0, 4, 3, 2, 1, 0], 5)
+        A = sp.csr_matrix((data, indices, 6 * np.arange(6)), shape=(5, 5))
+        assert not A.has_canonical_format
+        arrays = [a.copy() for a in (A.data, A.indices, A.indptr)]
+        lu = es.factorize(A)
+        for new, old in zip((A.data, A.indices, A.indptr), arrays, strict=True):
+            np.testing.assert_array_equal(new, old)
+        b = rng.standard_normal(5)
+        np.testing.assert_allclose(lu.solve(b), np.linalg.solve(D, b),
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestIterative:

@@ -221,12 +221,13 @@ class TestAssemble:
         ref_M = reference_scatter(np.concatenate([m for _, m in local]), conn,
                                   space.n_scalar)
         ref_B = sp.kron(ref_M, sp.identity(3), format="csr")
-        # A is 3 x 3-block BSR on the pattern of M
-        assert forms.A.format == "bsr" and forms.A.blocksize == (3, 3)
-        assert forms.A.has_canonical_format
-        np.testing.assert_array_equal(forms.A.indptr, ref_M.indptr)
-        np.testing.assert_array_equal(forms.A.indices, ref_M.indices)
-        for new, ref in ((forms.A.tocsr(), ref_A), (forms.B, ref_B)):
+        # A is node-major CSR: row 3I + c holds the columns 3J, 3J + 1, 3J + 2
+        # for each entry (I, J) of row I of M
+        assert forms.A.format == "csr"
+        blocks = sp.kron(ref_M, np.ones((3, 3)), format="csr")
+        np.testing.assert_array_equal(forms.A.indptr, blocks.indptr)
+        np.testing.assert_array_equal(forms.A.indices, blocks.indices)
+        for new, ref in ((forms.A, ref_A), (forms.B, ref_B)):
             assert new.has_canonical_format
             np.testing.assert_array_equal(new.indptr, ref.indptr)
             np.testing.assert_array_equal(new.indices, ref.indices)
@@ -270,6 +271,13 @@ class TestAgainstReference:
         for new, ref in ((a_loc, a_t + k_a), (b_loc, b_t + k_b)):
             ref = ref.transpose(0, 1, 3, 2, 4)  # (e, i, c, j, d) -> (e, i, j, c, d)
             assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_A_and_B_are_exactly_symmetric(self, k):
+        # the CSR arrays of A are then its CSC arrays, which factorize hands
+        # to SuperLU as they are
+        _, forms = setup_forms(k, k, 1, jitter=0.3)
+        for mat in (forms.A, forms.B):
+            assert (mat != mat.T).nnz == 0
 
     def test_B_is_identity_times_scalar_mass(self, k):
         space, forms = setup_forms(k, k, 1, jitter=0.3)
@@ -402,9 +410,10 @@ def test_matrix_market_export(tmp_path):
         stored = sp.tril(mat, format="csr")
         assert nnz == stored.nnz
         np.testing.assert_array_equal(low.toarray(), stored.toarray())
-        # reconstruct and compare against the assembled matrix
-        full = low + low.T - sp.diags(low.diagonal())
-        assert np.abs((full - mat).toarray()).max() <= 1e-13
+        # A and B are exactly symmetric: mirroring the lower triangle gives
+        # back the assembled matrix bit for bit
+        full = low + sp.tril(low, k=-1).T
+        np.testing.assert_array_equal(full.toarray(), mat.toarray())
 
 
 def test_matrix_market_export_to_an_unopenable_path_raises(tmp_path):
