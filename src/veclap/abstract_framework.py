@@ -45,6 +45,25 @@ tolerance, by ``lhs <= rhs`` alone.  A bound's aggregated record is its
 first check whose slack is within that tolerance of the smallest, so
 round-off ties among inequality checks do not decide which one is
 reported, and an identity reports its worst check.
+
+The bounds of small quantities are functions of keyword-only scalars and
+length-k arrays, none of the instance's size, and ``verify_bounds`` is
+their synthetic caller:
+
+    eigenvalue_bounds        ev_*: lam, lam_h, Theta_{h,j}, Phi_{h,k}, the
+                             consistency parameters, c_f, c_hat and the
+                             hypotheses as booleans
+    eigenvector_bounds       evec_error_*: gap_parameters, the errors and
+                             best-approximation errors in both norms, the
+                             defect dual norms, the discrete spectrum's ends
+    defect_dual_norm_bound   the defect dual norms, lam, alpha_h, alpha~,
+                             beta~, c_f
+    norm_equivalence_bounds  norm_equivalence_*: the k x k Gram matrices
+
+The checks that need the instance stay in ``verify_bounds``: the
+projection-comparison probes, projection_identity, dualnorm_formula, the
+q-factor, the penalty conditions, the form ratios, the extension and
+lifting norms and projections_coincide.
 """
 
 from __future__ import annotations
@@ -68,6 +87,11 @@ __all__ = [
     "make_instance",
     "rembest_instance",
     "compute_quantities",
+    "gap_parameters",
+    "eigenvalue_bounds",
+    "eigenvector_bounds",
+    "defect_dual_norm_bound",
+    "norm_equivalence_bounds",
     "verify_bounds",
     "sweep",
     "write_jsonl",
@@ -543,6 +567,80 @@ def _penalty_condition(ka, kb, factor) -> bool:
     return bool(vals.min() >= -1e-9 * scale)
 
 
+def gap_parameters(lam_h, lo, hi, lam) -> np.ndarray:
+    """Gap parameter of each window: the largest ``lam_i / |lam_i - lam|``
+    over the discrete eigenvalues ``lam_i`` outside ``[lo, hi]``, ``inf``
+    where one of them equals ``lam`` and 0 where none lies outside.
+    ``lo``, ``hi`` and ``lam`` are length-k arrays, one entry per window."""
+    lam_h = np.asarray(lam_h, dtype=float)[:, None]
+    dist = np.abs(lam_h - lam)
+    ratio = np.divide(lam_h, dist, out=np.full(dist.shape, math.inf), where=dist != 0.0)
+    return ratio.max(axis=0, initial=0.0, where=(lam_h < lo) | (lam_h > hi))
+
+
+def eigenvalue_bounds(report, js, *, lam, lam_h, theta, phi, alpha_h, beta_h,
+                      alpha_tilde, beta_tilde, alpha_hat, beta_hat, c_f, c_hat,
+                      half_params, approximability_ok, stab_exact, stab_disc):
+    """The five ``ev_*`` checks of the tracked pairs ``js = 1..k``, from the
+    exact and discrete eigenvalues ``lam``, ``lam_h`` and ``theta`` (length
+    k), the other framework parameters and ``c_hat = 8/sqrt(3) c_f
+    sqrt(lam_k)``; the hypotheses ``half_params`` (alpha_h, beta_h, alpha~,
+    beta~ all below 1/2) and the penalty stability conditions of the
+    exact-consistency setting and of the discrete span come as booleans."""
+    rel = (lam_h - lam) / lam_h
+    report.add("ev_relative_error_lower", js, np.zeros(lam.size), rel, stab_exact)
+    report.add("ev_relative_error_upper", js, rel, theta ** 2, stab_exact)
+    # exact eigenvalue bounded below by the discrete one times consistency factors
+    hyp = (half_params and approximability_ok) & (theta <= 0.5)
+    rhs = ((1 - 2 * alpha_h) * (1 - 2 * beta_h) * (1 - theta ** 2)
+           * (1 - 2 * c_hat * (alpha_tilde + beta_tilde) * theta) * lam_h)
+    report.add("ev_lower_bound_consistency", js, rhs, lam, hyp)
+    # discrete eigenvalue bounded below via consistency on the discrete span
+    hyp_upper = stab_disc and beta_hat < 0.5 and alpha_hat < 1.0
+    rhs = (1 - 2 * beta_hat) / (1 + 2 * alpha_hat) * lam
+    report.add("ev_upper_bound_discrete_consistency", js, rhs, lam_h, hyp_upper)
+    # discrete eigenvalue bounded below via the invariant-subspace distance
+    hyp_phi = (half_params and max(phi, c_f * lam_h[-1] * phi) <= 0.5)
+    rhs = ((1 - 2 * alpha_h) * (1 - 2 * beta_h)
+           * (1 + c_hat * (alpha_tilde + beta_tilde) * phi) ** (-2)
+           * (1 - c_f ** 2 * lam_h[-1] * phi ** 2) * lam)
+    report.add("ev_upper_bound_invariant_distance", js, rhs, lam_h, hyp_phi)
+
+
+def eigenvector_bounds(report, js, *, gamma, err_a, err_b, pe_a, pe_b, defect,
+                       lam_h_min, lam_h_max):
+    """The eigenvector error bounds in ``||.||_h`` and in energy, with
+    ``I_{V_h} = P_h``: per tracked pair, the gap parameter ``gamma``, the
+    errors ``err_a``, ``err_b`` and best-approximation errors ``pe_a``,
+    ``pe_b`` in the a_h and b_h norms, and the defect dual norm; a pair is
+    checked where its ``gamma`` is finite.  ``lam_h_min`` and ``lam_h_max``
+    bound the discrete spectrum from below and above."""
+    hyp_gamma = np.isfinite(gamma)
+    rhs1 = np.maximum(1.0, gamma) * pe_b + gamma / math.sqrt(lam_h_min) * defect
+    report.add("evec_error_bh_norm", js, err_b, rhs1, hyp_gamma)
+    rhs2 = ((gamma + 1.0) * (math.sqrt(lam_h_max) * pe_b + 3.0 * pe_a)
+            + gamma * defect)
+    report.add("evec_error_energy_norm", js, err_a, rhs2, hyp_gamma)
+
+
+def defect_dual_norm_bound(report, js, *, defect, lam, alpha_h, alpha_tilde,
+                           beta_tilde, c_f):
+    """The defect dual norms of the tracked pairs bounded by the
+    consistency parameters; ``defect`` and ``lam`` have length k."""
+    rhs = np.sqrt(2.0 * lam) * (alpha_tilde + lam * c_f ** 2 * beta_tilde)
+    report.add("defect_dual_norm_bound", js, defect, rhs, alpha_h <= 0.5)
+
+
+def norm_equivalence_bounds(report, js, *, gram_a, gram_b, lam, half_params):
+    """a_h and b_h equivalent on each ``U_j^e``, whose Gram matrices are the
+    leading ``j x j`` blocks of the ``k x k`` ``gram_a`` and ``gram_b``."""
+    vals = [eigvalsh(gram_a[:j, :j], gram_b[:j, :j]) for j in js]  # ascending
+    report.add("norm_equivalence_lower", js, np.full(lam.size, 0.25 * lam[0]),
+               np.array([v[0] for v in vals]), half_params)
+    report.add("norm_equivalence_upper", js, np.array([v[-1] for v in vals]),
+               4.0 * lam, half_params)
+
+
 def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     """Check every inequality of the framework on one instance.
 
@@ -560,7 +658,6 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     lam_k, lam_tk = lam[:k_max], lam_t[:k_max]
     G_a, G_b = inst.G_a, inst.G_b
     Z = inst.extended_eigvecs(k_max)
-    windows = _default_windows(lam, k_max)
 
     half_params = (q.alpha_h < 0.5 and q.beta_h < 0.5
                    and q.alpha_tilde < 0.5 and q.beta_tilde < 0.5)
@@ -568,36 +665,18 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     # penalty Gram matrices on the discrete span ~U_{k_max}
     W = inst.V @ q.X_h[:, :k_max]
     ka, kb = _gram(inst.K_a, W), _gram(inst.K_b, W)
-
-    # two-sided relative eigenvalue bound of the exact-consistency setting
+    # penalty stability of the exact-consistency setting and of the discrete span
     stab_exact = (inst.exact_consistency and q.approximability_ok
                   and _penalty_condition(
                       ka, kb, 2.0 * lam[k_max - 1] / (1.0 - q.theta[-1] ** 2)))
-    rel = (lam_tk - lam_k) / lam_tk
-    report.add("ev_relative_error_lower", js, np.zeros(k_max), rel, stab_exact)
-    report.add("ev_relative_error_upper", js, rel, q.theta ** 2, stab_exact)
-
-    # exact eigenvalue bounded below by the discrete one times consistency factors
-    hyp = (half_params and q.approximability_ok) & (q.theta <= 0.5)
-    rhs = ((1 - 2 * q.alpha_h) * (1 - 2 * q.beta_h)
-           * (1 - q.theta ** 2)
-           * (1 - 2 * c_hat * (q.alpha_tilde + q.beta_tilde) * q.theta)
-           * lam_tk)
-    report.add("ev_lower_bound_consistency", js, rhs, lam_k, hyp)
-
-    # discrete eigenvalue bounded below via consistency on the discrete span
     stab_disc = _penalty_condition(ka, kb, 2.0 * lam_t[k_max - 1])
-    hyp_upper = stab_disc and q.beta_hat < 0.5 and q.alpha_hat < 1.0
-    rhs = (1 - 2 * q.beta_hat) / (1 + 2 * q.alpha_hat) * lam_k
-    report.add("ev_upper_bound_discrete_consistency", js, rhs, lam_tk, hyp_upper)
-
-    # discrete eigenvalue bounded below via the invariant-subspace distance
-    phi = q.phi
-    hyp_phi = (half_params and max(phi, q.c_f * lam_t[k_max - 1] * phi) <= 0.5)
-    rhs = ((1 - 2 * q.alpha_h) * (1 - 2 * q.beta_h)
-           * (1 + c_hat * (q.alpha_tilde + q.beta_tilde) * phi) ** (-2)
-           * (1 - q.c_f ** 2 * lam_t[k_max - 1] * phi ** 2) * lam_k)
-    report.add("ev_upper_bound_invariant_distance", js, rhs, lam_tk, hyp_phi)
+    eigenvalue_bounds(
+        report, js, lam=lam_k, lam_h=lam_tk, theta=q.theta, phi=q.phi,
+        alpha_h=q.alpha_h, beta_h=q.beta_h, alpha_tilde=q.alpha_tilde,
+        beta_tilde=q.beta_tilde, alpha_hat=q.alpha_hat, beta_hat=q.beta_hat,
+        c_f=q.c_f, c_hat=c_hat, half_params=half_params,
+        approximability_ok=q.approximability_ok, stab_exact=stab_exact,
+        stab_disc=stab_disc)
 
     # comparison of the two eigenspace projections for probe vectors in V_h.
     # Probes mix projected extended eigenvectors (which satisfy the bound's
@@ -625,13 +704,8 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     # --- eigenvector identities and bounds; column j - 1 of each (., k_max)
     # array below belongs to u_j^e = Z[:, j - 1] and its window
     X = q.X_h                       # V_h coordinates, b_h-orthonormal
-    lo, hi = np.array(windows).T
+    lo, hi = np.array(_default_windows(lam, k_max)).T
     inside = (lam_t[:, None] >= lo) & (lam_t[:, None] <= hi)
-    # the gap parameter of analysis.ClusterWindow.gamma for every window;
-    # each window holds its lam_j strictly inside, so no outside distance is 0
-    dist = np.abs(lam_t[:, None] - lam_k)
-    gamma = np.divide(lam_t[:, None], dist, out=np.zeros_like(dist),
-                      where=~inside).max(axis=0)
 
     bvals = X.T @ (inst.V.T @ (G_b @ Z))       # b_h(u_j^e, u~_i)
     avals = X.T @ (inst.V.T @ (G_a @ Z))       # a_h(u_j^e, u~_i)
@@ -655,19 +729,14 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     report.add("projection_identity", js, _column_norms(G_b, rhs_vec - res),
                1e-10 * np.maximum(1.0, _column_norms(G_b, Z)), True)
 
-    # eigenvector error bounds in ||.||_h and in energy, with I_{V_h} = P_h
-    err_b, err_a = _column_norms(G_b, res), _column_norms(G_a, res)
-    pe_b, pe_a = _column_norms(G_b, e_p), _column_norms(G_a, e_p)
-    hyp_gamma = np.isfinite(gamma)
-    rhs1 = np.maximum(1.0, gamma) * pe_b + gamma / math.sqrt(lam_t[0]) * q.defect_dual
-    report.add("evec_error_bh_norm", js, err_b, rhs1, hyp_gamma)
-    rhs2 = ((gamma + 1.0) * (math.sqrt(lam_t[-1]) * pe_b + 3.0 * pe_a)
-            + gamma * q.defect_dual)
-    report.add("evec_error_energy_norm", js, err_a, rhs2, hyp_gamma)
-
-    # defect dual norm bounded by the consistency parameters
-    rhs_dl = np.sqrt(2.0 * lam_k) * (q.alpha_tilde + lam_k * q.c_f ** 2 * q.beta_tilde)
-    report.add("defect_dual_norm_bound", js, q.defect_dual, rhs_dl, q.alpha_h <= 0.5)
+    eigenvector_bounds(
+        report, js, gamma=gap_parameters(lam_t, lo, hi, lam_k),
+        err_a=_column_norms(G_a, res), err_b=_column_norms(G_b, res),
+        pe_a=_column_norms(G_a, e_p), pe_b=_column_norms(G_b, e_p),
+        defect=q.defect_dual, lam_h_min=lam_t[0], lam_h_max=lam_t[-1])
+    defect_dual_norm_bound(report, js, defect=q.defect_dual, lam=lam_k,
+                           alpha_h=q.alpha_h, alpha_tilde=q.alpha_tilde,
+                           beta_tilde=q.beta_tilde, c_f=q.c_f)
 
     # record the sharper q-factor next to its dual-norm route bound;
     # whether q is generally the smaller quantity is left open, both
@@ -695,12 +764,8 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     report.add("lifting_norm_a", None, sup_l_a, 1.0 + q.alpha_h, half_params)
     report.add("lifting_norm_b", None, sup_l_b, 1.0 + q.beta_h, half_params)
 
-    # --- norm equivalence on U_j^e (eigenvalues come ascending)
-    vals = [eigvalsh(q.gram_a[:j, :j], q.gram_b[:j, :j]) for j in js]
-    report.add("norm_equivalence_lower", js, np.full(k_max, 0.25 * lam[0]),
-               np.array([v[0] for v in vals]), half_params)
-    report.add("norm_equivalence_upper", js, np.array([v[-1] for v in vals]),
-               4.0 * lam_k, half_params)
+    norm_equivalence_bounds(report, js, gram_a=q.gram_a, gram_b=q.gram_b,
+                            lam=lam_k, half_params=half_params)
 
     # --- fundamental relation P_{a_h,j} = P_{b_h,j} in exact-consistency mode
     if inst.exact_consistency:

@@ -1,6 +1,6 @@
 """Convergence diagnostics: eigenvalue errors and orders, eigenvector
-projection errors against the Killing fields, gap parameters, and the
-area-error study, with a CSV export of everything a study measures.
+projection errors against the Killing fields, and the area-error study,
+with a CSV export of everything a study measures.
 ``defect_dual_norm`` evaluates the dual norm of a defect functional; no
 study level computes it.
 
@@ -72,17 +72,6 @@ class ClusterWindow:
         ev = np.asarray(eigenvalues)
         return np.nonzero((ev >= self.lo) & (ev <= self.hi))[0]
 
-    def gamma(self, eigenvalues, lam: float) -> float:
-        """Gap parameter: max over outside eigenvalues of lam_i/|lam_i - lam|."""
-        ev = np.asarray(eigenvalues)
-        outside = ev[(ev < self.lo) | (ev > self.hi)]
-        if outside.size == 0:
-            return 0.0
-        dist = np.abs(outside - lam)
-        if np.any(dist == 0.0):
-            return math.inf
-        return float(np.max(outside / dist))
-
 
 def default_window(lam: float) -> ClusterWindow:
     """The windows used for the sphere clusters at 1 and 2."""
@@ -146,7 +135,7 @@ def extended_pairings(fields, space: FeSpace,
     """The pairings of ``fields`` from ``assemble(space, eta_coeff,
     fields=fields)``.  Nothing calls it: it stays only as a name that
     ``perfbench/run.py`` traces (``SPANNED``), and goes with that trace
-    (ROADMAP item 4, step 2)."""
+    (ROADMAP item 10, step 2)."""
     return list(assemble(space, eta_coeff, fields=fields).pairings)
 
 

@@ -50,6 +50,7 @@ and an illegal argument raise ``NumericalError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +185,9 @@ def _operand(a, square=True) -> np.ndarray:
     if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
         raise InputError(f"expected a {'square ' if square else ''}matrix, "
                          f"got shape {a.shape}")
-    if not np.isfinite(a).all():
+    # a non-finite entry makes vdot(a, a) non-finite; unlike a.sum(), vdot
+    # raises no overflow warning, and a finite a that overflows it is tested in full
+    if not math.isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
         raise InputError("matrix has a non-finite entry")
     return a
 

@@ -5,8 +5,9 @@
 each probe's norms are vector-matrix-vector products and its two checks
 are scalar ``add`` calls, upper then lower.  ``reference_eigenvector_checks``
 is the eigenvector loop one tracked eigenpair at a time, with
-``u_j^e = extended_eigvecs(j)[:, -1]``, its window's ``ClusterWindow`` and
-scalar ``add`` calls.  ``verify_bounds`` checks the probes of every ``j``
+``u_j^e = extended_eigvecs(j)[:, -1]``, its window's gap parameter from a
+loop over the discrete eigenvalues (``reference_gap_parameter``) and scalar
+``add`` calls.  ``verify_bounds`` checks the probes of every ``j``
 in one stacked product, the eigenpairs as the columns of one matrix, and
 adds each bound's checks as one block.
 
@@ -39,7 +40,6 @@ from veclap.abstract_framework import (
     _orth_union,
     sup_quadratic,
 )
-from veclap.analysis import ClusterWindow
 from veclap.eigensolve import full_spectrum
 
 
@@ -75,6 +75,19 @@ def reference_projection_probes(inst, q) -> BoundCheckReport:
     return report
 
 
+def reference_gap_parameter(lam_t, lo, hi, lam_j) -> float:
+    """The largest ``lam_i / |lam_i - lam_j|`` over the ``lam_i`` outside
+    ``[lo, hi]``, one value at a time."""
+    gamma = 0.0
+    for lam_i in lam_t:
+        if lo <= lam_i <= hi:
+            continue
+        if lam_i == lam_j:
+            return math.inf
+        gamma = max(gamma, lam_i / abs(lam_i - lam_j))
+    return gamma
+
+
 def reference_eigenvector_checks(inst, q) -> BoundCheckReport:
     """The eigenvector identity and bound checks of ``inst`` (bounds
     ``dualnorm_formula``, ``projection_identity``, ``evec_error_bh_norm``,
@@ -90,7 +103,7 @@ def reference_eigenvector_checks(inst, q) -> BoundCheckReport:
     for j, (lo, hi) in enumerate(_default_windows(lam, k_max)):
         lam_j = lam[j]
         inside = (lam_t >= lo) & (lam_t <= hi)
-        gamma = ClusterWindow(lo, hi).gamma(lam_t, lam_j)
+        gamma = reference_gap_parameter(lam_t, lo, hi, lam_j)
         u_e = inst.extended_eigvecs(j + 1)[:, -1]
         norm_b_ue = math.sqrt(max(u_e @ (G_b @ u_e), 0.0))
 

@@ -22,11 +22,19 @@ from veclap import abstract_framework, eigensolve
 from veclap.abstract_framework import (
     BoundCheckReport,
     InstanceSpec,
+    _column_norms,
+    _default_windows,
     _discrete_pairs,
     _gram,
+    _penalty_condition,
     _scaled_sym_perturbation,
     compute_quantities,
+    defect_dual_norm_bound,
+    eigenvalue_bounds,
+    eigenvector_bounds,
+    gap_parameters,
     make_instance,
+    norm_equivalence_bounds,
     rembest_instance,
     sup_bilinear,
     sup_quadratic,
@@ -399,6 +407,23 @@ def _as_tuples(checks):
             for c in checks]
 
 
+class TestGapParameters:
+    def test_gamma_simple(self):
+        assert gap_parameters([1.0, 3.0], [0.0], [1.5], [1.0]) == pytest.approx([1.5])
+
+    def test_gamma_empty_outside(self):
+        assert gap_parameters([1.0, 2.0], [0.0], [10.0], [1.0]).tolist() == [0.0]
+
+    def test_gamma_infinite_when_not_separated(self):
+        # an outside value equal to lam: inf, and no division by zero
+        assert gap_parameters([1.0, 2.0], [0.5], [0.9], [1.0]).tolist() == [math.inf]
+
+    def test_one_entry_per_window(self):
+        gamma = gap_parameters([1.0, 2.0, 3.0], [0.0, 0.0, 0.5], [1.5, 10.0, 0.9],
+                               [1.0, 1.0, 1.0])
+        assert gamma.tolist() == [2.0, 0.0, math.inf]
+
+
 class TestBoundCheckReport:
     def test_a_block_add_equals_scalar_adds(self):
         nan = math.nan
@@ -541,6 +566,66 @@ class TestEigenvectorChecks:
                     _assert_close([getattr(c, side) for c in ours],
                                   [getattr(c, side) for c in theirs],
                                   (seed, bound, side))
+
+
+class TestBoundFunctions:
+    """The bound functions of small quantities, fed from outside with the
+    arrays of an instance, add exactly the rows that verify_bounds adds."""
+
+    BOUNDS = ("ev_relative_error_lower", "ev_relative_error_upper",
+              "ev_lower_bound_consistency", "ev_upper_bound_discrete_consistency",
+              "ev_upper_bound_invariant_distance", "evec_error_bh_norm",
+              "evec_error_energy_norm", "defect_dual_norm_bound",
+              "norm_equivalence_lower", "norm_equivalence_upper")
+
+    @staticmethod
+    def small_quantity_rows(inst):
+        q = compute_quantities(inst)
+        k = inst.spec.k_max
+        js, lam, lam_h = range(1, k + 1), inst.lam[:k], q.lam_h
+        # the hypotheses and errors that need the instance
+        W, Z = inst.V @ q.X_h[:, :k], inst.extended_eigvecs(k)
+        ka, kb = _gram(inst.K_a, W), _gram(inst.K_b, W)
+        half = max(q.alpha_h, q.beta_h, q.alpha_tilde, q.beta_tilde) < 0.5
+        stab_exact = (inst.exact_consistency and q.approximability_ok
+                      and _penalty_condition(ka, kb,
+                                             2.0 * lam[-1] / (1.0 - q.theta[-1] ** 2)))
+        lo, hi = np.array(_default_windows(inst.lam, k)).T
+        inside = (lam_h[:, None] >= lo) & (lam_h[:, None] <= hi)
+        bvals = q.X_h.T @ (inst.V.T @ (inst.G_b @ Z))
+        res = Z - inst.V @ (q.X_h @ np.where(inside, bvals, 0.0))
+        e_p = Z - q.P_h @ Z
+
+        report = BoundCheckReport(seed=inst.seed, mode="split")
+        eigenvalue_bounds(
+            report, js, lam=lam, lam_h=lam_h[:k], theta=q.theta, phi=q.phi,
+            alpha_h=q.alpha_h, beta_h=q.beta_h, alpha_tilde=q.alpha_tilde,
+            beta_tilde=q.beta_tilde, alpha_hat=q.alpha_hat, beta_hat=q.beta_hat,
+            c_f=q.c_f, c_hat=(8.0 / math.sqrt(3.0)) * q.c_f * math.sqrt(lam[-1]),
+            half_params=half, approximability_ok=q.approximability_ok,
+            stab_exact=stab_exact,
+            stab_disc=_penalty_condition(ka, kb, 2.0 * lam_h[k - 1]))
+        eigenvector_bounds(
+            report, js, gamma=gap_parameters(lam_h, lo, hi, lam),
+            err_a=_column_norms(inst.G_a, res), err_b=_column_norms(inst.G_b, res),
+            pe_a=_column_norms(inst.G_a, e_p), pe_b=_column_norms(inst.G_b, e_p),
+            defect=q.defect_dual, lam_h_min=lam_h[0], lam_h_max=lam_h[-1])
+        defect_dual_norm_bound(report, js, defect=q.defect_dual, lam=lam,
+                               alpha_h=q.alpha_h, alpha_tilde=q.alpha_tilde,
+                               beta_tilde=q.beta_tilde, c_f=q.c_f)
+        norm_equivalence_bounds(report, js, gram_a=q.gram_a, gram_b=q.gram_b,
+                                lam=lam, half_params=half)
+        return report.rows
+
+    @pytest.mark.parametrize("mode", ["exact", "perturbed"])
+    def test_small_quantities_give_the_rows_of_verify_bounds(self, mode):
+        for seed in range(20):
+            inst = _sweep_instance(seed, mode)
+            expected = [row for row in verify_bounds(inst).rows
+                        if row[0] in self.BOUNDS]
+            # repr keeps every float exact and NaN equal to NaN
+            assert repr(self.small_quantity_rows(inst)) == repr(expected), seed
+            assert len(expected) == 10 * inst.spec.k_max
 
 
 def _sweep_instance(seed, mode):

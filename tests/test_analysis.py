@@ -24,6 +24,7 @@ from veclap.analysis import (
     records_to_rows,
     write_csv,
 )
+from veclap.abstract_framework import gap_parameters
 from veclap.eigensolve import full_spectrum, solve_smallest
 from veclap.errors import InputError
 from veclap.fem import assemble, build_space
@@ -104,16 +105,6 @@ class TestClusterWindow:
         w = ClusterWindow(0.0, 1.5)
         np.testing.assert_array_equal(w.members([1.0, 1.01, 2.0, 2.3]), [0, 1])
 
-    def test_gamma_simple(self):
-        w = ClusterWindow(0.0, 1.5)
-        assert w.gamma([1.0, 3.0], 1.0) == pytest.approx(1.5)
-
-    def test_gamma_empty_outside(self):
-        assert ClusterWindow(0.0, 10.0).gamma([1.0, 2.0], 1.0) == 0.0
-
-    def test_gamma_infinite_when_not_separated(self):
-        assert ClusterWindow(0.5, 0.9).gamma([1.0, 2.0], 1.0) == math.inf
-
     def test_default_windows(self):
         assert default_window(1.0) == ClusterWindow(0.0, 1.5)
         assert default_window(2.0) == ClusterWindow(1.5, 2.5)
@@ -127,7 +118,7 @@ class TestClusterWindow:
         space = build_space(pmap, 1)
         forms = assemble(space)
         pairs = solve_smallest(forms.A, forms.B, 6)
-        gamma = ClusterWindow(0.0, 1.5).gamma(pairs.eigenvalues, 1.0)
+        (gamma,) = gap_parameters(pairs.eigenvalues, [0.0], [1.5], [1.0])
         assert abs(gamma - 2.0) <= 0.15
 
 

@@ -136,6 +136,17 @@ class TestDenseKernels:
             with pytest.raises(InputError, match="non-finite"):
                 call()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_the_finite_check_survives_an_overflowing_sum(self, order):
+        # every entry is finite, but their sum of squares overflows
+        huge = np.array(np.full((3, 3), 1e308), order=order)
+        assert es._operand(huge) is huge
+        for value in (np.nan, np.inf):
+            bad = huge.copy()
+            bad[2, 1] = value
+            with pytest.raises(InputError, match="non-finite"):
+                es._operand(bad)
+
     def test_no_convergence_is_a_convergence_error(self, monkeypatch):
         # dsygvd's 0 < info <= n: the divide and conquer did not converge
         def failing(a, b, **kwargs):
