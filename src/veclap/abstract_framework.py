@@ -87,6 +87,7 @@ __all__ = [
     "make_instance",
     "rembest_instance",
     "compute_quantities",
+    "cluster_windows",
     "gap_parameters",
     "eigenvalue_bounds",
     "eigenvector_bounds",
@@ -544,18 +545,19 @@ class BoundCheckReport:
         return out
 
 
-def _default_windows(lam, k_max):
-    """Closed interval around each tracked eigenvalue: midpoints to the
-    neighboring distinct values (0 below the smallest)."""
-    windows = []
-    for j in range(k_max):
-        target = lam[j]
+def cluster_windows(lam, k) -> tuple[np.ndarray, np.ndarray]:
+    """Closed window ``[lo, hi]`` around each of the first ``k`` values of
+    the spectrum ``lam``: midpoints to the neighbouring distinct values, 0
+    below the smallest and twice the value above the largest.  Returns the
+    length-k ``lo`` and ``hi`` arrays that ``gap_parameters`` takes."""
+    lam = np.asarray(lam, dtype=float)
+    lo, hi = np.empty(k), np.empty(k)
+    for j, target in enumerate(lam[:k]):
         below = lam[lam < target * (1 - 1e-12)]
         above = lam[lam > target * (1 + 1e-12)]
-        lo = 0.0 if below.size == 0 else 0.5 * (below.max() + target)
-        hi = 0.5 * (target + above.min()) if above.size else target * 2.0
-        windows.append((lo, hi))
-    return windows
+        lo[j] = 0.5 * (below.max() + target) if below.size else 0.0
+        hi[j] = 0.5 * (target + above.min()) if above.size else target * 2.0
+    return lo, hi
 
 
 def _penalty_condition(ka, kb, factor) -> bool:
@@ -644,10 +646,11 @@ def norm_equivalence_bounds(report, js, *, gram_a, gram_b, lam, half_params):
 def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     """Check every inequality of the framework on one instance.
 
-    The cluster window of each tracked eigenvalue extends to the midpoints
-    between distinct exact values.  Each bound's checks are computed for
-    all tracked eigenpairs ``j = 1..k_max`` at once, on the columns of
-    ``Z = E U_{k_max}``, and added as one block in the order of ``j``.
+    The cluster window of each tracked eigenvalue is the one of
+    ``cluster_windows`` over the exact spectrum.  Each bound's checks are
+    computed for all tracked eigenpairs ``j = 1..k_max`` at once, on the
+    columns of ``Z = E U_{k_max}``, and added as one block in the order of
+    ``j``.
     """
     k_max = inst.spec.k_max
     q = compute_quantities(inst)
@@ -704,7 +707,7 @@ def verify_bounds(inst: SyntheticInstance) -> BoundCheckReport:
     # --- eigenvector identities and bounds; column j - 1 of each (., k_max)
     # array below belongs to u_j^e = Z[:, j - 1] and its window
     X = q.X_h                       # V_h coordinates, b_h-orthonormal
-    lo, hi = np.array(_default_windows(lam, k_max)).T
+    lo, hi = cluster_windows(lam, k_max)
     inside = (lam_t[:, None] >= lo) & (lam_t[:, None] <= hi)
 
     bvals = X.T @ (inst.V.T @ (G_b @ Z))       # b_h(u_j^e, u~_i)

@@ -8,7 +8,10 @@ The reference spectrum is the unit sphere's: the eigenvalue 1 with
 multiplicity 3 (the rotational Killing fields) followed by the eigenvalue 2
 with multiplicity 3.  The closed-form reference is not implemented beyond
 index 6, so requesting more reference values is an error, and eigenvector
-errors are reported for the Killing fields only.
+errors are reported for the Killing fields only.  They are projection
+errors onto the computed pairs in the Killing cluster's window, which is
+the synthetic checker's rule, ``abstract_framework.cluster_windows``,
+applied to the whole reference spectrum: [0, 1.5].
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .abstract_framework import cluster_windows
 from .eigensolve import EigenPairs, factorize, solve_smallest
 from .errors import InputError
 from .fem import AssembledForms, ExtendedPairings, FeSpace, assemble, build_space
@@ -26,12 +30,10 @@ from .mesh import MAX_LEVEL, icosphere, mesh_size, parametric_lift, surface_area
 from .runtime import map_ordered
 
 __all__ = [
-    "ClusterWindow",
     "EigenvectorError",
     "ConvergenceRecord",
     "StudyConfig",
     "exact_sphere_eigenvalues",
-    "default_window",
     "eigenvector_error",
     "defect_dual_norm",
     "eoc",
@@ -46,8 +48,9 @@ ITERATIVE_DOF_LIMIT = 200_000
 # eta_coeff / h^2 must exceed the largest requested exact eigenvalue by this
 # factor, so the penalty's normal modes stay above every requested pair
 PENALTY_MARGIN = 1.25
-KILLING_WINDOW = (0.0, 1.5)
-SECOND_WINDOW = (1.5, 2.5)
+# the largest area quadrature degree: its conical rule has 33^2 points per
+# element, far more than the default 2 k_g + 8 <= 16 needs
+MAX_QUAD_DEGREE = 64
 
 _REFERENCE = (1.0, 1.0, 1.0, 2.0, 2.0, 2.0)
 
@@ -62,27 +65,6 @@ def exact_sphere_eigenvalues(m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ClusterWindow:
-    """Closed eigenvalue interval isolating one cluster."""
-
-    lo: float
-    hi: float
-
-    def members(self, eigenvalues) -> np.ndarray:
-        ev = np.asarray(eigenvalues)
-        return np.nonzero((ev >= self.lo) & (ev <= self.hi))[0]
-
-
-def default_window(lam: float) -> ClusterWindow:
-    """The windows used for the sphere clusters at 1 and 2."""
-    if abs(lam - 1.0) < 0.25:
-        return ClusterWindow(*KILLING_WINDOW)
-    if abs(lam - 2.0) < 0.25:
-        return ClusterWindow(*SECOND_WINDOW)
-    raise InputError(f"no default cluster window around {lam}")
-
-
-@dataclass(frozen=True)
 class EigenvectorError:
     """Projection errors of an extended exact eigenvector onto a cluster."""
 
@@ -92,19 +74,21 @@ class EigenvectorError:
     l2_sq_raw: float
 
 
-def eigenvector_error(window: ClusterWindow, pairs: EigenPairs,
+def eigenvector_error(lo: float, hi: float, pairs: EigenPairs,
                       forms: AssembledForms,
                       pairings: ExtendedPairings) -> EigenvectorError:
-    """Errors of the b_h-orthogonal projection onto the window's eigenvectors.
+    """Errors of the b_h-orthogonal projection onto the eigenvectors whose
+    eigenvalues lie in the closed window ``[lo, hi]``.
 
     The projection coefficients are c_i = b_h(u^e, u~_i); expanding the
     squared norms of u^e - sum c_i u~_i in a_h and b_h gives the energy and
     L2(Gamma_h) errors from quantities that are all available: the diagonal
     pairings, the pairing vectors, and the assembled forms.
     """
-    members = window.members(pairs.eigenvalues)
+    ev = pairs.eigenvalues
+    members = np.nonzero((ev >= lo) & (ev <= hi))[0]
     if members.size == 0:
-        raise InputError(f"no computed eigenvalue falls in [{window.lo}, {window.hi}]")
+        raise InputError(f"no computed eigenvalue falls in [{lo}, {hi}]")
     X = pairs.vectors[:, members]
     c = X.T @ pairings.b_vec
     a_cross = X.T @ pairings.a_vec
@@ -258,13 +242,15 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
     pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs, tol=cfg.tol)
     area = surface_area(pmap, _area_degree(cfg.k_g))
     exact_area = 4.0 * math.pi
-    window = ClusterWindow(*KILLING_WINDOW)
+    # the Killing cluster's window on the whole reference spectrum, so it
+    # does not depend on how many pairs are requested
+    (lo,), (hi,) = cluster_windows(_REFERENCE, 1)
     return ConvergenceRecord(
         level=level, h=h, ndof=space.n_dofs,
         eigenvalues=pairs.eigenvalues, exact=exact,
         errors=np.abs(pairs.eigenvalues - exact),
         area=area, area_error=abs(area - exact_area),
-        fields=[eigenvector_error(window, pairs, forms, ep) for ep in forms.pairings])
+        fields=[eigenvector_error(lo, hi, pairs, forms, ep) for ep in forms.pairings])
 
 
 def convergence_study(cfg: StudyConfig, on_assembled=None) -> list[ConvergenceRecord]:
@@ -284,8 +270,9 @@ def area_study(k_g: int, levels, surface: Sphere = Sphere(),
     """Area-error-only records (no assembly or solve)."""
     _check_levels(levels)
     _check_seed(mesh_seed)
-    if quad_degree is not None and quad_degree < 0:
-        raise InputError(f"quadrature degree must be >= 0, got {quad_degree}")
+    if quad_degree is not None and not (0 <= quad_degree <= MAX_QUAD_DEGREE):
+        raise InputError(f"quadrature degree must be in [0, {MAX_QUAD_DEGREE}], "
+                         f"got {quad_degree}")
     degree = quad_degree if quad_degree is not None else _area_degree(k_g)
     exact_area = 4.0 * math.pi * surface.radius**2
     records = []

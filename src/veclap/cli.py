@@ -100,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_mesh_args(p)
     p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
     p.add_argument("--levels", type=str, required=True, help="range A..B")
-    p.add_argument("--quad-degree", type=int, default=None)
+    p.add_argument("--quad-degree", type=int, default=None,
+                   help=f"area quadrature degree in 0..{analysis.MAX_QUAD_DEGREE} "
+                        "(default 2 kg + 8); a larger one exits 2 before meshing")
     p.add_argument("--out", type=str, default=None, help="CSV output path")
 
     p = sub.add_parser("abstract", help="synthetic bound-verification sweep")

@@ -340,11 +340,11 @@ class _CsrPattern:
         self.a_offset = np.ascontiguousarray(offset.T).reshape(nnz, 3, 3)
 
 
-def assemble(space: FeSpace, eta_coeff: float = 1.0,
-             quad_degree: int | None = None, fields=()) -> AssembledForms:
+def assemble(space: FeSpace, eta_coeff: float = 1.0, fields=()) -> AssembledForms:
     """Assemble ``A = a~ + k_a`` and ``B = M (x) I_3``, M the scalar mass,
     on the lifted surface of ``space``, and pair each of ``fields`` against
-    the basis in the same element pass.
+    the basis in the same element pass, with the triangle rule of degree
+    ``2 (k + k_g)``.
 
     The penalty term uses the unit normal of the degree-``k_g + 1``
     parametric lift as its improved normal, which carries the generic
@@ -355,14 +355,8 @@ def assemble(space: FeSpace, eta_coeff: float = 1.0,
     ``AssembledForms.pairings`` in the order of ``fields``.
     """
     pmap = space.pmap
-    min_degree = 2 * (space.degree + pmap.degree)
-    if quad_degree is None:
-        quad_degree = min_degree
-    if quad_degree < min_degree:
-        raise InputError(
-            f"quadrature exactness {quad_degree} below required {min_degree}")
     normal_map = improved_normal_lift(pmap)
-    rule = triangle_rule(quad_degree)
+    rule = triangle_rule(2 * (space.degree + pmap.degree))
     h = mesh_size(space.mesh)
     eta = eta_coeff / h**2
     surface = space.mesh.surface

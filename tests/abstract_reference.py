@@ -35,9 +35,9 @@ import scipy.linalg as sla
 from veclap.abstract_framework import (
     _N_PROBE,
     BoundCheckReport,
-    _default_windows,
     _gram,
     _orth_union,
+    cluster_windows,
     sup_quadratic,
 )
 from veclap.eigensolve import full_spectrum
@@ -100,7 +100,7 @@ def reference_eigenvector_checks(inst, q) -> BoundCheckReport:
     lam, lam_t = inst.lam, q.lam_h
     X = q.X_h
     n_disc = lam_t.size
-    for j, (lo, hi) in enumerate(_default_windows(lam, k_max)):
+    for j, (lo, hi) in enumerate(zip(*cluster_windows(lam, k_max))):
         lam_j = lam[j]
         inside = (lam_t >= lo) & (lam_t <= hi)
         gamma = reference_gap_parameter(lam_t, lo, hi, lam_j)

@@ -23,11 +23,11 @@ from veclap.abstract_framework import (
     BoundCheckReport,
     InstanceSpec,
     _column_norms,
-    _default_windows,
     _discrete_pairs,
     _gram,
     _penalty_condition,
     _scaled_sym_perturbation,
+    cluster_windows,
     compute_quantities,
     defect_dual_norm_bound,
     eigenvalue_bounds,
@@ -590,7 +590,7 @@ class TestBoundFunctions:
         stab_exact = (inst.exact_consistency and q.approximability_ok
                       and _penalty_condition(ka, kb,
                                              2.0 * lam[-1] / (1.0 - q.theta[-1] ** 2)))
-        lo, hi = np.array(_default_windows(inst.lam, k)).T
+        lo, hi = cluster_windows(inst.lam, k)
         inside = (lam_h[:, None] >= lo) & (lam_h[:, None] <= hi)
         bvals = q.X_h.T @ (inst.V.T @ (inst.G_b @ Z))
         res = Z - inst.V @ (q.X_h @ np.where(inside, bvals, 0.0))

@@ -12,11 +12,10 @@ from fem_reference import interpolate, node_positions
 from veclap import analysis, fem
 from veclap.analysis import (
     CSV_COLUMNS,
-    ClusterWindow,
+    EigenvectorError,
     StudyConfig,
     area_study,
     convergence_study,
-    default_window,
     defect_dual_norm,
     eigenvector_error,
     eoc,
@@ -24,7 +23,7 @@ from veclap.analysis import (
     records_to_rows,
     write_csv,
 )
-from veclap.abstract_framework import gap_parameters
+from veclap.abstract_framework import cluster_windows, gap_parameters
 from veclap.eigensolve import full_spectrum, solve_smallest
 from veclap.errors import InputError
 from veclap.fem import assemble, build_space
@@ -101,15 +100,39 @@ class TestPenaltyFloor:
 
 
 class TestClusterWindow:
-    def test_members(self):
-        w = ClusterWindow(0.0, 1.5)
-        np.testing.assert_array_equal(w.members([1.0, 1.01, 2.0, 2.3]), [0, 1])
+    def test_reference_windows(self):
+        # midpoints between the distinct values 1 and 2, 0 below the first
+        # cluster and twice the value above the last
+        lo, hi = cluster_windows(exact_sphere_eigenvalues(6), 6)
+        np.testing.assert_array_equal(lo, [0.0, 0.0, 0.0, 1.5, 1.5, 1.5])
+        np.testing.assert_array_equal(hi, [1.5, 1.5, 1.5, 4.0, 4.0, 4.0])
 
-    def test_default_windows(self):
-        assert default_window(1.0) == ClusterWindow(0.0, 1.5)
-        assert default_window(2.0) == ClusterWindow(1.5, 2.5)
-        with pytest.raises(InputError):
-            default_window(5.0)
+    @pytest.mark.parametrize("num_eigs", range(1, 7))
+    def test_study_killing_window(self, monkeypatch, num_eigs):
+        # the window comes from the whole reference spectrum, so it does not
+        # shrink to the requested prefix (three values would give [0, 2])
+        windows = []
+
+        def record(lo, hi, pairs, forms, pairings):
+            windows.append((lo, hi))
+            return EigenvectorError(0.0, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(analysis, "eigenvector_error", record)
+        convergence_study(StudyConfig(k=1, k_g=1, levels=(1,), num_eigs=num_eigs,
+                                      eta_coeff=4.0, fields=("z", "x")))
+        assert windows == [(0.0, 1.5)] * 2
+
+    def test_window_is_closed(self):
+        # eigenvalues on the window's ends are members
+        mesh = icosphere(0, S)
+        pmap = parametric_lift(mesh, 1)
+        space = build_space(pmap, 1)
+        forms = assemble(space, fields=[KF])
+        pairs = solve_smallest(forms.A, forms.B, 3)
+        ep, = forms.pairings
+        lam = pairs.eigenvalues
+        assert (eigenvector_error(lam[0], lam[2], pairs, forms, ep)
+                == eigenvector_error(0.0, math.inf, pairs, forms, ep))
 
     def test_gamma_stabilizes_near_two(self):
         # for the Killing window the gap parameter tends to 2/(2-1) = 2
@@ -157,7 +180,7 @@ class TestEigenvectorError:
         pairs = solve_smallest(forms.A, forms.B, 3)
         ep, = forms.pairings
         with pytest.raises(InputError):
-            eigenvector_error(ClusterWindow(50.0, 60.0), pairs, forms, ep)
+            eigenvector_error(50.0, 60.0, pairs, forms, ep)
 
     def test_full_window_bounded_by_interpolation(self):
         # projecting onto the span of all eigenvectors cannot be much worse
@@ -168,7 +191,7 @@ class TestEigenvectorError:
         forms = assemble(space, fields=[KF])
         pairs = full_spectrum(forms.A, forms.B)
         ep, = forms.pairings
-        ev = eigenvector_error(ClusterWindow(0.0, math.inf), pairs, forms, ep)
+        ev = eigenvector_error(0.0, math.inf, pairs, forms, ep)
         x = interpolate(KF.value, space)
         interp_sq = ep.a_ee - 2.0 * (ep.a_vec @ x) + x @ (forms.A @ x)
         assert ev.energy <= 10.0 * math.sqrt(max(interp_sq, 0.0))
@@ -180,7 +203,7 @@ class TestEigenvectorError:
         forms = assemble(space, fields=[KF])
         pairs = solve_smallest(forms.A, forms.B, 6)
         ep, = forms.pairings
-        ev = eigenvector_error(ClusterWindow(0.0, 1.5), pairs, forms, ep)
+        ev = eigenvector_error(0.0, 1.5, pairs, forms, ep)
         assert ev.energy_sq_raw >= -1e-9 * ep.a_ee
         assert ev.l2_sq_raw >= -1e-9 * ep.b_ee
 

@@ -251,6 +251,20 @@ class TestArea:
         err = capsys.readouterr().err
         assert "quadrature degree" in err and "Traceback" not in err
 
+    def test_huge_quad_degree_exits_2_before_meshing(self, monkeypatch, capsys):
+        # its Gauss-Jacobi rule would need a 500001 x 500001 Jacobi matrix
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(["area", "--kg", "1", "--levels", "0..1",
+                         "--quad-degree", "1000000"]) == 2
+        err = capsys.readouterr().err
+        assert f"[0, {analysis.MAX_QUAD_DEGREE}]" in err and "Traceback" not in err
+
+    def test_largest_quad_degree_runs(self, tmp_path):
+        out = tmp_path / "area.csv"
+        assert cli.main(["area", "--kg", "1", "--levels", "0..1", "--quad-degree",
+                         str(analysis.MAX_QUAD_DEGREE), "--out", str(out)]) == 0
+        assert len(read_csv_rows(out)) == 2
+
     def test_infinite_radius_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(analysis, "icosphere", no_meshing)
         assert cli.main(["area", "--kg", "1", "--levels", "1..2",
