@@ -808,13 +808,12 @@ def sweep(trials: int, seed: int, mode: str = "exact") -> list[BoundCheckReport]
     """Verify the bound suite on ``trials`` seeded random instances.
 
     Instance ``i`` is fully determined by its seed ``seed + i``.  The
-    instances run in seed order on the calling thread: each makes 56.28
-    dense LAPACK calls on average over exact-mode seeds 0..99 and 57.64
-    over perturbed-mode seeds 500..599, workspace queries included (all
-    through the ``veclap.eigensolve`` kernels, as the ``scipy.linalg`` and
+    instances run in seed order: each makes 56.28 dense LAPACK calls on
+    average over exact-mode seeds 0..99 and 57.64 over perturbed-mode seeds
+    500..599, workspace queries included (all through the
+    ``veclap.eigensolve`` kernels, as the ``scipy.linalg`` and
     ``numpy.linalg`` wrappers cost more than the work), on matrices of
-    order 16 or less, and up to about 160 checks, so worker threads only
-    add overhead.
+    order 16 or less, and up to about 160 checks.
     """
     if mode not in ("exact", "perturbed"):
         raise InputError(f"mode must be 'exact' or 'perturbed', got {mode!r}")

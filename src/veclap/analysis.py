@@ -27,7 +27,6 @@ from .errors import InputError
 from .fem import AssembledForms, ExtendedPairings, FeSpace, assemble, build_space
 from .geometry import KillingField, Sphere
 from .mesh import MAX_LEVEL, icosphere, mesh_size, parametric_lift, surface_area
-from .runtime import map_ordered
 
 __all__ = [
     "EigenvectorError",
@@ -254,14 +253,12 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
 
 
 def convergence_study(cfg: StudyConfig, on_assembled=None) -> list[ConvergenceRecord]:
-    """Run the study over all levels; records are returned in level order.
+    """Run the study over all levels, in level order; one record per level.
 
-    Levels are independent and may run on worker threads.  The optional
-    ``on_assembled(level, mesh, forms)`` hook fires once per level, which
-    the CLI uses for mesh and matrix export.
+    The optional ``on_assembled(level, mesh, forms)`` hook fires once per
+    level, which the CLI uses for mesh and matrix export.
     """
-    return list(map_ordered(lambda lvl: _run_level(cfg, lvl, on_assembled),
-                            cfg.levels))
+    return [_run_level(cfg, level, on_assembled) for level in cfg.levels]
 
 
 def area_study(k_g: int, levels, surface: Sphere = Sphere(),

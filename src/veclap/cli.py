@@ -12,8 +12,6 @@ Subcommands:
 Exit codes: 0 success, 2 argument/validation error, 3 numerical failure.
 An ``--out`` file that cannot be written exits 2 before any work; an
 export file that cannot be written exits 2 when its level is reached.
-The ``VECLAP_THREADS`` environment variable sets worker-thread count;
-outputs are byte-identical for any setting.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .errors import InputError, VeclapError
 from .fem import write_matrix_market
 from .geometry import Sphere
 from .mesh import write_off
-from .runtime import worker_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -240,7 +237,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        worker_count()  # a malformed VECLAP_THREADS fails before any work
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

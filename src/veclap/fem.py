@@ -38,13 +38,12 @@ every field from it.  A field is given on ``Gamma``; the pairings extend
 it by ``u^e = u o p``, with value ``u(p(x))`` and Jacobian ``grad u(p) dp``
 at a lifted point x, ``dp`` formed once per chunk for all fields.
 
-The element loop keeps its memory bounded: a chunk's size is set by the
-element's largest temporary (at most 256 elements, fewer at high degree),
-and each chunk's blocks are added straight into the preallocated ``data``
+The element loop keeps its memory bounded: it runs over the chunks of
+``mesh.element_chunks``, sized by the element's largest temporary (at most
+256 elements, fewer at high degree), in order on the calling thread, and
+each chunk's blocks are added straight into the preallocated ``data``
 arrays of ``A`` and ``M``, whose patterns come from the connectivity, as
-soon as the chunk is done.  Chunks are added in chunk order, and their
-size depends only on the element and the quadrature rule, so the matrices
-and the pairings are bitwise independent of the worker-thread count.
+soon as the chunk is done.
 
 ``A`` and ``B`` are bitwise symmetric: the local blocks are symmetrized
 before they are added, so the entries (Ic, Jd) and (Jd, Ic) receive equal
@@ -62,9 +61,14 @@ import scipy.sparse as sp
 
 from .errors import GeometryError, InputError
 from .lagrange import NodeNumbering, reference_triangle
-from .mesh import LinearSurfaceMesh, ParametricMap, improved_normal_lift, mesh_size
+from .mesh import (
+    LinearSurfaceMesh,
+    ParametricMap,
+    element_chunks,
+    improved_normal_lift,
+    mesh_size,
+)
 from .quadrature import triangle_rule
-from .runtime import map_ordered
 
 __all__ = [
     "FeSpace",
@@ -276,18 +280,11 @@ def _field_pairings(pd: _PointData, fields, eta: float, p, dp) -> list[tuple]:
     return out
 
 
-def _chunk_size(nq: int, nk: int) -> int:
-    """Elements per work item of the element loop, for ``nq`` quadrature
-    points and ``nk`` basis functions.  It keeps the largest per-chunk
-    temporary, ``gdot`` of (size, nq, nk^2) doubles, under 8 MB, and depends
-    only on the element and the rule, never on the thread count."""
-    return min(256, 2**20 // (nq * nk * nk))
-
-
 def _chunks(space: FeSpace, rule) -> list[np.ndarray]:
-    n = space.mesh.n_triangles
-    size = _chunk_size(rule.weights.size, space.numbering.connectivity.shape[1])
-    return [np.arange(start, min(start + size, n)) for start in range(0, n, size)]
+    """The element chunks of the element loop; its largest temporary is
+    ``gdot`` of :func:`_local_matrices`, (size, nq, nk^2) doubles."""
+    nk = space.numbering.connectivity.shape[1]
+    return element_chunks(space.mesh.n_triangles, rule.weights.size * nk * nk)
 
 
 def _add_at(target: np.ndarray, positions: np.ndarray, values: np.ndarray) -> None:
@@ -326,18 +323,32 @@ class _CsrPattern:
 
         start = self.m_indptr[:-1]
         length = np.diff(self.m_indptr)
+        row_length = np.repeat(3 * length, 3)  # of row 3I + c of A
         self.a_indptr = np.zeros(3 * n + 1, dtype=idx)
-        np.cumsum(np.repeat(3 * length, 3), out=self.a_indptr[1:])
+        np.cumsum(row_length, out=self.a_indptr[1:])
         # of entry (p, c, d), built as (3c + d, p): long rows are faster
         c, d = np.divmod(np.arange(9, dtype=idx)[:, None], 3)
         offset = (6 * start[rows] + 3 * np.arange(nnz, dtype=idx)
                   + 3 * length[rows] * c + d)
-        self.a_indices = np.empty(9 * nnz, dtype=idx)
-        self.a_indices[offset] = 3 * self.m_indices + d
         # per entry of M, not per element entry: a table over every (e, i,
         # j, c, d) raised the peak RSS of repeated k = 4 level-2 solves by
-        # 11 MB, through the heap layout it left
+        # 11 MB, through the heap layout it left.  For the same reason
+        # ``offset`` is freed before the temporaries below are made: kept,
+        # or made after them, it raised that peak by 6-15 MB
         self.a_offset = np.ascontiguousarray(offset.T).reshape(nnz, 3, 3)
+        del offset
+        # the node-row segments: the columns 3J, 3J + 1, 3J + 2 of each
+        # entry (I, J) of M, with row I's at [3 start(I), 3 end(I)).  Rows
+        # 3I, 3I + 1 and 3I + 2 of A are three copies of row I's segment,
+        # gathered from it: row r of A starts a_indptr[r] - 3 start(I)
+        # after its segment
+        segment = np.repeat(3 * self.m_indices, 3)
+        triples = segment.reshape(nnz, 3)
+        triples[:, 1] += 1  # one strided column at a time: a broadcast
+        triples[:, 2] += 2  # over rows of 2 or 3 is several times slower
+        source = np.arange(9 * nnz, dtype=idx)
+        source -= np.repeat(self.a_indptr[:-1] - np.repeat(3 * start, 3), row_length)
+        self.a_indices = np.take(segment, source)
 
 
 def assemble(space: FeSpace, eta_coeff: float = 1.0, fields=()) -> AssembledForms:
@@ -379,7 +390,7 @@ def assemble(space: FeSpace, eta_coeff: float = 1.0, fields=()) -> AssembledForm
     sums = [[np.zeros(space.n_dofs), np.zeros(space.n_dofs), 0.0, 0.0]
             for _ in fields]
     chunks = _chunks(space, rule)
-    for elements, (a_loc, m_loc, per_field) in zip(chunks, map_ordered(work, chunks)):
+    for elements, (a_loc, m_loc, per_field) in zip(chunks, map(work, chunks)):
         position = pattern.m_position[elements]
         _add_at(a_data, np.take(pattern.a_offset, position, axis=0), a_loc)
         _add_at(m_data, position, m_loc)

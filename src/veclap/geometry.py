@@ -4,8 +4,7 @@ given by value and ambient Jacobian at surface points.
 
 Every quantity is evaluated in batched form (arrays with a trailing axis of
 length 3) because the assembly loops evaluate them at many quadrature
-points at once.  Everything here is a pure function of immutable data and
-safe to call concurrently.
+points at once.  Everything here is a pure function of immutable data.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ __all__ = [
     "parametric_lift",
     "improved_normal_lift",
     "mesh_size",
+    "element_chunks",
     "surface_area",
     "write_off",
 ]
@@ -213,18 +214,33 @@ def mesh_size(mesh: LinearSurfaceMesh) -> float:
     return float(np.linalg.norm(e, axis=1).max())
 
 
+def element_chunks(n_elements: int, doubles_per_element: int) -> list[np.ndarray]:
+    """Consecutive runs of element indices that cover ``range(n_elements)``
+    in order, for an element loop whose largest temporary holds
+    ``doubles_per_element`` doubles per element.  A run has at most 256
+    elements, and few enough that the temporary stays under 8 MB; the runs
+    depend only on the two arguments."""
+    size = min(256, 2**20 // doubles_per_element)
+    return [np.arange(start, min(start + size, n_elements))
+            for start in range(0, n_elements, size)]
+
+
 def surface_area(pmap: ParametricMap, quad_degree: int) -> float:
-    """Area of the lifted surface, integrated element-wise.
+    """Area of the lifted surface, integrated element-wise and summed over
+    the runs of :func:`element_chunks`, so its temporaries stay under 8 MB.
 
     The area factor is not polynomial for ``k_g >= 2``, so the result keeps
     improving (rapidly) with the quadrature degree; pass a degree a few
     orders above ``2 k_g`` when the area itself is the object of study.
     """
     rule = triangle_rule(quad_degree)
-    jac = pmap.jacobians(np.arange(pmap.mesh.n_triangles), rule.points)
-    cross = np.cross(jac[..., 0], jac[..., 1])
-    mu = np.linalg.norm(cross, axis=-1)
-    return float(np.einsum("q,eq->", rule.weights, mu))
+    area = 0.0
+    # the Jacobians, (size, nq, 3, 2) doubles, are the largest temporary
+    for elements in element_chunks(pmap.mesh.n_triangles, 6 * rule.weights.size):
+        jac = pmap.jacobians(elements, rule.points)
+        mu = np.linalg.norm(np.cross(jac[..., 0], jac[..., 1]), axis=-1)
+        area += float(np.einsum("q,eq->", rule.weights, mu))
+    return area
 
 
 def write_off(mesh: LinearSurfaceMesh, path) -> None:

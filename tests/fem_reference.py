@@ -167,6 +167,25 @@ def reference_scatter(blocks, dofs, n):
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
+def reference_a_pattern(m_indptr, m_indices):
+    """``a_indptr``, ``a_indices`` and ``a_offset`` of the node-major ``A``
+    on the CSR pattern of ``M``, with the column of every entry (p, c, d)
+    scattered to its place ``9 start(I) + 3 c len(I) + 3 (p - start(I)) + d``
+    one by one, in the dtype of ``m_indptr``."""
+    idx = m_indptr.dtype
+    n, nnz = m_indptr.size - 1, m_indices.size
+    start, length = m_indptr[:-1], np.diff(m_indptr)
+    rows = np.repeat(np.arange(n), length)
+    a_indptr = np.zeros(3 * n + 1, dtype=idx)
+    np.cumsum(np.repeat(3 * length, 3), out=a_indptr[1:])
+    c, d = np.divmod(np.arange(9, dtype=idx)[:, None], 3)
+    offset = (6 * start[rows] + 3 * np.arange(nnz, dtype=idx)
+              + 3 * length[rows] * c + d)
+    a_indices = np.empty(9 * nnz, dtype=idx)
+    a_indices[offset] = 3 * m_indices + d
+    return a_indptr, a_indices, np.ascontiguousarray(offset.T).reshape(nnz, 3, 3)
+
+
 def node_positions(space) -> np.ndarray:
     """Lifted positions of the FE nodes, each from its first owning element."""
     conn = space.numbering.connectivity

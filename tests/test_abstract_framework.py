@@ -43,7 +43,6 @@ from veclap.abstract_framework import (
     write_jsonl,
 )
 from veclap.errors import InputError, NumericalError
-from veclap.runtime import THREADS_ENV
 
 
 def _random_spd(rng, n, cond_spread=0.5) -> np.ndarray:
@@ -807,9 +806,6 @@ class TestSweeps:
             sweep(1, 0, "bogus")
 
     def test_instances_run_in_order_on_the_calling_thread(self, monkeypatch):
-        # each instance is small GIL-bound LAPACK work, so the sweep ignores
-        # the worker-thread setting
-        monkeypatch.setenv(THREADS_ENV, "4")
         seen = []
         verify = abstract_framework.verify_bounds
 

@@ -5,6 +5,9 @@ All tolerances are fixed here, not configurable.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from veclap import cli
 from veclap.abstract_framework import compute_quantities, rembest_instance, sweep
 from veclap.analysis import eoc
 from veclap.eigensolve import full_spectrum, solve_smallest
-from veclap.runtime import THREADS_ENV
 
 from helpers import level_seconds, records_for, run_level
 
@@ -153,19 +155,19 @@ class TestCriterion9SolverOracle:
 
 
 class TestCriterion10Determinism:
-    def test_csv_bytes_across_thread_counts(self, tmp_path):
+    def test_csv_bytes_across_interpreters(self, tmp_path):
+        # two fresh interpreters with different hash seeds, so neither set
+        # or dict order nor any state of this process can reach the bytes
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src] + [p for p in os.environ.get(
+            "PYTHONPATH", "").split(os.pathsep) if p])
         args = ["converge", "--k", "1", "--kg", "1", "--levels", "2..4",
                 "--num-eigs", "6", "--fields", "all"]
-        old = os.environ.get(THREADS_ENV)
-        try:
-            os.environ[THREADS_ENV] = "1"
-            assert cli.main(args + ["--out", str(tmp_path / "t1.csv")]) == 0
-            os.environ[THREADS_ENV] = str(max(os.cpu_count() or 2, 2))
-            assert cli.main(args + ["--out", str(tmp_path / "tn.csv")]) == 0
-        finally:
-            if old is None:
-                os.environ.pop(THREADS_ENV, None)
-            else:
-                os.environ[THREADS_ENV] = old
-        same = (tmp_path / "t1.csv").read_bytes() == (tmp_path / "tn.csv").read_bytes()
-        report(10, same, "CSV bytes identical for 1 vs max worker threads")
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-m", "veclap.cli", *args,
+                            "--out", str(tmp_path / f"h{seed}.csv")],
+                           env=env, check=True, capture_output=True, timeout=600)
+        same = (tmp_path / "h0.csv").read_bytes() == (tmp_path / "h1.csv").read_bytes()
+        report(10, same, "CSV bytes identical from two fresh interpreters "
+                         "(PYTHONHASHSEED 0 and 1)")

@@ -28,7 +28,7 @@ from veclap.eigensolve import full_spectrum, solve_smallest
 from veclap.errors import InputError
 from veclap.fem import assemble, build_space
 from veclap.geometry import KillingField, Sphere
-from veclap.mesh import icosphere, mesh_size, parametric_lift
+from veclap.mesh import element_chunks, icosphere, mesh_size, parametric_lift
 from veclap.quadrature import triangle_rule
 
 S = Sphere()
@@ -280,9 +280,9 @@ class TestConvergenceStudy:
         assert len(rec.fields) == 3
         assert len(calls) == 1
         # 1280 triangles in chunks of 256 linear elements on the degree-4 rule
-        chunk = fem._chunk_size(triangle_rule(4).weights.size, 3)
-        n_triangles = icosphere(3, S).n_triangles
-        assert len(builds) == math.ceil(n_triangles / chunk) == 5
+        n_chunks = len(element_chunks(icosphere(3, S).n_triangles,
+                                      triangle_rule(4).weights.size * 3**2))
+        assert len(builds) == n_chunks == 5
 
     def test_size_guard_before_assembly(self, monkeypatch):
         # (3,3,5) has 276,486 DOFs, above ITERATIVE_DOF_LIMIT

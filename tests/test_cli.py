@@ -1,14 +1,12 @@
 """CLI: subcommands, exit codes, exports, schema, determinism."""
 
 import json
-import os
 
 import numpy as np
 import pytest
 
 from veclap import abstract_framework, analysis, cli
-from veclap.errors import InputError, NumericalError
-from veclap.runtime import THREADS_ENV, worker_count
+from veclap.errors import NumericalError
 
 
 def no_meshing(*args, **kwargs):
@@ -149,22 +147,6 @@ class TestConverge:
             for name in ("A", "B"):
                 mtx = (mat_dir / f"{name}_level{lvl}.mtx").read_text().splitlines()
                 assert mtx[0] == "%%MatrixMarket matrix coordinate real symmetric"
-
-    def test_determinism_across_thread_counts(self, tmp_path):
-        args = ["converge", "--k", "1", "--kg", "1", "--levels", "1..3",
-                "--num-eigs", "6", "--fields", "all", "--eta", "4"]
-        old = os.environ.get(THREADS_ENV)
-        try:
-            os.environ[THREADS_ENV] = "1"
-            assert cli.main(args + ["--out", str(tmp_path / "a.csv")]) == 0
-            os.environ[THREADS_ENV] = str(max(os.cpu_count() or 2, 2))
-            assert cli.main(args + ["--out", str(tmp_path / "b.csv")]) == 0
-        finally:
-            if old is None:
-                os.environ.pop(THREADS_ENV, None)
-            else:
-                os.environ[THREADS_ENV] = old
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.parametrize("command", [
         ["converge", "--k", "1", "--kg", "1", "--levels", "2,2"],
@@ -381,10 +363,3 @@ class TestExitCodes:
             raise NumericalError("synthetic failure")
         monkeypatch.setitem(cli._COMMANDS, "area", boom)
         assert cli.main(["area", "--kg", "1", "--levels", "1..1"]) == 3
-
-    def test_bad_threads_env(self, monkeypatch, capsys):
-        monkeypatch.setenv(THREADS_ENV, "zebra")
-        assert cli.main(["area", "--kg", "1", "--levels", "1..1"]) == 2
-        assert THREADS_ENV in capsys.readouterr().err
-        with pytest.raises(InputError, match=THREADS_ENV):
-            worker_count()

@@ -1,7 +1,6 @@
 """FEM module: spaces, assembly, interpolation, analytic-field pairings."""
 
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +9,7 @@ import scipy.sparse as sp
 from fem_reference import (
     ReferencePointData,
     interpolate,
+    reference_a_pattern,
     reference_local_matrices,
     reference_pairings,
     reference_scatter,
@@ -34,7 +34,6 @@ from veclap.mesh import (
     surface_area,
 )
 from veclap.quadrature import triangle_rule
-from veclap.runtime import THREADS_ENV
 
 S = Sphere()
 KF = KillingField("z")
@@ -156,31 +155,6 @@ class TestAssemble:
         diff = (f4.A - f1.A).toarray() - 3.0 * k_a
         assert np.abs(diff).max() <= 1e-13 * np.abs(3.0 * k_a).max()
 
-    def test_thread_count_does_not_change_bits(self):
-        # level 2 has several element chunks (small ones at k = 4), so four
-        # threads run them at once, each pairing the fields in its chunk
-        fields = [KillingField(axis) for axis in "zxy"]
-        for k, n_chunks in ((2, 2), (4, 6)):
-            old = os.environ.get(THREADS_ENV)
-            try:
-                os.environ[THREADS_ENV] = "1"
-                s1, f1 = setup_forms(k, k, 2, jitter=0.3, fields=fields)
-                os.environ[THREADS_ENV] = "4"
-                s4, f4 = setup_forms(k, k, 2, jitter=0.3, fields=fields)
-            finally:
-                if old is None:
-                    os.environ.pop(THREADS_ENV, None)
-                else:
-                    os.environ[THREADS_ENV] = old
-            assert len(fem._chunks(s1, kernel_inputs(s1)[0])) == n_chunks
-            for a, b in ((f1.A, f4.A), (f1.B, f4.B)):
-                np.testing.assert_array_equal(a.data, b.data)
-                np.testing.assert_array_equal(a.indices, b.indices)
-                np.testing.assert_array_equal(a.indptr, b.indptr)
-            assert len(f1.pairings) == 3
-            for p1_, p4_ in zip(f1.pairings, f4.pairings, strict=True):
-                assert_same_pairings(p1_, p4_)
-
     @pytest.mark.parametrize("k, level, n_fields, bound_mb", [
         (4, 2, 0, 45),
         (2, 4, 3, 50),
@@ -227,6 +201,23 @@ class TestAssemble:
             np.testing.assert_array_equal(new.indptr, ref.indptr)
             np.testing.assert_array_equal(new.indices, ref.indices)
             assert np.abs(new.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_a_pattern_copies_the_node_rows(self, k):
+        # row 3I + c of A is a copy of row I's segment, gathered with no
+        # scatter; the arrays are bitwise those of the entry-by-entry scatter
+        space = build_space(parametric_lift(icosphere(2, S, jitter=0.3), k), k)
+        conn, n = space.numbering.connectivity, space.n_scalar
+        pattern = fem._CsrPattern(conn, n)
+        m_ones = reference_scatter(np.ones(conn.shape + conn.shape[1:]), conn, n)
+        blocks = sp.kron(m_ones, np.ones((3, 3)), format="csr")
+        np.testing.assert_array_equal(pattern.a_indptr, blocks.indptr)
+        np.testing.assert_array_equal(pattern.a_indices, blocks.indices)
+        reference = reference_a_pattern(pattern.m_indptr, pattern.m_indices)
+        for new, ref in zip((pattern.a_indptr, pattern.a_indices, pattern.a_offset),
+                            reference, strict=True):
+            assert new.dtype == ref.dtype and new.shape == ref.shape
+            np.testing.assert_array_equal(new, ref)
 
     def test_geometry_comes_from_the_lift(self):
         # a mesh of the sphere of radius 2 is lifted onto that sphere, with

@@ -2,6 +2,7 @@
 areas, OFF."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from veclap.lagrange import NodeNumbering, reference_triangle
 from veclap.quadrature import triangle_rule
 from veclap.mesh import (
     LinearSurfaceMesh,
+    element_chunks,
     icosphere,
     improved_normal_lift,
     mesh_size,
@@ -266,6 +268,33 @@ class TestSurfaceArea:
         # k_g = 2: the factor is analytic, not polynomial; measured stability
         pm2 = parametric_lift(m, 2)
         assert abs(surface_area(pm2, 8) - surface_area(pm2, 16)) <= 1e-9
+
+    def test_memory_is_bounded_by_the_chunks(self):
+        # one array over every element and point peaked at 50.8 MB here
+        # (81 points) and grows with the mesh: 945 MB RSS at level 6
+        pm = parametric_lift(icosphere(4, S, jitter=0.3), 4)
+        tracemalloc.start()
+        try:
+            area = surface_area(pm, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        rule = triangle_rule(16)
+        jac = pm.jacobians(np.arange(pm.mesh.n_triangles), rule.points)
+        mu = np.linalg.norm(np.cross(jac[..., 0], jac[..., 1]), axis=-1)
+        assert area == pytest.approx(float(np.einsum("q,eq->", rule.weights, mu)),
+                                     rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n, per_element, size", [
+    (1280, 1, 256), (1280, 81 * 225, 57), (5, 6 * 81, 256), (0, 1, 256)])
+def test_element_chunks_cover_the_elements_in_order(n, per_element, size):
+    chunks = element_chunks(n, per_element)
+    assert [c.size for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+    assert all(0 < c.size <= size for c in chunks)
+    np.testing.assert_array_equal(np.concatenate([np.arange(0)] + chunks),
+                                  np.arange(n))
 
 
 def test_off_export_roundtrip(tmp_path):

@@ -2,7 +2,8 @@
 resolves, no module imports another's private name, only
 ``veclap.eigensolve`` imports ``scipy.linalg``, and in it only ``_call``
 reads a LAPACK routine, the abstract framework calls no ``numpy.linalg``
-decomposition, and importing the CLI does not load ``scipy.special``."""
+decomposition, no module reads the environment, and importing the CLI does
+not load ``scipy.special``."""
 
 import ast
 import importlib
@@ -56,6 +57,41 @@ def test_no_module_imports_a_private_name_of_another(path):
     # a private name may change with its own module; every other module
     # goes through the public ones
     assert _private_imports(ast.parse(path.read_text())) == []
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree) -> list[int]:
+    """Lines where ``tree`` reads the environment through ``os``: an
+    ``os.environ``/``os.getenv`` attribute under any name ``os`` is
+    imported as, or either name imported from ``os``."""
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names
+             if alias.name == "os"}
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id in names):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(alias.name in _ENVIRONMENT for alias in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(Path(veclap.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_module_reads_the_environment(path):
+    # every setting is a CLI option or an argument; a variable read inside
+    # the package would be a hidden knob on the outputs
+    assert _environment_reads(ast.parse(path.read_text())) == []
+
+
+def test_environment_reads_are_found():
+    tree = ast.parse("import os as o\nfrom os import getenv\n"
+                     "o.environ.get('X')\nx = o.getenv('Y')\n")
+    assert _environment_reads(tree) == [2, 3, 4]
 
 
 def _imports_scipy_linalg(tree) -> bool:
