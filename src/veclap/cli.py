@@ -26,7 +26,7 @@ from . import analysis
 from .abstract_framework import sweep, write_jsonl
 from .errors import InputError, VeclapError
 from .fem import write_matrix_market
-from .geometry import Sphere
+from .geometry import RADIUS_RANGE, Sphere
 from .mesh import write_off
 
 EXIT_OK = 0
@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("area", help="surface-area error study")
     add_mesh_args(p)
-    p.add_argument("--radius", type=float, default=1.0, help="sphere radius")
+    p.add_argument("--radius", type=float, default=1.0,
+                   help="sphere radius in [%g, %g]; any other exits 2 before "
+                        "meshing" % RADIUS_RANGE)
     p.add_argument("--levels", type=str, required=True, help="range A..B")
     p.add_argument("--quad-degree", type=int, default=None,
                    help=f"area quadrature degree in 0..{analysis.MAX_QUAD_DEGREE} "

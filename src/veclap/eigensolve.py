@@ -128,7 +128,7 @@ def solve_smallest(A, B, m: int, tol: float = 1e-10) -> EigenPairs:
     A and B are sparse, in any format (or dense), and are used as given:
     ``factorize`` makes no copy of a canonical CSR A, such as that of
     ``fem.assemble``, and one CSR conversion of any other.  Raises
-    ConvergenceError if any relative residual exceeds ``tol``.
+    ConvergenceError if ARPACK fails or a relative residual exceeds ``tol``.
     """
     _check_pencil(A, B, m)
     n = A.shape[0]
@@ -150,6 +150,8 @@ def solve_smallest(A, B, m: int, tol: float = 1e-10) -> EigenPairs:
         raise ConvergenceError(
             f"ARPACK converged {exc.eigenvalues.size} of {m} pairs",
             residuals=_residuals(A, B, exc.eigenvalues, exc.eigenvectors)) from exc
+    except spla.ArpackError as exc:
+        raise ConvergenceError(f"ARPACK failed: {exc}") from exc
     res = _residuals(A, B, w, X)
     if np.any(res > tol):
         raise ConvergenceError(

@@ -19,7 +19,7 @@ class NumericalError(VeclapError, RuntimeError):
 
 
 class GeometryError(NumericalError):
-    """Degenerate element geometry (singular metric, non-positive area factor)."""
+    """Degenerate element geometry (a non-positive area factor)."""
 
 
 class ConvergenceError(NumericalError):

@@ -167,21 +167,12 @@ class _PointData:
             raise GeometryError("degenerate element Jacobian (mu <= 0)")
         n = cross / mu[..., None]
 
-        # metric inverse of J^T J (2x2 closed form)
-        g11 = np.einsum("eqc,eqc->eq", jac[..., 0], jac[..., 0])
-        g12 = np.einsum("eqc,eqc->eq", jac[..., 0], jac[..., 1])
-        g22 = np.einsum("eqc,eqc->eq", jac[..., 1], jac[..., 1])
-        det = g11 * g22 - g12 * g12
-        if not np.all(det > 0.0):
-            raise GeometryError("singular metric J^T J")
-        ginv = np.empty(jac.shape[:2] + (2, 2))
-        ginv[..., 0, 0] = g22 / det
-        ginv[..., 1, 1] = g11 / det
-        ginv[..., 0, 1] = -g12 / det
-        ginv[..., 1, 0] = -g12 / det
-
-        # scalar surface gradients J (J^T J)^-1 grad_ref(phi): (ne, nq, nk, 3)
-        grads = fe_grads @ np.swapaxes(jac @ ginv, -1, -2)
+        # scalar surface gradients d_1 phi a_1 + d_2 phi a_2, (ne, nq, nk, 3),
+        # with a_1 = t_2 x n / mu and a_2 = n x t_1 / mu the dual basis of
+        # the tangents t_r = J e_r, stacked as rows: (ne, nq, 2, 3)
+        dual = np.cross(np.stack([jac[..., 1], n], axis=-2),
+                        np.stack([n, jac[..., 0]], axis=-2)) / mu[..., None, None]
+        grads = fe_grads @ dual
 
         p_lift = surface.closest_point(x)
         # unit normal of the one-degree-higher lift at the same reference

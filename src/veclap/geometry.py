@@ -15,7 +15,11 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["Sphere", "KillingField"]
+__all__ = ["Sphere", "KillingField", "RADIUS_RANGE"]
+
+# the radii whose area factors, norms of cross products of size r^2 h^2,
+# keep their squares inside the normal double range
+RADIUS_RANGE = (1e-50, 1e50)
 
 
 @dataclass(frozen=True)
@@ -30,9 +34,10 @@ class Sphere:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0.0):
+        lo, hi = RADIUS_RANGE
+        if not (lo <= self.radius <= hi):
             raise InputError(
-                f"sphere radius must be a finite number above 0, got {self.radius}")
+                f"sphere radius must lie in [{lo:g}, {hi:g}], got {self.radius}")
 
     def closest_point(self, x):
         x = np.asarray(x, dtype=float)

@@ -73,13 +73,9 @@ class ReferenceTriangle:
         pts = np.asarray(pts, dtype=float)
         a = self.exponents[:, 0].astype(float)
         b = self.exponents[:, 1].astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dxi = np.where(a > 0, a * pts[:, 0:1] ** np.maximum(a - 1, 0), 0.0)
-            dxi = dxi * pts[:, 1:2] ** b
-            deta = np.where(b > 0, b * pts[:, 1:2] ** np.maximum(b - 1, 0), 0.0)
-            deta = deta * pts[:, 0:1] ** a
-        g = np.stack([dxi @ self.basis_coeffs, deta @ self.basis_coeffs], axis=-1)
-        return g
+        dxi = a * pts[:, 0:1] ** np.maximum(a - 1, 0) * pts[:, 1:2] ** b
+        deta = b * pts[:, 1:2] ** np.maximum(b - 1, 0) * pts[:, 0:1] ** a
+        return np.stack([dxi @ self.basis_coeffs, deta @ self.basis_coeffs], axis=-1)
 
 
 @lru_cache(maxsize=None)

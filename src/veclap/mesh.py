@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Sphere
-from .lagrange import NodeNumbering, reference_triangle, unique_edges
+from .lagrange import NodeNumbering, reference_triangle
 from .quadrature import triangle_rule
 
 __all__ = [
@@ -123,32 +123,14 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     return v, t
 
 
-def _subdivide(vertices, triangles):
-    """Split every triangle into 4 by edge midpoints (flat, unprojected).
-
-    Returns the refined vertices, the old ones followed by one midpoint per
-    edge, and the refined triangles.
-    """
-    edges, edge_of, _ = unique_edges(triangles)
-    mid = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
-    m01, m12, m20 = (vertices.shape[0] + edge_of).T
-    t0, t1, t2 = triangles[:, 0], triangles[:, 1], triangles[:, 2]
-    new_tris = np.concatenate([
-        np.stack([t0, m01, m20], axis=1),
-        np.stack([m01, t1, m12], axis=1),
-        np.stack([m20, m12, t2], axis=1),
-        np.stack([m01, m12, m20], axis=1),
-    ], axis=0)
-    return np.concatenate([vertices, mid], axis=0), new_tris
-
-
 def icosphere(level: int, surface: Sphere = Sphere(),
               jitter: float = 0.0, seed: int = 0) -> LinearSurfaceMesh:
     """Icosahedral sphere triangulation with 20 * 4^level triangles.
 
-    Every refinement splits each triangle into four by edge midpoints; all
-    vertices (initial and inserted) are projected onto the surface, so the
-    mesh vertices lie exactly on Gamma.
+    Every refinement splits each triangle into four by edge midpoints, the
+    nodes of its degree-2 Lagrange lattice; all vertices (initial and
+    inserted) are projected onto the surface, so the mesh vertices lie
+    exactly on Gamma.
 
     ``jitter > 0`` displaces every vertex of the finished mesh tangentially
     by a seeded pseudo-random fraction (at most ``jitter``) of its shortest
@@ -166,8 +148,12 @@ def icosphere(level: int, surface: Sphere = Sphere(),
     v, t = _icosahedron()
     v = surface.closest_point(v)
     for _ in range(level):
-        v, t = _subdivide(v, t)
-        v = surface.closest_point(v)
+        # the new vertices: the old ones, then one midpoint per edge
+        lattice = NodeNumbering(v, t, 2)
+        conn = lattice.connectivity
+        t = np.concatenate([conn[:, [0, 3, 5]], conn[:, [3, 1, 4]],
+                            conn[:, [5, 4, 2]], conn[:, [3, 4, 5]]], axis=0)
+        v = surface.closest_point(lattice.coords)
     if jitter > 0.0:
         rng = np.random.default_rng((seed, level))
         pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=0)

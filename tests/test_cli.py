@@ -99,6 +99,14 @@ class TestSolve:
         monkeypatch.undo()
         assert cli.main(args + ["--eta", "4"]) == 0
 
+    def test_arpack_failure_exits_3(self, capsys):
+        # at eta = 1e300 ARPACK's start vector vanishes in the shift-invert
+        # operator: "ARPACK error -9: Starting vector is zero"
+        assert cli.main(["solve", "--k", "1", "--kg", "1", "--level", "2",
+                         "--num-eigs", "3", "--eta", "1e300"]) == 3
+        err = capsys.readouterr().err
+        assert "ARPACK error -9" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tol_exits_2_before_meshing(self, tol, monkeypatch, capsys):
         monkeypatch.setattr(analysis, "icosphere", no_meshing)
@@ -247,12 +255,27 @@ class TestArea:
                          str(analysis.MAX_QUAD_DEGREE), "--out", str(out)]) == 0
         assert len(read_csv_rows(out)) == 2
 
-    def test_infinite_radius_exits_2(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("radius", ["inf", "1e80", "1e-80"])
+    def test_infinite_radius_exits_2(self, radius, monkeypatch, capsys):
+        # so do radii outside [1e-50, 1e50], whose area factors would
+        # overflow or underflow
         monkeypatch.setattr(analysis, "icosphere", no_meshing)
         assert cli.main(["area", "--kg", "1", "--levels", "1..2",
-                         "--radius", "inf"]) == 2
+                         "--radius", radius]) == 2
         err = capsys.readouterr().err
         assert "radius" in err and "Traceback" not in err
+
+    def test_extreme_radii_keep_the_area_rate(self, tmp_path):
+        # the ends of the radius range give the unit sphere's area EOC
+        def area_eocs(radius):
+            out = tmp_path / f"r{radius}.csv"
+            assert cli.main(["area", "--kg", "2", "--levels", "0..2",
+                             "--radius", radius, "--out", str(out)]) == 0
+            return [float(r["area_eoc"]) for r in read_csv_rows(out)[1:]]
+
+        unit = area_eocs("1")
+        for radius in ("1e-50", "1e50"):
+            np.testing.assert_allclose(area_eocs(radius), unit, rtol=0, atol=1e-9)
 
 
 class TestAbstract:

@@ -331,6 +331,17 @@ class TestIterative:
         assert isinstance(err.value.__cause__, spla.ArpackNoConvergence)
         assert err.value.residuals is not None
 
+    def test_other_arpack_errors_are_convergence_errors(self, monkeypatch):
+        # any ARPACK failure besides no convergence, named in the message
+        def failing_eigsh(*args, **kwargs):
+            raise spla.ArpackError(-9)
+
+        monkeypatch.setattr(es.spla, "eigsh", failing_eigsh)
+        A, B = random_spd_pencil(np.random.default_rng(11), 40)
+        with pytest.raises(ConvergenceError, match="ARPACK error -9") as err:
+            solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 3)
+        assert isinstance(err.value.__cause__, spla.ArpackError)
+
     def test_residual_gate(self):
         # ARPACK converges, but no residual can meet tol = 0
         rng = np.random.default_rng(11)

@@ -290,6 +290,20 @@ class TestAgainstReference:
             assert_same_pairings(single, ep)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_surface_gradient_of_the_lift_is_the_tangential_projector(k):
+    # at k = k_g the lift's coordinates x_l lie in the space, so
+    # sum_l x_l (x) grad_Gamma_h phi_l = P_h at every quadrature point: an
+    # oracle for the surface gradients that uses no formula for them
+    space = build_space(parametric_lift(icosphere(2, S, jitter=0.3), k), k)
+    rule, normal_map, _ = kernel_inputs(space)
+    elements = np.arange(space.mesh.n_triangles)
+    pd = _PointData(space, elements, rule, normal_map)
+    x = space.pmap.coeffs[space.numbering.connectivity[elements]]
+    grad_x = np.einsum("elc,eqld->eqcd", x, pd.grads)
+    assert np.abs(grad_x - pd.P).max() <= 1e-13
+
+
 class TestSpectralProperties:
     def test_smallest_eigenvalue_bounded_below(self):
         # discrete ellipticity: lambda_1 >= 0.5 (exact value is 1)

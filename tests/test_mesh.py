@@ -10,7 +10,6 @@ from fem_reference import (reference_evaluate, reference_jacobians,
                            reference_unique_edges)
 
 import veclap.lagrange
-import veclap.mesh
 from veclap.analysis import eoc
 from veclap.errors import GeometryError, InputError
 from veclap.fem import _PointData, assemble, build_space
@@ -329,8 +328,9 @@ class TestNodeNumbering:
 
     @pytest.mark.parametrize("level", range(6))
     def test_one_edge_routine_keeps_every_array(self, level, monkeypatch):
-        # the refinement and every numbering of degree 1..5 are bitwise the
-        # ones built with the reference edge numbering
+        # the refinement (a degree-2 numbering) and every numbering of
+        # degree 1..5 are bitwise the ones built with the reference edge
+        # numbering
         def arrays():
             m = icosphere(level, jitter=0.3, seed=1)
             out = [m.vertices, m.triangles]
@@ -340,7 +340,6 @@ class TestNodeNumbering:
             return out
 
         ours = arrays()
-        monkeypatch.setattr(veclap.mesh, "unique_edges", reference_unique_edges)
         monkeypatch.setattr(veclap.lagrange, "unique_edges", reference_unique_edges)
         for a, b in zip(ours, arrays(), strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape

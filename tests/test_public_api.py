@@ -1,7 +1,8 @@
 """Public surface: every module imports and every ``__all__`` name
 resolves, no module imports another's private name, only
 ``veclap.eigensolve`` imports ``scipy.linalg``, and in it only ``_call``
-reads a LAPACK routine, the abstract framework calls no ``numpy.linalg``
+reads a LAPACK routine, only ``veclap.lagrange`` reads the edge numbering
+``unique_edges``, the abstract framework calls no ``numpy.linalg``
 decomposition, no module reads the environment, and importing the CLI does
 not load ``scipy.special``."""
 
@@ -135,6 +136,33 @@ def test_only_the_call_helper_reads_a_lapack_routine():
             assert all(a.name != "lapack" or a.asname is None for a in node.names)
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("scipy.linalg") for a in node.names)
+
+
+def _reads_unique_edges(tree) -> bool:
+    """Whether ``tree`` imports, names or reads an attribute
+    ``unique_edges``."""
+    return any(
+        (isinstance(node, ast.Name) and node.id == "unique_edges")
+        or (isinstance(node, ast.Attribute) and node.attr == "unique_edges")
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name == "unique_edges" for alias in node.names))
+        for node in ast.walk(tree))
+
+
+def test_only_lagrange_reads_the_edge_numbering():
+    # the edge numbering of the node lattice has one home: the mesh refines
+    # through a degree-2 NodeNumbering, not through unique_edges itself
+    readers = sorted(path.stem for path in Path(veclap.__file__).parent.glob("*.py")
+                     if _reads_unique_edges(ast.parse(path.read_text())))
+    assert readers == ["lagrange"]
+
+
+def test_edge_numbering_reads_are_found():
+    for source in ("from veclap.lagrange import unique_edges",
+                   "import veclap.lagrange as lg\nlg.unique_edges(t)",
+                   "f = unique_edges"):
+        assert _reads_unique_edges(ast.parse(source)), source
+    assert not _reads_unique_edges(ast.parse("NodeNumbering(v, t, 2)"))
 
 
 def test_abstract_framework_calls_no_numpy_linalg_decomposition():
