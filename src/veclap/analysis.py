@@ -12,6 +12,11 @@ errors are reported for the Killing fields only.  They are projection
 errors onto the computed pairs in the Killing cluster's window, which is
 the synthetic checker's rule, ``abstract_framework.cluster_windows``,
 applied to the whole reference spectrum: [0, 1.5].
+
+Each level's eigensolve starts from the nodal interpolants of the six
+closed-form eigenfields of the reference spectrum (``_sphere_eigenfields``),
+which span both clusters to within the discretization error, and with
+``StudyConfig.certify`` it certifies its pairs by an inertia count.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import numpy as np
 from .abstract_framework import cluster_windows
 from .eigensolve import EigenPairs, factorize, solve_smallest
 from .errors import InputError
-from .fem import AssembledForms, ExtendedPairings, FeSpace, assemble, build_space
+from .fem import (AssembledForms, ExtendedPairings, FeSpace, assemble, build_space,
+                  interpolate)
 from .geometry import KillingField, Sphere
 from .mesh import MAX_LEVEL, icosphere, mesh_size, parametric_lift, surface_area
 
@@ -157,6 +163,10 @@ class StudyConfig:
     ``PENALTY_MARGIN`` times the largest requested exact eigenvalue; a level
     below that floor is rejected before assembly.  With the default
     ``eta_coeff`` and jitter, levels 0 and 1 are below it.
+
+    ``certify`` has every level's eigensolve certify by an inertia count
+    that its pairs are the smallest (``eigensolve.solve_smallest``), at the
+    cost of one more float64 factorization per level.
     """
 
     k: int
@@ -168,6 +178,7 @@ class StudyConfig:
     tol: float = 1e-10
     jitter: float = 0.3
     mesh_seed: int = 0
+    certify: bool = False
 
     def __post_init__(self):
         _check_levels(self.levels)
@@ -226,6 +237,16 @@ def _guard_penalty(eta_coeff: float, lam_max: float, level: int, h: float) -> No
             f"use --eta {smallest:g} or more, or a finer level")
 
 
+def _sphere_eigenfields(p) -> np.ndarray:
+    """The closed-form eigenfields of the unit sphere's first two clusters
+    at surface points p (N, 3), as (N, 3, 6): the Killing fields
+    ``e_i x p`` (lambda = 1) and the tangential parts ``P e_i = e_i - (n .
+    e_i) n`` of the coordinate directions, with n = p (lambda = 2)."""
+    killing = np.stack([KillingField(axis).value(p) for axis in "xyz"], axis=-1)
+    tangential = np.eye(3) - p[:, :, None] * p[:, None, :]
+    return np.concatenate([killing, tangential], axis=-1)
+
+
 def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRecord:
     mesh = icosphere(level, jitter=cfg.jitter, seed=cfg.mesh_seed)
     h = mesh_size(mesh)
@@ -238,7 +259,11 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
                      fields=[KillingField(axis) for axis in cfg.fields])
     if on_assembled is not None:
         on_assembled(level, mesh, forms)
-    pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs, tol=cfg.tol)
+    # the interpolated eigenfields span both reference clusters, so the
+    # block covers the cluster of the last requested pair for every num_eigs
+    pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs, tol=cfg.tol,
+                           start=interpolate(_sphere_eigenfields, space),
+                           certify=cfg.certify)
     area = surface_area(pmap, _area_degree(cfg.k_g))
     exact_area = 4.0 * math.pi
     # the Killing cluster's window on the whole reference spectrum, so it

@@ -75,6 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "the largest requested exact eigenvalue exits 2 "
                             "before assembly")
         p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--certify", action="store_true",
+                       help="certify by an inertia count that each level's "
+                            "pairs are the smallest, at the cost of one more "
+                            "factorization per level; exits 3 if not")
 
     p = sub.add_parser("converge", help="convergence study over levels")
     add_fem_args(p)
@@ -117,7 +121,7 @@ def _study_config(args, levels, fields) -> analysis.StudyConfig:
     return analysis.StudyConfig(
         k=args.k, k_g=args.kg, levels=levels, num_eigs=args.num_eigs,
         eta_coeff=args.eta, fields=fields, tol=args.tol,
-        jitter=args.jitter, mesh_seed=args.mesh_seed)
+        jitter=args.jitter, mesh_seed=args.mesh_seed, certify=args.certify)
 
 
 def _check_output_file(path) -> None:

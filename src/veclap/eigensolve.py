@@ -1,21 +1,34 @@
 """Smallest eigenpairs of the symmetric positive-definite generalized
 problem A x = lambda B x, and the dense LAPACK kernels of the package.
 
-``solve_smallest`` has one route: ARPACK's implicitly restarted Lanczos
-method in shift-invert mode with shift sigma = 0 (valid because A is SPD)
-and B-inner products, applying A^-1 through a sparse LU factor of A.
-``full_spectrum`` is the dense LAPACK generalized symmetric solver
-(Cholesky reduction of B, tridiagonalization, divide and conquer) for the
-complete spectrum of a small pencil; it serves the abstract framework and
-is the oracle of the tests.
+``solve_smallest`` has one route: ``scipy.sparse.linalg.lobpcg``, the
+locally optimal block preconditioned conjugate gradient method (Knyazev,
+SIAM J. Sci. Comput. 23, 2001), on the pencil (A, B), preconditioned by
+the solve of a single-precision sparse LU factor of A.  LOBPCG needs only
+an approximate inverse, and it ignores the scale of each preconditioned
+column, so the factor is of a copy of A scaled to a largest entry of 1 and
+cast to float32, and each residual column is scaled the same way before
+its solve; the residuals themselves are formed in float64.  The caller may
+start the iteration from a block that spans the wanted eigenvectors
+approximately (the FEM levels start from the interpolated closed-form
+sphere eigenfields); the default start is a seeded random block of m
+columns, fixed so that repeated solves are bitwise reproducible.  Every
+returned pair must pass a float64 relative-residual gate.  On request,
+``count_below``'s inertia count certifies that the m pairs are the m
+smallest.  ``full_spectrum`` is the dense LAPACK generalized symmetric
+solver (Cholesky reduction of B, tridiagonalization, divide and conquer)
+for the complete spectrum of a small pencil; it serves the abstract
+framework and is the oracle of the tests.
 
-``factorize`` builds that factor with a symmetric fill-reducing ordering
-(minimum degree on A + A^T) and diagonal pivots; elimination without
-pivoting is stable because A is SPD.  It factors A^T, whose CSC arrays are
-the CSR arrays of A, so the exactly symmetric CSR ``A`` of the assembly is
-factored without a copy.  Both solvers return B-orthonormal
-eigenvectors sorted ascending.  The Lanczos start vector is a fixed
-function of the problem size, so repeated solves are bitwise reproducible.
+``factorize`` is the package's one sparse LU call site.  It uses a
+symmetric fill-reducing ordering (minimum degree on A + A^T) and diagonal
+pivots; elimination without pivoting is stable because A is SPD.  It
+factors A^T, whose CSC arrays are the CSR arrays of A, so the exactly
+symmetric CSR ``A`` of the assembly is factored in its own index arrays,
+and in float64 in its own data.  Since perm_r equals perm_c, the signs of
+the factor's diagonal give the inertia of a symmetric matrix (Sylvester's
+law), which ``count_below`` reads on A - sigma B.  Both eigensolvers
+return B-orthonormal eigenvectors sorted ascending.
 
 Dense kernels.  ``eigvalsh``, ``eigh``, ``solve_spd``, ``qr`` and ``svd``
 call ``scipy.linalg.lapack`` directly.  ``qr`` and ``svd`` make the LAPACK
@@ -51,6 +64,7 @@ and an illegal argument raise ``NumericalError``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +74,16 @@ from scipy.linalg import lapack
 
 from .errors import ConvergenceError, InputError, NumericalError
 
-__all__ = ["EigenPairs", "factorize", "solve_smallest", "full_spectrum",
-           "eigvalsh", "eigh", "solve_spd", "qr", "svd"]
+__all__ = ["EigenPairs", "factorize", "count_below", "solve_smallest",
+           "full_spectrum", "eigvalsh", "eigh", "solve_spd", "qr", "svd"]
 
 DENSE_LIMIT = 3000
+# LOBPCG stops once the residual norm ||A x - lambda B x|| of every
+# B-normalized column is below this fraction of the residual gate's tol
+LOBPCG_TOL_RATIO = 1e-2
+LOBPCG_MAXITER = 200
+# certification counts the eigenvalues below lambda_m (1 + CERTIFY_MARGIN)
+CERTIFY_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,7 +94,7 @@ class EigenPairs:
     vectors: np.ndarray       # (n, m), columns B-orthonormal
     residuals: np.ndarray     # (m,) relative residual norms
     method: str
-    iterations: int           # shift-invert solves with A (0 for dense)
+    iterations: int           # preconditioner column solves (0 for dense)
 
 
 def _dense(M):
@@ -97,66 +117,138 @@ def _check_pencil(A, B, m):
         raise InputError(f"requested {m} pairs from problem of size {A.shape[0]}")
 
 
-def factorize(A):
-    """Sparse LU factor of the transpose of the SPD matrix A; its ``solve``
-    applies A^-T, which is A^-1.
+def factorize(A, dtype=np.float64):
+    """Sparse LU factor of the transpose of the SPD matrix A, in ``dtype``
+    (float64 or float32); its ``solve`` applies A^-T, which is A^-1.  A
+    float32 factor is that of A divided by its largest entry in magnitude,
+    so its solve applies A^-1 up to a positive scale.
 
     SuperLU reads compressed columns only, and the CSR arrays of A are the
     CSC arrays of A^T.  So a CSR A in canonical format, such as the exactly
-    symmetric ``A`` of ``fem.assemble``, is factored in its own arrays with
-    no copy; any other input is converted to CSR once.  The ordering is
-    symmetric minimum degree on A + A^T and the pivots stay on the diagonal,
-    so L and U^T share one sparsity pattern, that of a Cholesky factor of
-    the permuted A.  On a matrix that is not SPD the factor may be
-    inaccurate; ``solve_smallest``'s residual gate catches that.
+    symmetric ``A`` of ``fem.assemble``, is factored in its own index
+    arrays, and in float64 in its own data, with no copy; any other input
+    is converted to CSR once.  The float32 data is one copy, which the
+    scaling writes into as it casts, so the cast cannot overflow and no
+    float64 temporary the size of A is made.  The ordering is symmetric
+    minimum degree on A + A^T and the pivots stay on the diagonal, so L and
+    U^T share one sparsity pattern, that of a Cholesky factor of the
+    permuted A.  On a matrix that is not SPD the factor may be inaccurate;
+    ``solve_smallest``'s residual gate catches that.  Raises InputError if
+    A is singular in ``dtype``, or if a float32 copy is asked of an A with
+    a non-finite entry or no nonzero one.
     """
     csr = sp.csr_matrix(A)
     if not csr.has_canonical_format:
         csr = csr.copy()  # splu would sort and sum A's own arrays in place
+    data, dtype = csr.data, np.dtype(dtype)
+    if dtype != data.dtype:
+        # min and max allocate nothing, and a nan makes one of them nan
+        lo, hi = float(data.min(initial=0.0)), float(data.max(initial=0.0))
+        if not (math.isfinite(lo) and math.isfinite(hi) and max(-lo, hi) > 0.0):
+            raise InputError(f"A has no finite scale for a {dtype} copy")
+        data = np.divide(data, max(-lo, hi), out=np.empty(data.size, dtype),
+                         casting="same_kind")
     try:
-        return spla.splu(sp.csc_matrix((csr.data, csr.indices, csr.indptr),
+        return spla.splu(sp.csc_matrix((data, csr.indices, csr.indptr),
                                        shape=csr.shape[::-1]),
                          permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options=dict(SymmetricMode=True))
     except RuntimeError as exc:
-        raise InputError("A is singular") from exc
+        raise InputError(f"A is singular in {dtype}") from exc
 
 
-def solve_smallest(A, B, m: int, tol: float = 1e-10) -> EigenPairs:
+def count_below(A, B, sigma: float) -> int:
+    """The number of eigenvalues of A x = lambda B x (A symmetric, B SPD)
+    below ``sigma``.
+
+    By Sylvester's law of inertia it is the number of negative pivots of a
+    symmetric factorization of A - sigma B (Grimes, Lewis and Simon, SIAM J.
+    Matrix Anal. Appl. 15, 1994).  The float64 ``factorize`` keeps its
+    pivots on the diagonal, so they are the diagonal of U.  Raises
+    NumericalError if A - sigma B is singular to working precision, that
+    is, if sigma is an eigenvalue.
+    """
+    try:
+        lu = factorize(sp.csr_matrix(A) - sigma * sp.csr_matrix(B))
+    except InputError as exc:
+        raise NumericalError(f"A - sigma B is singular at sigma = {sigma:.17g}") from exc
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _lobpcg(A, B, X, tol):
+    """LOBPCG on (A, B) from the block X, preconditioned by the solve of
+    ``factorize(A, np.float32)``: the Ritz values and vectors, and the
+    number of column solves.  The factor is freed on return."""
+    try:
+        lu = factorize(A, np.float32)
+    except InputError as exc:
+        raise ConvergenceError(f"single-precision preconditioner: {exc}") from exc
+    solves = 0
+
+    def precondition(R):
+        nonlocal solves
+        solves += R.shape[1]
+        # LOBPCG ignores each column's scale; a largest entry of 1 keeps
+        # the cast to float32 finite
+        R = (R / np.abs(R).max(axis=0)).astype(np.float32)
+        return lu.solve(R).astype(float)
+
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            w, X = spla.lobpcg(A, X, B=B, M=precondition, tol=LOBPCG_TOL_RATIO * tol,
+                               maxiter=LOBPCG_MAXITER, largest=False)
+        except ValueError as exc:  # numpy's LinAlgError included
+            raise ConvergenceError(f"LOBPCG failed: {exc}") from exc
+    return w, X, solves
+
+
+def solve_smallest(A, B, m: int, tol: float = 1e-10, start=None,
+                   certify: bool = False) -> EigenPairs:
     """Compute the m smallest eigenpairs of A x = lambda B x (A, B SPD).
 
-    A and B are sparse, in any format (or dense), and are used as given:
-    ``factorize`` makes no copy of a canonical CSR A, such as that of
-    ``fem.assemble``, and one CSR conversion of any other.  Raises
-    ConvergenceError if ARPACK fails or a relative residual exceeds ``tol``.
+    LOBPCG iterates on the block ``start`` (n x p with p >= m; by default a
+    seeded random block of m columns) and returns the m smallest of its p
+    Ritz pairs, B-orthonormal and sorted.  A start that approximately spans
+    the wanted eigenvectors, and the whole cluster of the m-th, needs far
+    fewer iterations.  The preconditioner is the solve of ``factorize(A,
+    np.float32)``; ``iterations`` counts its column solves.  LOBPCG stops
+    once every residual norm ``||A x - lambda B x||`` of a B-normalized
+    column is below ``LOBPCG_TOL_RATIO * tol``, and each returned pair must
+    then pass the relative residual gate ``||A x - lambda B x|| / ||A x||
+    <= tol``, formed in float64.  With ``certify``, ``count_below`` must
+    find exactly m eigenvalues below ``lambda_m (1 + CERTIFY_MARGIN)``,
+    which costs one float64 factorization of A - sigma B.
+
+    A and B are sparse, in any format (or dense), and are used as given.
+    Raises ConvergenceError if the single-precision factor is singular or
+    A has no finite scale, if LOBPCG raises, if a residual exceeds ``tol``
+    (carrying the residuals) or if certification counts other than m
+    eigenvalues.  No warning of LOBPCG or of the casts reaches the caller.
     """
     _check_pencil(A, B, m)
     n = A.shape[0]
-    if m >= n:
-        raise InputError(f"the shift-invert solver needs fewer than {n} pairs, got {m}")
-    lu = factorize(A)
-    solves = 0
-
-    def apply_inverse(x):
-        nonlocal solves
-        solves += 1
-        return lu.solve(x)
-
-    op = spla.LinearOperator(A.shape, matvec=apply_inverse, dtype=float)
-    v0 = np.random.default_rng(0x5EED).standard_normal(n)  # fixed: reproducible
-    try:
-        w, X = spla.eigsh(A, k=m, M=B, sigma=0.0, OPinv=op, v0=v0)
-    except spla.ArpackNoConvergence as exc:
+    if start is None:
+        X = np.random.default_rng(0x5EED).standard_normal((n, m))  # fixed: reproducible
+    else:
+        X = np.array(start, dtype=float)  # a copy: LOBPCG overwrites its start
+        if X.ndim != 2 or X.shape[0] != n or X.shape[1] < m:
+            raise InputError(f"a start block of shape {X.shape} does not hold "
+                             f"{m} columns of length {n}")
+    w, X, solves = _lobpcg(A, B, X, tol)
+    w, X = w[:m], X[:, :m]
+    with np.errstate(all="ignore"):
+        res = _residuals(A, B, w, X)
+    if not np.all(res <= tol):
         raise ConvergenceError(
-            f"ARPACK converged {exc.eigenvalues.size} of {m} pairs",
-            residuals=_residuals(A, B, exc.eigenvalues, exc.eigenvectors)) from exc
-    except spla.ArpackError as exc:
-        raise ConvergenceError(f"ARPACK failed: {exc}") from exc
-    res = _residuals(A, B, w, X)
-    if np.any(res > tol):
-        raise ConvergenceError(
-            f"shift-invert Lanczos residual {res.max():.3e} exceeds {tol:.1e}",
-            residuals=res)
+            f"LOBPCG residual {res.max():.3e} exceeds {tol:.1e}", residuals=res)
+    if certify:
+        sigma = w[-1] * (1.0 + CERTIFY_MARGIN)
+        count = count_below(A, B, sigma)
+        if count != m:
+            raise ConvergenceError(
+                f"certification failed: {count} eigenvalues lie below sigma = "
+                f"{sigma:.9g}, but {m} pairs were computed", residuals=res)
     return EigenPairs(eigenvalues=w, vectors=X, residuals=res,
                       method="iterative", iterations=solves)
 

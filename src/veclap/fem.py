@@ -45,6 +45,10 @@ each chunk's blocks are added straight into the preallocated ``data``
 arrays of ``A`` and ``M``, whose patterns come from the connectivity, as
 soon as the chunk is done.
 
+``interpolate`` gives the nodal interpolant of a field on ``Gamma`` (or of
+several at once), evaluated at the closest-point lift of each node; the
+study starts its eigensolve from the interpolated sphere eigenfields.
+
 ``A`` and ``B`` are bitwise symmetric: the local blocks are symmetrized
 before they are added, so the entries (Ic, Jd) and (Jd, Ic) receive equal
 terms in the same element order.  The CSR arrays of ``A`` are therefore
@@ -75,6 +79,8 @@ __all__ = [
     "AssembledForms",
     "ExtendedPairings",
     "build_space",
+    "node_positions",
+    "interpolate",
     "assemble",
     "write_matrix_market",
 ]
@@ -113,6 +119,30 @@ def build_space(pmap: ParametricMap, k: int) -> FeSpace:
     mesh = pmap.mesh
     return FeSpace(pmap=pmap, degree=k,
                    numbering=NodeNumbering(mesh.vertices, mesh.triangles, k))
+
+
+def node_positions(space: FeSpace) -> np.ndarray:
+    """Lifted positions of the FE nodes, (n_scalar, 3), each from its first
+    owning element."""
+    conn = space.numbering.connectivity
+    ne, nk = conn.shape
+    _, first = np.unique(conn.ravel(), return_index=True)
+    x = space.pmap.evaluate(np.arange(ne), reference_triangle(space.degree).nodes)
+    return x.reshape(ne * nk, 3)[first]
+
+
+def interpolate(field, space: FeSpace) -> np.ndarray:
+    """Componentwise nodal interpolant of the extended field on Gamma_h.
+
+    ``field`` maps points of shape (N, 3) to values of shape (N, 3), or to
+    (N, 3, c) for c fields at once; it is evaluated at the closest-point
+    lift of the FE nodes onto the space's exact surface, per the
+    constant-normal extension.  Returns the node-major coefficients, of
+    shape (n_dofs,) or (n_dofs, c).
+    """
+    p = space.mesh.surface.closest_point(node_positions(space))
+    values = np.asarray(field(p), dtype=float)
+    return values.reshape(space.n_dofs, *values.shape[2:])
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,8 @@ pairing of one extended field with the basis.  ``veclap.mesh`` and
 ``veclap.fem`` compute the same sums as (batched) matrix products; the
 tests compare the two.  The global matrices are summed here from COO
 triplets, against which the direct CSR accumulation of ``veclap.fem`` is
-checked.  Nodal interpolation of a field into a space, which only the tests
-need, lives here too, and so does a second edge numbering, the reference
-for ``veclap.lagrange.unique_edges``.
+checked.  A second edge numbering, the reference for
+``veclap.lagrange.unique_edges``, lives here too.
 """
 
 from __future__ import annotations
@@ -184,25 +183,3 @@ def reference_a_pattern(m_indptr, m_indices):
     a_indices = np.empty(9 * nnz, dtype=idx)
     a_indices[offset] = 3 * m_indices + d
     return a_indptr, a_indices, np.ascontiguousarray(offset.T).reshape(nnz, 3, 3)
-
-
-def node_positions(space) -> np.ndarray:
-    """Lifted positions of the FE nodes, each from its first owning element."""
-    conn = space.numbering.connectivity
-    ne, nk = conn.shape
-    _, first = np.unique(conn.ravel(), return_index=True)
-    x = space.pmap.evaluate(np.arange(ne), reference_triangle(space.degree).nodes)
-    return x.reshape(ne * nk, 3)[first]
-
-
-def interpolate(field, space) -> np.ndarray:
-    """Componentwise nodal interpolation of the extended field on Gamma_h.
-
-    ``field`` is a callable taking points of shape (..., 3) and returning
-    values of the same shape; it is evaluated at the closest-point lift of
-    the FE nodes onto the space's exact surface, per the constant-normal
-    extension.
-    """
-    pos = node_positions(space)
-    values = np.asarray(field(space.mesh.surface.closest_point(pos)), dtype=float)
-    return values.ravel()

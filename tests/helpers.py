@@ -10,10 +10,10 @@ from veclap.analysis import ConvergenceRecord, StudyConfig, convergence_study
 
 @lru_cache(maxsize=None)
 def run_level(k: int, kg: int, level: int, fields: tuple = ("z",),
-              num_eigs: int = 6, jitter: float = 0.3):
+              num_eigs: int = 6, jitter: float = 0.3, certify: bool = False):
     """One level of the default-config study; returns (record, seconds)."""
     cfg = StudyConfig(k=k, k_g=kg, levels=(level,), num_eigs=num_eigs,
-                      fields=fields, jitter=jitter)
+                      fields=fields, jitter=jitter, certify=certify)
     t0 = time.perf_counter()
     rec = convergence_study(cfg)[0]
     return rec, time.perf_counter() - t0

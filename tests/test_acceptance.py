@@ -33,15 +33,18 @@ def last_eoc(records, value):
 
 class TestCriterion1ExactSpectrum:
     def test_spectrum_at_finest_feasible_level(self):
-        # k = k_g = 2, finest level with <= 50k DOFs is level 4 (30726)
-        rec, _ = run_level(2, 2, 4)
+        # k = k_g = 2, finest level with <= 50k DOFs is level 4 (30726);
+        # certified: an inertia count finds exactly six eigenvalues up to
+        # lambda_6, or the study raises ConvergenceError
+        rec, _ = run_level(2, 2, 4, certify=True)
         lam = rec.eigenvalues
         ok_killing = np.all((lam[:3] >= 0.999) & (lam[:3] <= 1.001))
         ok_second = np.all((lam[3:6] >= 1.99) & (lam[3:6] <= 2.01))
-        secs = level_seconds(2, 2, 4)
+        secs = level_seconds(2, 2, 4, certify=True)
         ok_time = secs <= 300.0
         report(1, bool(ok_killing and ok_second and ok_time),
-               f"lambda={np.round(lam, 6)} ndof={rec.ndof} time={secs:.0f}s")
+               f"lambda={np.round(lam, 6)} ndof={rec.ndof} certified "
+               f"time={secs:.0f}s")
 
 
 class TestCriterion2EigenvalueRateLinear:

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from fem_reference import interpolate, node_positions
 
 from veclap import analysis, fem
 from veclap.analysis import (
@@ -26,7 +25,7 @@ from veclap.analysis import (
 from veclap.abstract_framework import cluster_windows, gap_parameters
 from veclap.eigensolve import full_spectrum, solve_smallest
 from veclap.errors import InputError
-from veclap.fem import assemble, build_space
+from veclap.fem import assemble, build_space, interpolate, node_positions
 from veclap.geometry import KillingField, Sphere
 from veclap.mesh import element_chunks, icosphere, mesh_size, parametric_lift
 from veclap.quadrature import triangle_rule
@@ -318,6 +317,54 @@ class TestConvergenceStudy:
                     assert int(cell) == row[col]
                 else:
                     assert float(cell) == pytest.approx(row[col], rel=1e-15)
+
+
+class TestStartBlock:
+    """The eigensolve of a level starts from the interpolated closed-form
+    eigenfields of the sphere's first two clusters."""
+
+    @pytest.fixture(scope="class")
+    def level3(self):
+        space = build_space(parametric_lift(icosphere(3, S, jitter=0.3, seed=0), 2), 2)
+        return space, assemble(space)
+
+    def test_rayleigh_quotients_lie_near_the_reference(self, level3):
+        # (2,2,3): the Killing interpolants within 2e-7 of 1, the P e_i ones
+        # within 1.5e-5 of 2
+        space, forms = level3
+        X = interpolate(analysis._sphere_eigenfields, space)
+        assert X.shape == (space.n_dofs, 6)
+        rq = (np.einsum("ij,ij->j", X, forms.A @ X)
+              / np.einsum("ij,ij->j", X, forms.B @ X))
+        np.testing.assert_allclose(rq, [1, 1, 1, 2, 2, 2], rtol=1e-5)
+
+    def test_the_fields_are_tangential_and_b_orthogonal_across_clusters(self, level3):
+        space, forms = level3
+        p = space.mesh.surface.closest_point(node_positions(space))
+        fields = analysis._sphere_eigenfields(p)
+        assert np.abs(np.einsum("nc,nci->ni", p, fields)).max() <= 1e-15
+        X = interpolate(analysis._sphere_eigenfields, space)
+        gram = X.T @ (forms.B @ X)
+        cross = np.abs(gram[:3, 3:]).max() / np.abs(np.diag(gram)).max()
+        assert cross <= 1e-3
+
+    def test_the_start_cuts_the_column_solves(self, monkeypatch):
+        # (2,2,3), six pairs: 46 column solves from the eigenfields, 103 from
+        # the default random block; the pin fails if the start is dropped
+        seen = []
+        solve = analysis.solve_smallest
+
+        def recording(A, B, m, **kwargs):
+            seen.append((A, B, m, solve(A, B, m, **kwargs)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(analysis, "solve_smallest", recording)
+        convergence_study(StudyConfig(k=2, k_g=2, levels=(3,)))
+        (A, B, m, started), = seen
+        assert m == 6 and started.iterations <= 50
+        random = solve(A, B, m)
+        assert random.iterations >= 2 * started.iterations
+        np.testing.assert_allclose(started.eigenvalues, random.eigenvalues, rtol=1e-13)
 
 
 class TestAreaStudy:

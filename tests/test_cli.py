@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from veclap import abstract_framework, analysis, cli
+from veclap import abstract_framework, analysis, cli, eigensolve
 from veclap.errors import NumericalError
 
 
@@ -99,13 +99,43 @@ class TestSolve:
         monkeypatch.undo()
         assert cli.main(args + ["--eta", "4"]) == 0
 
-    def test_arpack_failure_exits_3(self, capsys):
-        # at eta = 1e300 ARPACK's start vector vanishes in the shift-invert
-        # operator: "ARPACK error -9: Starting vector is zero"
+    def test_eigensolve_failure_exits_3(self, capsys):
+        # at eta = 1e300 the penalty overflows LOBPCG's float64 products; the
+        # single-precision factor of the scaled A is finite, and no cast or
+        # LOBPCG warning escapes
         assert cli.main(["solve", "--k", "1", "--kg", "1", "--level", "2",
                          "--num-eigs", "3", "--eta", "1e300"]) == 3
         err = capsys.readouterr().err
-        assert "ARPACK error -9" in err and "Traceback" not in err
+        assert "numerical failure: LOBPCG" in err and "Traceback" not in err
+
+    def test_failed_certification_exits_3(self, monkeypatch, capsys):
+        # a count of eigenvalues below lambda_m (1 + 1e-6) other than m
+        monkeypatch.setattr(eigensolve, "count_below", lambda A, B, sigma: 4)
+        args = ["solve", "--k", "1", "--kg", "1", "--level", "2", "--num-eigs", "3",
+                "--eta", "4"]
+        assert cli.main(args) == 0
+        assert cli.main(args + ["--certify"]) == 3
+        err = capsys.readouterr().err
+        assert "certification failed: 4 eigenvalues" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--level", "2"],
+        ["converge", "--levels", "2..3"],
+    ], ids=["solve", "converge"])
+    def test_certify_reaches_the_eigensolve(self, command, monkeypatch, capsys):
+        calls = []
+        solve = analysis.solve_smallest
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs["certify"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve_smallest", recording)
+        args = command + ["--k", "1", "--kg", "1", "--num-eigs", "3", "--eta", "4"]
+        assert cli.main(args) == 0
+        assert cli.main(args + ["--certify"]) == 0
+        assert set(calls[:len(calls) // 2]) == {False}
+        assert set(calls[len(calls) // 2:]) == {True}
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tol_exits_2_before_meshing(self, tol, monkeypatch, capsys):

@@ -1,7 +1,7 @@
-"""Generalized symmetric eigensolver: dense oracle, shift-invert route,
-guards, and the dense LAPACK kernels against their scipy.linalg oracle."""
+"""Generalized symmetric eigensolver: dense oracle, the preconditioned
+LOBPCG route, the inertia count, guards, and the dense LAPACK kernels
+against their scipy.linalg oracle."""
 
-import functools
 import tracemalloc
 
 import numpy as np
@@ -217,14 +217,19 @@ class TestDenseKernels:
             es.svd(np.ones((2, 2, 2)))
 
 
-def fem_matrix(k, level):
-    """``A`` from the assembly at k = k_g on the jittered icosphere."""
+def fem_forms(k, level):
+    """The forms of the assembly at k = k_g on the jittered icosphere."""
     from veclap.fem import assemble, build_space
     from veclap.geometry import Sphere
     from veclap.mesh import icosphere, parametric_lift
 
     mesh = icosphere(level, Sphere(), jitter=0.3)
-    return assemble(build_space(parametric_lift(mesh, k), k)).A
+    return assemble(build_space(parametric_lift(mesh, k), k))
+
+
+def fem_matrix(k, level):
+    """``A`` from the assembly at k = k_g on the jittered icosphere."""
+    return fem_forms(k, level).A
 
 
 class TestFactorize:
@@ -261,6 +266,38 @@ class TestFactorize:
         b = np.random.default_rng(3).standard_normal(A.shape[0])
         x = lu.solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_single_precision_factor_copies_only_the_data(self, monkeypatch):
+        # SuperLU gets A's index arrays themselves and one float32 copy of
+        # the data, scaled as it is cast: no float64 temporary the size of A
+        A = fem_matrix(2, 3)
+        args = []
+        splu = spla.splu
+
+        def capturing_splu(arg, *rest, **kwargs):
+            args.append(arg)
+            return splu(arg, *rest, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", capturing_splu)
+        tracemalloc.start()
+        try:
+            lu = es.factorize(A, np.float32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arg, = args
+        assert arg.data.dtype == np.float32 and lu.U.dtype == np.float32
+        assert np.shares_memory(arg.indices, A.indices)
+        assert np.shares_memory(arg.indptr, A.indptr)
+        assert arg.data.nbytes <= 0.5 * A.data.nbytes
+        # beyond the copy, only the cast's buffer of getbufsize() doubles
+        # and a few small objects
+        assert peak <= 0.5 * A.data.nbytes + 8 * np.getbufsize() + 4096
+        # the factor is of A over its largest entry, to single precision
+        scale = np.abs(A.data).max()
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        x = lu.solve(b.astype(np.float32)).astype(float)
+        assert np.linalg.norm(A @ x / scale - b) <= 1e-3 * np.linalg.norm(b)
 
     def test_leaves_a_non_canonical_input_unchanged(self):
         # unsorted indices and a duplicate entry, which splu would sort and
@@ -322,33 +359,93 @@ class TestIterative:
         np.testing.assert_array_equal(e1.vectors, e2.vectors)
 
     def test_convergence_error_carries_residuals(self, monkeypatch):
-        # one Lanczos restart is too few for ARPACK to converge all 5 pairs
-        monkeypatch.setattr(es.spla, "eigsh", functools.partial(spla.eigsh, maxiter=1))
+        # one iteration is too few for LOBPCG to converge all 5 pairs
+        monkeypatch.setattr(es, "LOBPCG_MAXITER", 1)
         rng = np.random.default_rng(11)
         A, B = random_spd_pencil(rng, 100)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match="LOBPCG residual") as err:
             solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 5, tol=1e-14)
-        assert isinstance(err.value.__cause__, spla.ArpackNoConvergence)
-        assert err.value.residuals is not None
+        assert err.value.residuals.shape == (5,)
+        assert err.value.residuals.max() > 1e-14
 
-    def test_other_arpack_errors_are_convergence_errors(self, monkeypatch):
-        # any ARPACK failure besides no convergence, named in the message
-        def failing_eigsh(*args, **kwargs):
-            raise spla.ArpackError(-9)
-
-        monkeypatch.setattr(es.spla, "eigsh", failing_eigsh)
+    def test_lobpcg_errors_are_convergence_errors(self):
+        # a start block with two equal columns has no B-orthonormal basis,
+        # and LOBPCG raises ValueError: a typed error, and no warning
         A, B = random_spd_pencil(np.random.default_rng(11), 40)
-        with pytest.raises(ConvergenceError, match="ARPACK error -9") as err:
-            solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 3)
-        assert isinstance(err.value.__cause__, spla.ArpackError)
+        start = np.random.default_rng(12).standard_normal((40, 3))
+        start[:, 2] = start[:, 0]
+        with pytest.raises(ConvergenceError, match="LOBPCG failed") as err:
+            solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 3, start=start)
+        assert isinstance(err.value.__cause__, ValueError)
+
+    def test_start_block_must_hold_m_columns(self):
+        A, B = random_spd_pencil(np.random.default_rng(11), 40)
+        with pytest.raises(InputError, match="start block"):
+            solve_smallest(A, B, 3, start=np.ones((40, 2)))
+
+    def test_the_start_block_is_left_unchanged(self):
+        # LOBPCG B-orthonormalizes its start block in place
+        A, B = random_spd_pencil(np.random.default_rng(11), 60)
+        start = np.random.default_rng(12).standard_normal((60, 4))
+        kept = start.copy()
+        ep = solve_smallest(A, B, 3, start=start)
+        np.testing.assert_array_equal(start, kept)
+        dense = full_spectrum(A, B).eigenvalues[:3]
+        np.testing.assert_allclose(ep.eigenvalues, dense, rtol=1e-12)
+
+    def test_preconditioner_failures_are_convergence_errors(self):
+        # a float64 A whose single-precision copy is singular (the entry
+        # 1e-50 vanishes in float32), and an A with a non-finite entry
+        B = sp.identity(60, format="csr")
+        tiny = sp.diags(np.r_[1e-50, np.arange(2.0, 61.0)], format="csr")
+        huge = sp.diags(np.r_[np.inf, np.arange(2.0, 61.0)], format="csr")
+        for A in (tiny, huge):
+            with pytest.raises(ConvergenceError, match="single-precision preconditioner"):
+                solve_smallest(A, B, 2)
 
     def test_residual_gate(self):
-        # ARPACK converges, but no residual can meet tol = 0
+        # LOBPCG runs to its iteration limit, and no residual can meet tol = 0
         rng = np.random.default_rng(11)
         A, B = random_spd_pencil(rng, 100)
         with pytest.raises(ConvergenceError) as err:
             solve_smallest(sp.csr_matrix(A), sp.csr_matrix(B), 5, tol=0.0)
         assert err.value.residuals.shape == (5,)
+
+
+class TestInertia:
+    @pytest.fixture(scope="class")
+    def level3(self):
+        forms = fem_forms(2, 3)
+        return forms, solve_smallest(forms.A, forms.B, 6).eigenvalues
+
+    def test_counts_the_eigenvalues_below_sigma(self, level3):
+        # (2,2,3): above the lambda = 2 cluster, inside it, and between the
+        # two clusters
+        (forms, w) = level3
+        assert es.count_below(forms.A, forms.B, 1.02 * w[5]) == 6
+        assert es.count_below(forms.A, forms.B, 0.5 * (w[4] + w[5])) == 5
+        assert es.count_below(forms.A, forms.B, 0.5 * (w[2] + w[3])) == 3
+
+    def test_certified_solve(self, level3):
+        forms, w = level3
+        ep = solve_smallest(forms.A, forms.B, 6, certify=True)
+        np.testing.assert_allclose(ep.eigenvalues, w, rtol=1e-13)
+
+    def test_a_split_cluster_fails_certification(self):
+        # lambda_2 = lambda_3 = 2: two pairs split the cluster, and the count
+        # below 2 (1 + 1e-6) is 3
+        A = sp.diags(np.r_[1.0, 2.0, 2.0, np.arange(3.0, 60.0)], format="csr")
+        B = sp.identity(60, format="csr")
+        assert solve_smallest(A, B, 3, certify=True).eigenvalues[-1] == pytest.approx(2.0)
+        with pytest.raises(ConvergenceError, match="3 eigenvalues lie below"):
+            solve_smallest(A, B, 2, certify=True)
+
+    def test_sigma_at_an_eigenvalue_is_a_numerical_error(self):
+        A = sp.diags(np.arange(1.0, 11.0), format="csr")
+        B = sp.identity(10, format="csr")
+        assert es.count_below(A, B, 2.5) == 2
+        with pytest.raises(NumericalError, match="singular"):
+            es.count_below(A, B, 2.0)
 
 
 class TestInvariants:

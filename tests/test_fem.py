@@ -8,7 +8,6 @@ import pytest
 import scipy.sparse as sp
 from fem_reference import (
     ReferencePointData,
-    interpolate,
     reference_a_pattern,
     reference_local_matrices,
     reference_pairings,
@@ -23,6 +22,7 @@ from veclap.fem import (
     _PointData,
     assemble,
     build_space,
+    interpolate,
     write_matrix_market,
 )
 from veclap.geometry import KillingField, Sphere
@@ -333,6 +333,16 @@ class TestInterpolate:
         x = interpolate(lambda p: np.broadcast_to(const, p.shape), space)
         for c in range(3):
             np.testing.assert_allclose(x[c::3], const[c], atol=1e-14)
+
+    def test_several_fields_at_once(self):
+        # a field of shape (N, 3, c) interpolates to the c columns of the
+        # fields one at a time
+        space, _ = setup_forms(2, 2, 1)
+        axes = [KillingField(a) for a in "xyz"]
+        X = interpolate(lambda p: np.stack([f.value(p) for f in axes], axis=-1), space)
+        assert X.shape == (space.n_dofs, 3)
+        for j, f in enumerate(axes):
+            np.testing.assert_array_equal(X[:, j], interpolate(f.value, space))
 
     def test_energy_norm_interpolation_rate(self):
         # degree-2 fields: energy-norm error of the interpolant decays ~ h^2

@@ -2,9 +2,10 @@
 resolves, no module imports another's private name, only
 ``veclap.eigensolve`` imports ``scipy.linalg``, and in it only ``_call``
 reads a LAPACK routine, only ``veclap.lagrange`` reads the edge numbering
-``unique_edges``, the abstract framework calls no ``numpy.linalg``
-decomposition, no module reads the environment, and importing the CLI does
-not load ``scipy.special``."""
+``unique_edges``, only ``eigensolve.factorize`` names SuperLU's ``splu``
+and no module names ARPACK's ``eigsh``, the abstract framework calls no
+``numpy.linalg`` decomposition, no module reads the environment, and
+importing the CLI does not load ``scipy.special``."""
 
 import ast
 import importlib
@@ -163,6 +164,47 @@ def test_edge_numbering_reads_are_found():
                    "f = unique_edges"):
         assert _reads_unique_edges(ast.parse(source)), source
     assert not _reads_unique_edges(ast.parse("NodeNumbering(v, t, 2)"))
+
+
+def _namers(tree, name) -> list[str]:
+    """The top-level definitions of ``tree`` that name ``name``, as a bare
+    name, an attribute ``x.name`` or an import, one entry per mention;
+    ``<module>`` for a mention outside any definition."""
+    found = []
+    for top in tree.body:
+        owner = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                 else "<module>")
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, (ast.Import, ast.ImportFrom))
+                        and any(a.name.split(".")[-1] == name for a in node.names))):
+                found.append(owner)
+    return found
+
+
+def test_factorize_is_the_one_sparse_lu_and_arpack_is_gone():
+    # one factorization route (its ordering, pivoting and dtype handling),
+    # and the eigensolve has one route, LOBPCG
+    splu, eigsh = {}, {}
+    for path in sorted(Path(veclap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for found, name in ((splu, "splu"), (eigsh, "eigsh")):
+            if owners := _namers(tree, name):
+                found[path.stem] = owners
+    assert splu == {"eigensolve": ["factorize"]}
+    assert eigsh == {}
+
+
+def test_namers_are_found():
+    source = ("from scipy.sparse.linalg import splu\n"
+              "import scipy.sparse.linalg.eigsh\n"
+              "def f(A):\n    return spla.splu(A)\n"
+              "class C:\n    def g(self):\n        h = eigsh\n")
+    tree = ast.parse(source)
+    assert _namers(tree, "splu") == ["<module>", "f"]
+    assert _namers(tree, "eigsh") == ["<module>", "C"]
+    assert _namers(ast.parse("lu = factorize(A)"), "splu") == []
 
 
 def test_abstract_framework_calls_no_numpy_linalg_decomposition():
