@@ -13,10 +13,16 @@ errors onto the computed pairs in the Killing cluster's window, which is
 the synthetic checker's rule, ``abstract_framework.cluster_windows``,
 applied to the whole reference spectrum: [0, 1.5].
 
-Each level's eigensolve starts from the nodal interpolants of the six
-closed-form eigenfields of the reference spectrum (``_sphere_eigenfields``),
-which span both clusters to within the discretization error, and with
-``StudyConfig.certify`` it certifies its pairs by an inertia count.
+Each level's eigensolve starts from the nodal interpolants of the
+closed-form eigenfields (``_sphere_eigenfields``) of the clusters that the
+requested pairs reach, which span them to within the discretization error:
+the three Killing fields for up to three pairs, and with the three of
+``lambda = 2`` for more.  ``solve_smallest`` preconditions it by a float32
+factor of ``A``, complete on levels of up to
+``eigensolve.COMPLETE_FACTOR_MAX_DOFS`` DOFs and incomplete on finer ones,
+which holds the peak memory of a fine level down.  With
+``StudyConfig.certify`` the eigensolve certifies its pairs by an inertia
+count.
 """
 
 from __future__ import annotations
@@ -259,10 +265,11 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
                      fields=[KillingField(axis) for axis in cfg.fields])
     if on_assembled is not None:
         on_assembled(level, mesh, forms)
-    # the interpolated eigenfields span both reference clusters, so the
-    # block covers the cluster of the last requested pair for every num_eigs
+    # the interpolated eigenfields of the clusters that the requested pairs
+    # reach: the three Killing fields for num_eigs <= 3, else all six
+    start = interpolate(_sphere_eigenfields, space)
     pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs, tol=cfg.tol,
-                           start=interpolate(_sphere_eigenfields, space),
+                           start=start[:, :3] if cfg.num_eigs <= 3 else start,
                            certify=cfg.certify)
     area = surface_area(pmap, _area_degree(cfg.k_g))
     exact_area = 4.0 * math.pi

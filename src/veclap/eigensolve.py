@@ -8,19 +8,25 @@ the solve of a single-precision sparse LU factor of A.  LOBPCG needs only
 an approximate inverse, and it ignores the scale of each preconditioned
 column, so the factor is of a copy of A scaled to a largest entry of 1 and
 cast to float32, and each residual column is scaled the same way before
-its solve; the residuals themselves are formed in float64.  The caller may
-start the iteration from a block that spans the wanted eigenvectors
-approximately (the FEM levels start from the interpolated closed-form
-sphere eigenfields); the default start is a seeded random block of m
-columns, fixed so that repeated solves are bitwise reproducible.  Every
-returned pair must pass a float64 relative-residual gate.  On request,
+its solve; the residuals themselves are formed in float64.  Above
+``COMPLETE_FACTOR_MAX_DOFS`` unknowns the factor is incomplete (threshold
+ILU, drop tolerance ``ILU_DROP_TOL``): its fill grows about as n, where the
+complete factor's grows about 5x per 4x in n, so a fine level's peak memory
+falls, for more column solves.  The caller may start the iteration from a
+block that spans the wanted eigenvectors approximately (the FEM levels
+start from the interpolated closed-form sphere eigenfields); the default
+start is a seeded random block of m columns, fixed so that repeated solves
+are bitwise reproducible.  LOBPCG's stop is relative to the scale of ``A
+x`` on the block, and every returned pair must pass a float64
+relative-residual gate.  On request,
 ``count_below``'s inertia count certifies that the m pairs are the m
 smallest.  ``full_spectrum`` is the dense LAPACK generalized symmetric
 solver (Cholesky reduction of B, tridiagonalization, divide and conquer)
 for the complete spectrum of a small pencil; it serves the abstract
 framework and is the oracle of the tests.
 
-``factorize`` is the package's one sparse LU call site.  It uses a
+``factorize`` is the package's one sparse LU call site, complete
+(``splu``) or incomplete (``spilu``).  It uses a
 symmetric fill-reducing ordering (minimum degree on A + A^T) and diagonal
 pivots; elimination without pivoting is stable because A is SPD.  It
 factors A^T, whose CSC arrays are the CSR arrays of A, so the exactly
@@ -79,11 +85,22 @@ __all__ = ["EigenPairs", "factorize", "count_below", "solve_smallest",
 
 DENSE_LIMIT = 3000
 # LOBPCG stops once the residual norm ||A x - lambda B x|| of every
-# B-normalized column is below this fraction of the residual gate's tol
-LOBPCG_TOL_RATIO = 1e-2
+# B-normalized column is below LOBPCG_TOL_RATIO * tol * s, with s the
+# smallest ||A x|| of the block it starts from.  A returned block whose
+# smallest ||A x|| fell below s / 2 runs again from itself, so every pair
+# meets the relative gate with a margin of 1 / (2 LOBPCG_TOL_RATIO) = 10
+LOBPCG_TOL_RATIO = 5e-2
 LOBPCG_MAXITER = 200
+# LOBPCG's preconditioner is the complete float32 factor of A up to this
+# many DOFs, and above it the incomplete one of drop tolerance ILU_DROP_TOL
+COMPLETE_FACTOR_MAX_DOFS = 20_000
+ILU_DROP_TOL = 3e-4
 # certification counts the eigenvalues below lambda_m (1 + CERTIFY_MARGIN)
 CERTIFY_MARGIN = 1e-6
+# count_below moves sigma up at most SHIFT_TRIES times, while a pivot of
+# A - sigma B is below TINY_PIVOT times the largest one in magnitude
+SHIFT_TRIES = 4
+TINY_PIVOT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -120,8 +137,12 @@ def _check_pencil(A, B, m):
 def factorize(A, dtype=np.float64):
     """Sparse LU factor of the transpose of the SPD matrix A, in ``dtype``
     (float64 or float32); its ``solve`` applies A^-T, which is A^-1.  A
-    float32 factor is that of A divided by its largest entry in magnitude,
-    so its solve applies A^-1 up to a positive scale.
+    float32 factor is a preconditioner: it is that of A divided by its
+    largest entry in magnitude, so its solve applies A^-1 up to a positive
+    scale, and for more than ``COMPLETE_FACTOR_MAX_DOFS`` unknowns it is
+    incomplete: SuperLU's threshold ILU (``spilu``; Li and Shao, ACM TOMS
+    37, 2011) drops the entries below ``ILU_DROP_TOL`` relative to their
+    column, and its solve applies A^-1 only approximately.
 
     SuperLU reads compressed columns only, and the CSR arrays of A are the
     CSC arrays of A^T.  So a CSR A in canonical format, such as the exactly
@@ -132,14 +153,14 @@ def factorize(A, dtype=np.float64):
     float64 temporary the size of A is made.  The ordering is symmetric
     minimum degree on A + A^T and the pivots stay on the diagonal, so L and
     U^T share one sparsity pattern, that of a Cholesky factor of the
-    permuted A.  On a matrix that is not SPD the factor may be inaccurate;
-    ``solve_smallest``'s residual gate catches that.  Raises InputError if
-    A is singular in ``dtype``, or if a float32 copy is asked of an A with
-    a non-finite entry or no nonzero one.
+    permuted A (before any drop).  On a matrix that is not SPD the factor
+    may be inaccurate; ``solve_smallest``'s residual gate catches that.
+    Raises InputError if A is singular in ``dtype``, or if a float32 copy
+    is asked of an A with a non-finite entry or no nonzero one.
     """
     csr = sp.csr_matrix(A)
     if not csr.has_canonical_format:
-        csr = csr.copy()  # splu would sort and sum A's own arrays in place
+        csr = csr.copy()  # SuperLU would sort and sum A's own arrays in place
     data, dtype = csr.data, np.dtype(dtype)
     if dtype != data.dtype:
         # min and max allocate nothing, and a nan makes one of them nan
@@ -148,11 +169,13 @@ def factorize(A, dtype=np.float64):
             raise InputError(f"A has no finite scale for a {dtype} copy")
         data = np.divide(data, max(-lo, hi), out=np.empty(data.size, dtype),
                          casting="same_kind")
+    At = sp.csc_matrix((data, csr.indices, csr.indptr), shape=csr.shape[::-1])
+    kw = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
     try:
-        return spla.splu(sp.csc_matrix((data, csr.indices, csr.indptr),
-                                       shape=csr.shape[::-1]),
-                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True))
+        if dtype == np.float32 and csr.shape[0] > COMPLETE_FACTOR_MAX_DOFS:
+            return spla.spilu(At, drop_tol=ILU_DROP_TOL, **kw)
+        return spla.splu(At, **kw)
     except RuntimeError as exc:
         raise InputError(f"A is singular in {dtype}") from exc
 
@@ -164,21 +187,38 @@ def count_below(A, B, sigma: float) -> int:
     By Sylvester's law of inertia it is the number of negative pivots of a
     symmetric factorization of A - sigma B (Grimes, Lewis and Simon, SIAM J.
     Matrix Anal. Appl. 15, 1994).  The float64 ``factorize`` keeps its
-    pivots on the diagonal, so they are the diagonal of U.  Raises
-    NumericalError if A - sigma B is singular to working precision, that
-    is, if sigma is an eigenvalue.
+    pivots on the diagonal, so they are the diagonal of U.  A pivot whose
+    sign round-off can flip, below ``TINY_PIVOT`` times the largest one, or
+    an exactly singular A - sigma B means that sigma lies on an eigenvalue
+    to working precision: the count is then taken at a sigma moved up in
+    steps of ``CERTIFY_MARGIN / 4`` relative, at most ``SHIFT_TRIES`` times,
+    so an eigenvalue at sigma is counted.  Raises NumericalError if no such
+    sigma gives a clear count.
     """
-    try:
-        lu = factorize(sp.csr_matrix(A) - sigma * sp.csr_matrix(B))
-    except InputError as exc:
-        raise NumericalError(f"A - sigma B is singular at sigma = {sigma:.17g}") from exc
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+    for step in range(SHIFT_TRIES + 1):
+        shifted = sigma + step * 0.25 * CERTIFY_MARGIN * abs(sigma)
+        try:
+            pivots = factorize(A - shifted * B).U.diagonal()
+        except InputError:
+            continue
+        magnitude = np.abs(pivots)
+        if magnitude.min() > TINY_PIVOT * magnitude.max():
+            return int(np.count_nonzero(pivots < 0.0))
+    raise NumericalError(f"A - sigma B is singular near sigma = {sigma:.17g}")
+
+
+def _block_scale(A, B, X) -> float:
+    """The smallest ||A x|| over the columns of X, each B-normalized."""
+    return float(np.min(np.linalg.norm(A @ X, axis=0)
+                        / np.sqrt(np.einsum("ij,ij->j", X, B @ X))))
 
 
 def _lobpcg(A, B, X, tol):
     """LOBPCG on (A, B) from the block X, preconditioned by the solve of
     ``factorize(A, np.float32)``: the Ritz values and vectors, and the
-    number of column solves.  The factor is freed on return."""
+    number of column solves.  The stop is relative, as ``LOBPCG_TOL_RATIO``
+    says.  The factor is freed on return."""
     try:
         lu = factorize(A, np.float32)
     except InputError as exc:
@@ -195,11 +235,17 @@ def _lobpcg(A, B, X, tol):
 
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        try:
-            w, X = spla.lobpcg(A, X, B=B, M=precondition, tol=LOBPCG_TOL_RATIO * tol,
-                               maxiter=LOBPCG_MAXITER, largest=False)
-        except ValueError as exc:  # numpy's LinAlgError included
-            raise ConvergenceError(f"LOBPCG failed: {exc}") from exc
+        scale = _block_scale(A, B, X)
+        for _ in range(2):
+            try:
+                w, X = spla.lobpcg(A, X, B=B, M=precondition,
+                                   tol=LOBPCG_TOL_RATIO * tol * scale,
+                                   maxiter=LOBPCG_MAXITER, largest=False)
+            except ValueError as exc:  # numpy's LinAlgError included
+                raise ConvergenceError(f"LOBPCG failed: {exc}") from exc
+            started, scale = scale, _block_scale(A, B, X)
+            if scale >= 0.5 * started:
+                break
     return w, X, solves
 
 
@@ -212,13 +258,18 @@ def solve_smallest(A, B, m: int, tol: float = 1e-10, start=None,
     Ritz pairs, B-orthonormal and sorted.  A start that approximately spans
     the wanted eigenvectors, and the whole cluster of the m-th, needs far
     fewer iterations.  The preconditioner is the solve of ``factorize(A,
-    np.float32)``; ``iterations`` counts its column solves.  LOBPCG stops
-    once every residual norm ``||A x - lambda B x||`` of a B-normalized
-    column is below ``LOBPCG_TOL_RATIO * tol``, and each returned pair must
-    then pass the relative residual gate ``||A x - lambda B x|| / ||A x||
-    <= tol``, formed in float64.  With ``certify``, ``count_below`` must
-    find exactly m eigenvalues below ``lambda_m (1 + CERTIFY_MARGIN)``,
-    which costs one float64 factorization of A - sigma B.
+    np.float32)``, chosen from n alone: complete for n up to
+    ``COMPLETE_FACTOR_MAX_DOFS``, and above it incomplete, with a fill
+    that grows more slowly with n; ``iterations`` counts its column solves.  LOBPCG stops once
+    every residual norm ``||A x - lambda B x||`` of a B-normalized column is
+    below ``LOBPCG_TOL_RATIO * tol`` times the smallest ``||A x||`` of the
+    block it starts from, and runs once more from the returned block if
+    that block's smallest ``||A x||`` is less than half as large (as from a
+    random start).  Each returned pair must then pass the relative residual
+    gate ``||A x - lambda B x|| / ||A x|| <= tol``, formed in float64.
+    With ``certify``, ``count_below`` must find exactly m eigenvalues below
+    ``lambda_m (1 + CERTIFY_MARGIN)``, which costs one float64
+    factorization of A - sigma B.
 
     A and B are sparse, in any format (or dense), and are used as given.
     Raises ConvergenceError if the single-precision factor is singular or

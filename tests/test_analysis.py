@@ -259,11 +259,15 @@ class TestConvergenceStudy:
 
         calls = []
         builds = []
-        splu = spla.splu
+        splu, spilu = spla.splu, spla.spilu
 
         def counting_splu(*args, **kwargs):
-            calls.append(1)
+            calls.append("splu")
             return splu(*args, **kwargs)
+
+        def counting_spilu(*args, **kwargs):
+            calls.append("spilu")
+            return spilu(*args, **kwargs)
 
         class CountingPointData(fem._PointData):
             def __init__(self, *args, **kwargs):
@@ -272,12 +276,13 @@ class TestConvergenceStudy:
 
         monkeypatch.setattr(analysis, "defect_dual_norm", no_dual_norm)
         monkeypatch.setattr(spla, "splu", counting_splu)
+        monkeypatch.setattr(spla, "spilu", counting_spilu)
         monkeypatch.setattr(fem, "_PointData", CountingPointData)
         cfg = StudyConfig(k=1, k_g=1, levels=(3,), fields=("z", "x", "y"),
                           eta_coeff=4.0)
         rec, = convergence_study(cfg)
         assert len(rec.fields) == 3
-        assert len(calls) == 1
+        assert calls == ["splu"]
         # 1280 triangles in chunks of 256 linear elements on the degree-4 rule
         n_chunks = len(element_chunks(icosphere(3, S).n_triangles,
                                       triangle_rule(4).weights.size * 3**2))
@@ -365,6 +370,25 @@ class TestStartBlock:
         random = solve(A, B, m)
         assert random.iterations >= 2 * started.iterations
         np.testing.assert_allclose(started.eigenvalues, random.eigenvalues, rtol=1e-13)
+
+    @pytest.mark.parametrize("level,num_eigs,columns", [(2, 1, 3), (3, 3, 3), (2, 4, 6)])
+    def test_the_start_holds_the_clusters_the_pairs_reach(self, level, num_eigs,
+                                                          columns, monkeypatch):
+        # the Killing fields alone for up to three pairs: at (2,2,3), three
+        # pairs take 23 column solves from them and 46 from all six fields
+        seen = []
+        solve = analysis.solve_smallest
+
+        def recording(A, B, m, start=None, **kwargs):
+            seen.append((start.shape[1], solve(A, B, m, start=start, **kwargs)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(analysis, "solve_smallest", recording)
+        convergence_study(StudyConfig(k=2, k_g=2, levels=(level,), num_eigs=num_eigs))
+        (width, pairs), = seen
+        assert width == columns
+        if level == 3:
+            assert pairs.iterations <= 30
 
 
 class TestAreaStudy:

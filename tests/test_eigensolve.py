@@ -299,6 +299,37 @@ class TestFactorize:
         x = lu.solve(b.astype(np.float32)).astype(float)
         assert np.linalg.norm(A @ x / scale - b) <= 1e-3 * np.linalg.norm(b)
 
+    def test_incomplete_factor_copies_only_the_data_and_fills_less(self, monkeypatch):
+        # above COMPLETE_FACTOR_MAX_DOFS, the float32 factor is incomplete:
+        # it reads the same scaled copy in A's own index arrays as the
+        # complete one, with a smaller fill (1.06M against 1.48M at (2,2,3))
+        A = fem_matrix(2, 3)
+        args = []
+        spilu = spla.spilu
+
+        def capturing_spilu(arg, *rest, **kwargs):
+            args.append((arg, kwargs))
+            return spilu(arg, *rest, **kwargs)
+
+        monkeypatch.setattr(spla, "spilu", capturing_spilu)
+        complete = es.factorize(A, np.float32)
+        assert not args
+        monkeypatch.setattr(es, "COMPLETE_FACTOR_MAX_DOFS", A.shape[0] - 1)
+        ilu = es.factorize(A, np.float32)
+        (arg, kwargs), = args
+        assert arg.data.dtype == np.float32
+        assert np.shares_memory(arg.indices, A.indices)
+        assert np.shares_memory(arg.indptr, A.indptr)
+        assert kwargs["drop_tol"] == es.ILU_DROP_TOL
+        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+        assert kwargs["diag_pivot_thresh"] == 0.0
+        assert kwargs["options"] == {"SymmetricMode": True}
+        np.testing.assert_array_equal(ilu.perm_r, ilu.perm_c)
+        assert ilu.nnz < 0.8 * complete.nnz
+        # the float64 factor, which counts inertia, is always complete
+        es.factorize(A)
+        assert len(args) == 1
+
     def test_leaves_a_non_canonical_input_unchanged(self):
         # unsorted indices and a duplicate entry, which splu would sort and
         # sum in the arrays it is given
@@ -393,9 +424,13 @@ class TestIterative:
         dense = full_spectrum(A, B).eigenvalues[:3]
         np.testing.assert_allclose(ep.eigenvalues, dense, rtol=1e-12)
 
-    def test_preconditioner_failures_are_convergence_errors(self):
+    @pytest.mark.parametrize("complete_max", [10**9, 0], ids=["complete", "incomplete"])
+    def test_preconditioner_failures_are_convergence_errors(self, complete_max,
+                                                            monkeypatch):
         # a float64 A whose single-precision copy is singular (the entry
-        # 1e-50 vanishes in float32), and an A with a non-finite entry
+        # 1e-50 vanishes in float32), and an A with a non-finite entry, on
+        # either route
+        monkeypatch.setattr(es, "COMPLETE_FACTOR_MAX_DOFS", complete_max)
         B = sp.identity(60, format="csr")
         tiny = sp.diags(np.r_[1e-50, np.arange(2.0, 61.0)], format="csr")
         huge = sp.diags(np.r_[np.inf, np.arange(2.0, 61.0)], format="csr")
@@ -440,12 +475,118 @@ class TestInertia:
         with pytest.raises(ConvergenceError, match="3 eigenvalues lie below"):
             solve_smallest(A, B, 2, certify=True)
 
-    def test_sigma_at_an_eigenvalue_is_a_numerical_error(self):
+    def test_sigma_at_an_eigenvalue_moves_up(self, monkeypatch):
+        # sigma = 2 makes A - sigma B exactly singular, and 2 (1 + 1e-15)
+        # leaves a pivot of 4e-16 whose sign round-off decides: both count
+        # at a sigma moved up past the eigenvalue 2
         A = sp.diags(np.arange(1.0, 11.0), format="csr")
         B = sp.identity(10, format="csr")
         assert es.count_below(A, B, 2.5) == 2
+        assert es.count_below(A, B, 2.0) == 2
+        assert es.count_below(A, B, 2.0 * (1.0 + 1e-15)) == 2
+        assert es.count_below(A, B, 2.0 * (1.0 - 1e-15)) == 2
+        # a sigma clearly below the eigenvalue is not moved past it
+        assert es.count_below(A, B, 2.0 * (1.0 - 0.9 * es.CERTIFY_MARGIN)) == 1
+        monkeypatch.setattr(es, "SHIFT_TRIES", 0)
         with pytest.raises(NumericalError, match="singular"):
             es.count_below(A, B, 2.0)
+        with pytest.raises(NumericalError, match="singular"):
+            es.count_below(A, B, 2.0 * (1.0 + 1e-15))
+
+
+def sphere_start(k, level):
+    """The forms at k = k_g on the jittered icosphere, and the study's start
+    block of six interpolated eigenfields."""
+    from veclap import analysis
+    from veclap.fem import assemble, build_space, interpolate
+    from veclap.geometry import Sphere
+    from veclap.mesh import icosphere, parametric_lift
+
+    space = build_space(parametric_lift(icosphere(level, Sphere(), jitter=0.3), k), k)
+    return assemble(space), interpolate(analysis._sphere_eigenfields, space)
+
+
+class TestRoutes:
+    """The preconditioner is the complete float32 factor up to
+    ``COMPLETE_FACTOR_MAX_DOFS`` DOFs and the incomplete one above; both
+    routes give the same pairs."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = {"splu": 0, "spilu": 0}
+        for name in calls:
+            real = getattr(spla, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(spla, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("k,level", [(1, 3), (2, 3), (3, 2), (4, 2)])
+    def test_the_routes_agree(self, k, level, monkeypatch):
+        forms, start = sphere_start(k, level)
+        n = forms.A.shape[0]
+        calls = self.counting(monkeypatch)
+        monkeypatch.setattr(es, "COMPLETE_FACTOR_MAX_DOFS", n)
+        complete = solve_smallest(forms.A, forms.B, 6, start=start)
+        assert calls == {"splu": 1, "spilu": 0}
+        monkeypatch.setattr(es, "COMPLETE_FACTOR_MAX_DOFS", n - 1)
+        incomplete = solve_smallest(forms.A, forms.B, 6, start=start)
+        assert calls == {"splu": 1, "spilu": 1}
+        np.testing.assert_allclose(incomplete.eigenvalues, complete.eigenvalues,
+                                   rtol=1e-13, atol=0.0)
+        for ep in (complete, incomplete):
+            assert ep.residuals.max() <= 0.1 * 1e-10
+
+    def test_the_threshold_lies_between_the_measured_sizes(self):
+        # the complete factor up to (3,3,3)'s 17,286 DOFs, where the
+        # incomplete one saved 8 MB for 27% more time, and the incomplete
+        # one from (2,2,4)'s 30,726 on
+        assert 17_286 <= es.COMPLETE_FACTOR_MAX_DOFS < 30_726
+
+
+class TestRelativeStop:
+    """LOBPCG's stop is relative to the scale of A x, so the residual gate
+    keeps its margin however A and B are scaled."""
+
+    @pytest.fixture(scope="class")
+    def level3(self):
+        return sphere_start(2, 3)
+
+    def test_a_scaled_pencil_keeps_the_margin(self, level3):
+        # scaling A and B by 1e-6 shrinks the residual norms of B-normalized
+        # columns by 1e-3; an absolute stop would then end 1e3 times early
+        # and fail the relative gate
+        forms, start = level3
+        base = solve_smallest(forms.A, forms.B, 6, start=start)
+        scaled = solve_smallest(1e-6 * forms.A, 1e-6 * forms.B, 6, start=start)
+        assert scaled.residuals.max() <= 0.1 * 1e-10
+        np.testing.assert_allclose(scaled.eigenvalues, base.eigenvalues,
+                                   rtol=1e-13, atol=0.0)
+
+    def test_a_random_start_runs_again_from_its_ritz_vectors(self, level3):
+        # a random block's ||A x|| is about 700 times that of the
+        # eigenvectors, so the first run's stop is loose, and LOBPCG runs
+        # once more from its result
+        forms, start = level3
+        calls = []
+        lobpcg = spla.lobpcg
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["tol"])
+            return lobpcg(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spla, "lobpcg", counting)
+            random = solve_smallest(forms.A, forms.B, 6)
+            assert len(calls) == 2 and calls[1] < 0.01 * calls[0]
+            started = solve_smallest(forms.A, forms.B, 6, start=start)
+            assert len(calls) == 3
+        assert random.residuals.max() <= 0.1 * 1e-10
+        np.testing.assert_allclose(random.eigenvalues, started.eigenvalues,
+                                   rtol=1e-13, atol=0.0)
 
 
 class TestInvariants:

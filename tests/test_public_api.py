@@ -3,7 +3,7 @@ resolves, no module imports another's private name, only
 ``veclap.eigensolve`` imports ``scipy.linalg``, and in it only ``_call``
 reads a LAPACK routine, only ``veclap.lagrange`` reads the edge numbering
 ``unique_edges``, only ``eigensolve.factorize`` names SuperLU's ``splu``
-and no module names ARPACK's ``eigsh``, the abstract framework calls no
+and ``spilu`` and no module names ARPACK's ``eigsh``, the abstract framework calls no
 ``numpy.linalg`` decomposition, no module reads the environment, and
 importing the CLI does not load ``scipy.special``."""
 
@@ -184,15 +184,16 @@ def _namers(tree, name) -> list[str]:
 
 
 def test_factorize_is_the_one_sparse_lu_and_arpack_is_gone():
-    # one factorization route (its ordering, pivoting and dtype handling),
-    # and the eigensolve has one route, LOBPCG
-    splu, eigsh = {}, {}
+    # one factorization site (its ordering, pivoting and dtype handling),
+    # complete or incomplete, and the eigensolve has one route, LOBPCG
+    splu, spilu, eigsh = {}, {}, {}
     for path in sorted(Path(veclap.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        for found, name in ((splu, "splu"), (eigsh, "eigsh")):
+        for found, name in ((splu, "splu"), (spilu, "spilu"), (eigsh, "eigsh")):
             if owners := _namers(tree, name):
                 found[path.stem] = owners
     assert splu == {"eigensolve": ["factorize"]}
+    assert spilu == {"eigensolve": ["factorize"]}
     assert eigsh == {}
 
 
