@@ -11,7 +11,9 @@ index 6, so requesting more reference values is an error, and eigenvector
 errors are reported for the Killing fields only.  They are projection
 errors onto the computed pairs in the Killing cluster's window, which is
 the synthetic checker's rule, ``abstract_framework.cluster_windows``,
-applied to the whole reference spectrum: [0, 1.5].
+applied to the whole reference spectrum: [0, 1.5].  A level with fields
+solves for at least the cluster's three pairs, so that the window holds
+the whole cluster, and reports the first ``num_eigs``.
 
 Each level's eigensolve starts from the nodal interpolants of the
 closed-form eigenfields (``_sphere_eigenfields``) of the clusters that the
@@ -170,6 +172,9 @@ class StudyConfig:
     below that floor is rejected before assembly.  With the default
     ``eta_coeff`` and jitter, levels 0 and 1 are below it.
 
+    Each of ``fields`` names a distinct Killing axis and fills one CSV row,
+    so there are at most ``num_eigs`` of them.
+
     ``certify`` has every level's eigensolve certify by an inertia count
     that its pairs are the smallest (``eigensolve.solve_smallest``), at the
     cost of one more float64 factorization per level.
@@ -193,6 +198,12 @@ class StudyConfig:
         for axis in self.fields:
             if axis not in ("x", "y", "z"):
                 raise InputError(f"unknown Killing field axis {axis!r}")
+        if len(set(self.fields)) < len(self.fields):
+            raise InputError(f"a Killing field axis is named twice in {self.fields}")
+        if len(self.fields) > self.num_eigs:
+            raise InputError(
+                f"{len(self.fields)} fields need at least as many eigenvalues "
+                f"(their CSV rows), got {self.num_eigs}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise InputError(f"tol must be a finite number above 0, got {self.tol}")
         if not (math.isfinite(self.eta_coeff) and self.eta_coeff > 0.0):
@@ -204,9 +215,12 @@ class StudyConfig:
 
 
 def _check_levels(levels) -> None:
-    """Reject levels outside ``[0, MAX_LEVEL]`` or not strictly ascending
-    (an EOC needs two distinct mesh sizes), before any meshing."""
+    """Reject no levels, levels outside ``[0, MAX_LEVEL]`` or levels not
+    strictly ascending (an EOC needs two distinct mesh sizes), before any
+    meshing."""
     levels = list(levels)
+    if not levels:
+        raise InputError("no refinement levels given")
     if any(not (0 <= lvl <= MAX_LEVEL) for lvl in levels):
         raise InputError(f"refinement levels must be in [0, {MAX_LEVEL}], got {levels}")
     if any(a >= b for a, b in zip(levels, levels[1:])):
@@ -265,12 +279,15 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
                      fields=[KillingField(axis) for axis in cfg.fields])
     if on_assembled is not None:
         on_assembled(level, mesh, forms)
-    # the interpolated eigenfields of the clusters that the requested pairs
-    # reach: the three Killing fields for num_eigs <= 3, else all six
+    # the interpolated eigenfields of the clusters that the solved pairs
+    # reach: the three Killing fields for up to three pairs, else all six;
+    # a level with fields solves the whole Killing cluster it projects onto
+    m = max(cfg.num_eigs, 3) if cfg.fields else cfg.num_eigs
     start = interpolate(_sphere_eigenfields, space)
-    pairs = solve_smallest(forms.A, forms.B, cfg.num_eigs, tol=cfg.tol,
-                           start=start[:, :3] if cfg.num_eigs <= 3 else start,
+    pairs = solve_smallest(forms.A, forms.B, m, tol=cfg.tol,
+                           start=start[:, :3] if m <= 3 else start,
                            certify=cfg.certify)
+    eigenvalues = pairs.eigenvalues[:cfg.num_eigs]
     area = surface_area(pmap, _area_degree(cfg.k_g))
     exact_area = 4.0 * math.pi
     # the Killing cluster's window on the whole reference spectrum, so it
@@ -278,8 +295,8 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
     (lo,), (hi,) = cluster_windows(_REFERENCE, 1)
     return ConvergenceRecord(
         level=level, h=h, ndof=space.n_dofs,
-        eigenvalues=pairs.eigenvalues, exact=exact,
-        errors=np.abs(pairs.eigenvalues - exact),
+        eigenvalues=eigenvalues, exact=exact,
+        errors=np.abs(eigenvalues - exact),
         area=area, area_error=abs(area - exact_area),
         fields=[eigenvector_error(lo, hi, pairs, forms, ep) for ep in forms.pairings])
 

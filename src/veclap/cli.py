@@ -44,8 +44,6 @@ def _parse_levels(text: str) -> tuple[int, ...]:
             levels = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise InputError(f"cannot parse levels {text!r}; expected A..B or a,b,c")
-    if not levels:
-        raise InputError("empty level range")
     return levels
 
 

@@ -14,7 +14,8 @@ matrices:
   mass, plus the normal-component penalty scaled ``eta = eta_coeff / h^2``.
   Every entry (I, J) of the scalar mass ``M`` carries one dense 3 x 3 block
   of it, so ``A`` is a CSR matrix whose row ``3I + c`` holds the columns
-  ``3J, 3J + 1, 3J + 2`` for each entry (I, J) of row I of ``M``;
+  ``3J, 3J + 1, 3J + 2`` for each entry (I, J) of row I of ``M``: scipy's
+  BSR-to-CSR conversion lays it out from ``M``'s pattern;
 * ``B = b~ + k_b``: tangential plus normal mass.  Because
   ``P_h + n_h n_h^T = I`` this is the plain L2 vector mass matrix, built as
   ``M (x) I_3`` from the scalar mass matrix ``M``.
@@ -320,12 +321,15 @@ class _CsrPattern:
     every element entry in the ``data`` array of ``M``, and the offsets in
     that of ``A`` of the 3 x 3 block of every entry of ``M``.
 
-    ``M`` holds one dense (nk, nk) block per element at its connectivity.
-    Row ``3I + c`` of ``A`` holds, for each entry (I, J) of row I of ``M``,
-    the columns ``3J, 3J + 1, 3J + 2``, so the entry (p, c, d) of ``A``
-    sits at ``9 start(I) + 3 c len(I) + 3 (p - start(I)) + d``, with p the
-    entry's position in ``M`` and ``start``/``len`` those of row I of ``M``.
-    Both patterns are symmetric, with sorted indices and no duplicates.
+    ``M`` holds one dense (nk, nk) block per element at its connectivity,
+    and ``A`` one dense 3 x 3 block per entry of ``M``.  scipy's BSR-to-CSR
+    conversion of the block matrix on ``M``'s pattern whose entry (p, c, d)
+    holds its own number ``9 p + 3 c + d`` gives ``A``'s ``indptr`` and
+    ``indices``, and a ``data`` array that names the entry in each CSR slot;
+    one scatter inverts it into ``a_offset``.  The element keys, rows and
+    columns are freed before the conversion, so its temporaries do not
+    stack on theirs.  Both patterns are symmetric, with sorted indices and
+    no duplicates.
     """
 
     def __init__(self, conn: np.ndarray, n: int):
@@ -341,35 +345,14 @@ class _CsrPattern:
         self.m_indptr = np.zeros(n + 1, dtype=idx)
         np.cumsum(np.bincount(rows, minlength=n), out=self.m_indptr[1:])
         self.m_indices = cols.astype(idx)
-
-        start = self.m_indptr[:-1]
-        length = np.diff(self.m_indptr)
-        row_length = np.repeat(3 * length, 3)  # of row 3I + c of A
-        self.a_indptr = np.zeros(3 * n + 1, dtype=idx)
-        np.cumsum(row_length, out=self.a_indptr[1:])
-        # of entry (p, c, d), built as (3c + d, p): long rows are faster
-        c, d = np.divmod(np.arange(9, dtype=idx)[:, None], 3)
-        offset = (6 * start[rows] + 3 * np.arange(nnz, dtype=idx)
-                  + 3 * length[rows] * c + d)
-        # per entry of M, not per element entry: a table over every (e, i,
-        # j, c, d) raised the peak RSS of repeated k = 4 level-2 solves by
-        # 11 MB, through the heap layout it left.  For the same reason
-        # ``offset`` is freed before the temporaries below are made: kept,
-        # or made after them, it raised that peak by 6-15 MB
-        self.a_offset = np.ascontiguousarray(offset.T).reshape(nnz, 3, 3)
-        del offset
-        # the node-row segments: the columns 3J, 3J + 1, 3J + 2 of each
-        # entry (I, J) of M, with row I's at [3 start(I), 3 end(I)).  Rows
-        # 3I, 3I + 1 and 3I + 2 of A are three copies of row I's segment,
-        # gathered from it: row r of A starts a_indptr[r] - 3 start(I)
-        # after its segment
-        segment = np.repeat(3 * self.m_indices, 3)
-        triples = segment.reshape(nnz, 3)
-        triples[:, 1] += 1  # one strided column at a time: a broadcast
-        triples[:, 2] += 2  # over rows of 2 or 3 is several times slower
-        source = np.arange(9 * nnz, dtype=idx)
-        source -= np.repeat(self.a_indptr[:-1] - np.repeat(3 * start, 3), row_length)
-        self.a_indices = np.take(segment, source)
+        del keys, rows, cols
+        number = np.arange(9 * nnz, dtype=idx)
+        layout = sp.bsr_matrix((number.reshape(nnz, 3, 3), self.m_indices,
+                                self.m_indptr), shape=(3 * n, 3 * n)).tocsr()
+        self.a_indptr, self.a_indices = layout.indptr, layout.indices
+        self.a_offset = np.empty(9 * nnz, dtype=idx)
+        self.a_offset[layout.data] = number
+        self.a_offset = self.a_offset.reshape(nnz, 3, 3)
 
 
 def assemble(space: FeSpace, eta_coeff: float = 1.0, fields=()) -> AssembledForms:

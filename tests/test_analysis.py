@@ -117,9 +117,25 @@ class TestClusterWindow:
             return EigenvectorError(0.0, 0.0, 0.0, 0.0)
 
         monkeypatch.setattr(analysis, "eigenvector_error", record)
+        fields = ("z", "x")[:num_eigs]  # no more fields than rows
         convergence_study(StudyConfig(k=1, k_g=1, levels=(1,), num_eigs=num_eigs,
-                                      eta_coeff=4.0, fields=("z", "x")))
-        assert windows == [(0.0, 1.5)] * 2
+                                      eta_coeff=4.0, fields=fields))
+        assert windows == [(0.0, 1.5)] * len(fields)
+
+    @pytest.mark.parametrize("num_eigs", [1, 2])
+    def test_errors_project_onto_the_whole_killing_cluster(self, num_eigs):
+        # fewer pairs than the cluster's three left part of the Killing
+        # field unprojected: an energy error of 2.2 in place of 0.24 at
+        # (1,1,2).  The level solves the cluster and reports num_eigs pairs
+        fields = ("z", "x")[:num_eigs]
+        few, = convergence_study(StudyConfig(k=1, k_g=1, levels=(2,),
+                                             num_eigs=num_eigs, fields=fields))
+        three, = convergence_study(StudyConfig(k=1, k_g=1, levels=(2,),
+                                               num_eigs=3, fields=fields))
+        assert few.eigenvalues.shape == few.errors.shape == (num_eigs,)
+        np.testing.assert_array_equal(few.eigenvalues, three.eigenvalues[:num_eigs])
+        assert few.fields == three.fields
+        assert all(fe.energy < 0.3 for fe in few.fields)
 
     def test_window_is_closed(self):
         # eigenvalues on the window's ends are members
@@ -249,6 +265,10 @@ class TestConvergenceStudy:
     def test_levels_must_ascend(self):
         with pytest.raises(InputError):
             StudyConfig(k=1, k_g=1, levels=(3, 1))
+
+    def test_no_levels(self):
+        with pytest.raises(InputError, match="no refinement levels"):
+            StudyConfig(k=1, k_g=1, levels=())
 
     def test_one_factorization_per_level(self, monkeypatch):
         # a level computes no defect dual norm, so the eigensolve's factor is
@@ -392,6 +412,10 @@ class TestStartBlock:
 
 
 class TestAreaStudy:
+    def test_no_levels(self):
+        with pytest.raises(InputError, match="no refinement levels"):
+            area_study(1, [])
+
     def test_records(self):
         recs = area_study(2, (1, 2, 3))
         assert [r.level for r in recs] == [1, 2, 3]

@@ -240,6 +240,31 @@ class TestConverge:
         assert err.startswith(f"error: unknown Killing field axis {bad!r}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--fields", "z,z"], "named twice"),
+        (["--fields", "all", "--num-eigs", "1"], "3 fields need"),
+    ], ids=["repeated-axis", "fields-above-num-eigs"])
+    def test_fields_without_their_rows_exit_2_before_meshing(
+            self, extra, message, monkeypatch, capsys):
+        # a repeated axis wrote its row twice, and fields past the num_eigs
+        # rows were dropped from the CSV
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(["converge", "--k", "1", "--kg", "1", "--levels", "2..3"]
+                        + extra) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["converge", "--k", "1", "--kg", "1", "--levels", "3..1"],
+        ["area", "--kg", "1", "--levels", "3..1"],
+    ], ids=["converge", "area"])
+    def test_empty_level_range_exits_2_before_meshing(self, command, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr(analysis, "icosphere", no_meshing)
+        assert cli.main(command) == 2
+        err = capsys.readouterr().err
+        assert "no refinement levels" in err and "Traceback" not in err
+
 
 class TestArea:
     def test_area_csv(self, tmp_path):
