@@ -19,10 +19,13 @@ Each level's eigensolve starts from the nodal interpolants of the
 closed-form eigenfields (``_sphere_eigenfields``) of the clusters that the
 requested pairs reach, which span them to within the discretization error:
 the three Killing fields for up to three pairs, and with the three of
-``lambda = 2`` for more.  ``solve_smallest`` preconditions it by a float32
-factor of ``A``, complete on levels of up to
-``eigensolve.COMPLETE_FACTOR_MAX_DOFS`` DOFs and incomplete on finer ones,
-which holds the peak memory of a fine level down.  With
+``lambda = 2`` for more.  Each cluster is its own start block:
+``solve_smallest`` solves the ``lambda = 2`` block after the Killing one
+and B-orthogonally to it, so LOBPCG's workspace is three columns wide, not
+six.  One float32 factor of ``A`` preconditions both blocks, complete on
+levels of up to ``eigensolve.COMPLETE_FACTOR_MAX_DOFS`` DOFs and
+incomplete on finer ones, which holds the peak memory of a fine level
+down.  With
 ``StudyConfig.certify`` the eigensolve certifies its pairs by an inertia
 count.
 """
@@ -280,12 +283,14 @@ def _run_level(cfg: StudyConfig, level: int, on_assembled=None) -> ConvergenceRe
     if on_assembled is not None:
         on_assembled(level, mesh, forms)
     # the interpolated eigenfields of the clusters that the solved pairs
-    # reach: the three Killing fields for up to three pairs, else all six;
-    # a level with fields solves the whole Killing cluster it projects onto
+    # reach, one block per cluster: the three Killing fields for up to
+    # three pairs, then the three of lambda = 2; a level with fields solves
+    # the whole Killing cluster it projects onto
     m = max(cfg.num_eigs, 3) if cfg.fields else cfg.num_eigs
     start = interpolate(_sphere_eigenfields, space)
     pairs = solve_smallest(forms.A, forms.B, m, tol=cfg.tol,
-                           start=start[:, :3] if m <= 3 else start,
+                           start=(start[:, :3],) if m <= 3 else
+                           (start[:, :3], start[:, 3:]),
                            certify=cfg.certify)
     eigenvalues = pairs.eigenvalues[:cfg.num_eigs]
     area = surface_area(pmap, _area_degree(cfg.k_g))

@@ -7,17 +7,21 @@ SIAM J. Sci. Comput. 23, 2001), on the pencil (A, B), preconditioned by
 the solve of a single-precision sparse LU factor of A.  LOBPCG needs only
 an approximate inverse, and it ignores the scale of each preconditioned
 column, so the factor is of a copy of A scaled to a largest entry of 1 and
-cast to float32, and each residual column is scaled the same way before
-its solve; the residuals themselves are formed in float64.  Above
-``COMPLETE_FACTOR_MAX_DOFS`` unknowns the factor is incomplete (threshold
-ILU, drop tolerance ``ILU_DROP_TOL``): its fill grows about as n, where the
-complete factor's grows about 5x per 4x in n, so a fine level's peak memory
-falls, for more column solves.  The caller may start the iteration from a
-block that spans the wanted eigenvectors approximately (the FEM levels
-start from the interpolated closed-form sphere eigenfields); the default
-start is a seeded random block of m columns, fixed so that repeated solves
-are bitwise reproducible.  LOBPCG's stop is relative to the scale of ``A
-x`` on the block, and every returned pair must pass a float64
+cast to float32, and each residual column is scaled the same way as it
+is cast, before its solve; the residuals themselves are formed in float64.
+Above ``COMPLETE_FACTOR_MAX_DOFS`` unknowns the factor is incomplete
+(threshold ILU, drop tolerance ``ILU_DROP_TOL``): its fill grows about as
+n, where the complete factor's grows about 5x per 4x in n, so a fine
+level's peak memory falls, for more column solves.  The caller may start
+the iteration from a block that spans the wanted eigenvectors
+approximately, or from one such block per eigenvalue cluster (the FEM
+levels start from the interpolated closed-form sphere eigenfields, one
+block per cluster); the default start is a seeded random block of m
+columns, fixed so that repeated solves are bitwise reproducible.  Cluster
+blocks are solved one at a time under one factor, each B-orthogonally to
+the clusters before it (LOBPCG's constraint block ``Y``), so LOBPCG's
+workspace is one cluster wide.  LOBPCG's stop is relative to the scale of
+``A x`` on each block, and every returned pair must pass a float64
 relative-residual gate.  On request,
 ``count_below``'s inertia count certifies that the m pairs are the m
 smallest.  ``full_spectrum`` is the dense LAPACK generalized symmetric
@@ -214,11 +218,14 @@ def _block_scale(A, B, X) -> float:
                         / np.sqrt(np.einsum("ij,ij->j", X, B @ X))))
 
 
-def _lobpcg(A, B, X, tol):
-    """LOBPCG on (A, B) from the block X, preconditioned by the solve of
-    ``factorize(A, np.float32)``: the Ritz values and vectors, and the
-    number of column solves.  The stop is relative, as ``LOBPCG_TOL_RATIO``
-    says.  The factor is freed on return."""
+def _lobpcg(A, B, blocks, tol):
+    """LOBPCG on (A, B) from each block in turn, B-orthogonal to the Ritz
+    vectors of the blocks before it (the constraint block ``Y``), all
+    preconditioned by the solve of one ``factorize(A, np.float32)``: the
+    Ritz values of all blocks ascending with their vectors, and the number
+    of column solves.  Each block's stop is relative to its own scale, as
+    ``LOBPCG_TOL_RATIO`` says.  A block is copied only when its turn comes,
+    as LOBPCG overwrites its start.  The factor is freed on return."""
     try:
         lu = factorize(A, np.float32)
     except InputError as exc:
@@ -229,64 +236,96 @@ def _lobpcg(A, B, X, tol):
         nonlocal solves
         solves += R.shape[1]
         # LOBPCG ignores each column's scale; a largest entry of 1 keeps
-        # the cast to float32 finite
-        R = (R / np.abs(R).max(axis=0)).astype(np.float32)
+        # the cast to float32 finite, and the division writes into it
+        scale = np.maximum(R.max(axis=0), -R.min(axis=0))
+        R = np.divide(R, scale, out=np.empty(R.shape, np.float32),
+                      casting="same_kind")
         return lu.solve(R).astype(float)
 
+    values, vectors = [], []
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        scale = _block_scale(A, B, X)
-        for _ in range(2):
-            try:
-                w, X = spla.lobpcg(A, X, B=B, M=precondition,
-                                   tol=LOBPCG_TOL_RATIO * tol * scale,
-                                   maxiter=LOBPCG_MAXITER, largest=False)
-            except ValueError as exc:  # numpy's LinAlgError included
-                raise ConvergenceError(f"LOBPCG failed: {exc}") from exc
-            started, scale = scale, _block_scale(A, B, X)
-            if scale >= 0.5 * started:
-                break
-    return w, X, solves
+        for X in blocks:
+            X = np.array(X, dtype=float)
+            Y = np.hstack(vectors) if vectors else None
+            scale = _block_scale(A, B, X)
+            for _ in range(2):
+                try:
+                    w, X = spla.lobpcg(A, X, B=B, M=precondition, Y=Y,
+                                       tol=LOBPCG_TOL_RATIO * tol * scale,
+                                       maxiter=LOBPCG_MAXITER, largest=False)
+                # numpy's LinAlgError included; LOBPCG takes no constraint
+                # on a problem too small for its iteration
+                except (ValueError, NotImplementedError) as exc:
+                    raise ConvergenceError(f"LOBPCG failed: {exc}") from exc
+                started, scale = scale, _block_scale(A, B, X)
+                if scale >= 0.5 * started:
+                    break
+            values.append(w)
+            vectors.append(X)
+    w = np.concatenate(values)
+    order = np.argsort(w, kind="stable")
+    return w[order], np.hstack(vectors)[:, order], solves
+
+
+def _start_blocks(start, n: int, m: int):
+    """The blocks LOBPCG starts from, checked but not yet copied: the
+    seeded random block of m columns, fixed so that repeated solves are
+    bitwise reproducible, one (n, p) array, or each of a sequence of them."""
+    if start is None:
+        return [np.random.default_rng(0x5EED).standard_normal((n, m))]
+    blocks = [start] if isinstance(start, np.ndarray) else list(start)
+    blocks = [np.asarray(X, dtype=float) for X in blocks]
+    shapes = [X.shape for X in blocks]
+    if (any(len(s) != 2 or s[0] != n for s in shapes)
+            or sum(s[1] for s in shapes) < m):
+        shown = shapes[0] if len(shapes) == 1 else shapes
+        raise InputError(f"a start block of shape {shown} does not hold "
+                         f"{m} columns of length {n}")
+    if not all(np.isfinite(X).all() for X in blocks):
+        raise InputError("a start block has a non-finite entry")
+    return blocks
 
 
 def solve_smallest(A, B, m: int, tol: float = 1e-10, start=None,
                    certify: bool = False) -> EigenPairs:
     """Compute the m smallest eigenpairs of A x = lambda B x (A, B SPD).
 
-    LOBPCG iterates on the block ``start`` (n x p with p >= m; by default a
-    seeded random block of m columns) and returns the m smallest of its p
-    Ritz pairs, B-orthonormal and sorted.  A start that approximately spans
-    the wanted eigenvectors, and the whole cluster of the m-th, needs far
-    fewer iterations.  The preconditioner is the solve of ``factorize(A,
-    np.float32)``, chosen from n alone: complete for n up to
-    ``COMPLETE_FACTOR_MAX_DOFS``, and above it incomplete, with a fill
-    that grows more slowly with n; ``iterations`` counts its column solves.  LOBPCG stops once
-    every residual norm ``||A x - lambda B x||`` of a B-normalized column is
-    below ``LOBPCG_TOL_RATIO * tol`` times the smallest ``||A x||`` of the
-    block it starts from, and runs once more from the returned block if
-    that block's smallest ``||A x||`` is less than half as large (as from a
-    random start).  Each returned pair must then pass the relative residual
-    gate ``||A x - lambda B x|| / ||A x|| <= tol``, formed in float64.
-    With ``certify``, ``count_below`` must find exactly m eigenvalues below
-    ``lambda_m (1 + CERTIFY_MARGIN)``, which costs one float64
-    factorization of A - sigma B.
+    LOBPCG iterates on the block ``start`` (n x p; by default a seeded
+    random block of m columns) and returns the m smallest of its p Ritz
+    pairs, B-orthonormal and sorted.  A start that approximately spans the
+    wanted eigenvectors, and the whole cluster of the m-th, needs far fewer
+    iterations.  ``start`` may also be a sequence of such blocks, one per
+    eigenvalue cluster, ascending, of p columns in all (p >= m): each block
+    is then solved in turn, B-orthogonally to the vectors that the blocks
+    before it found (LOBPCG's constraint block ``Y``), so that LOBPCG's
+    workspace, some 17 blocks wide, holds the columns of one cluster at a
+    time, and the m smallest of all p pairs are returned.  The
+    preconditioner is the solve of one ``factorize(A, np.float32)`` for all
+    blocks, chosen from n alone: complete for n up to
+    ``COMPLETE_FACTOR_MAX_DOFS``, and above it incomplete, with a fill that
+    grows more slowly with n; ``iterations`` counts its column solves over
+    all blocks.  LOBPCG stops on a block once every residual norm ``||A x -
+    lambda B x||`` of a B-normalized column is below ``LOBPCG_TOL_RATIO *
+    tol`` times the smallest ``||A x||`` of the block it starts from, and
+    runs once more from the returned block if that block's smallest ``||A
+    x||`` is less than half as large (as from a random start).  Each
+    returned pair must then pass the relative residual gate ``||A x -
+    lambda B x|| / ||A x|| <= tol``, formed in float64.  With ``certify``,
+    ``count_below`` must find exactly m eigenvalues below ``lambda_m (1 +
+    CERTIFY_MARGIN)``, which costs one float64 factorization of A - sigma B.
 
-    A and B are sparse, in any format (or dense), and are used as given.
-    Raises ConvergenceError if the single-precision factor is singular or
-    A has no finite scale, if LOBPCG raises, if a residual exceeds ``tol``
+    A and B are sparse, in any format (or dense), and are used as given;
+    the start blocks are left unchanged.  Raises InputError, before any
+    factorization, if a start block is not an n-row matrix with finite
+    entries or the blocks hold fewer than m columns.  Raises
+    ConvergenceError if the single-precision factor is singular or A has
+    no finite scale, if LOBPCG raises, if a residual exceeds ``tol``
     (carrying the residuals) or if certification counts other than m
     eigenvalues.  No warning of LOBPCG or of the casts reaches the caller.
     """
     _check_pencil(A, B, m)
-    n = A.shape[0]
-    if start is None:
-        X = np.random.default_rng(0x5EED).standard_normal((n, m))  # fixed: reproducible
-    else:
-        X = np.array(start, dtype=float)  # a copy: LOBPCG overwrites its start
-        if X.ndim != 2 or X.shape[0] != n or X.shape[1] < m:
-            raise InputError(f"a start block of shape {X.shape} does not hold "
-                             f"{m} columns of length {n}")
-    w, X, solves = _lobpcg(A, B, X, tol)
+    w, X, solves = _lobpcg(A, B, _start_blocks(start, A.shape[0], m), tol)
     w, X = w[:m], X[:, :m]
     with np.errstate(all="ignore"):
         res = _residuals(A, B, w, X)

@@ -391,22 +391,25 @@ class TestStartBlock:
         assert random.iterations >= 2 * started.iterations
         np.testing.assert_allclose(started.eigenvalues, random.eigenvalues, rtol=1e-13)
 
-    @pytest.mark.parametrize("level,num_eigs,columns", [(2, 1, 3), (3, 3, 3), (2, 4, 6)])
+    @pytest.mark.parametrize("level,num_eigs,widths",
+                             [(2, 1, (3,)), (3, 3, (3,)), (2, 4, (3, 3))])
     def test_the_start_holds_the_clusters_the_pairs_reach(self, level, num_eigs,
-                                                          columns, monkeypatch):
-        # the Killing fields alone for up to three pairs: at (2,2,3), three
-        # pairs take 23 column solves from them and 46 from all six fields
+                                                          widths, monkeypatch):
+        # one block per cluster, the Killing fields alone for up to three
+        # pairs: at (2,2,3), three pairs take 23 column solves from them and
+        # 46 from all six fields
         seen = []
         solve = analysis.solve_smallest
 
         def recording(A, B, m, start=None, **kwargs):
-            seen.append((start.shape[1], solve(A, B, m, start=start, **kwargs)))
+            seen.append((tuple(X.shape[1] for X in start),
+                         solve(A, B, m, start=start, **kwargs)))
             return seen[-1][-1]
 
         monkeypatch.setattr(analysis, "solve_smallest", recording)
         convergence_study(StudyConfig(k=2, k_g=2, levels=(level,), num_eigs=num_eigs))
-        (width, pairs), = seen
-        assert width == columns
+        (found, pairs), = seen
+        assert found == widths
         if level == 3:
             assert pairs.iterations <= 30
 

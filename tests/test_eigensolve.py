@@ -414,6 +414,36 @@ class TestIterative:
         with pytest.raises(InputError, match="start block"):
             solve_smallest(A, B, 3, start=np.ones((40, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_a_non_finite_start_fails_before_the_factor(self, value, blocks,
+                                                         monkeypatch):
+        # a caller's input error, raised before A is factored, in the first
+        # block or a later one
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factored A for a non-finite start")
+
+        monkeypatch.setattr(es, "factorize", no_factor)
+        A, B = random_spd_pencil(np.random.default_rng(11), 40)
+        start = np.random.default_rng(12).standard_normal((40, 4))
+        start[7, -1] = value
+        start = start if blocks == 1 else (start[:, :2], start[:, 2:])
+        with pytest.raises(InputError, match="start block has a non-finite entry"):
+            solve_smallest(A, B, 3, start=start)
+
+    @pytest.mark.parametrize("start", [
+        (np.ones((40, 2)), np.ones(40)),
+        (np.ones((40, 2)), np.ones((39, 2))),
+        (np.ones((40, 1)), np.ones((40, 1))),
+        (),
+    ], ids=["one-dimensional", "short", "narrow", "none"])
+    def test_malformed_start_blocks_are_input_errors(self, start, monkeypatch):
+        monkeypatch.setattr(es, "factorize", None)  # never reached
+        A, B = random_spd_pencil(np.random.default_rng(11), 40)
+        with pytest.raises(InputError, match="start block of shape .* does not "
+                                             "hold 3 columns of length 40"):
+            solve_smallest(A, B, 3, start=start)
+
     def test_the_start_block_is_left_unchanged(self):
         # LOBPCG B-orthonormalizes its start block in place
         A, B = random_spd_pencil(np.random.default_rng(11), 60)
@@ -540,11 +570,111 @@ class TestRoutes:
         for ep in (complete, incomplete):
             assert ep.residuals.max() <= 0.1 * 1e-10
 
+    def test_the_preconditioner_scales_as_it_casts(self, monkeypatch):
+        # each column over its largest entry in magnitude, written straight
+        # into float32: bitwise the solve of the float64 quotient, cast
+        forms, start = sphere_start(1, 2)
+        preconditioners = []
+        lobpcg = spla.lobpcg
+
+        def capturing(*args, M, **kwargs):
+            preconditioners.append(M)
+            return lobpcg(*args, M=M, **kwargs)
+
+        monkeypatch.setattr(spla, "lobpcg", capturing)
+        solve_smallest(forms.A, forms.B, 3, start=start[:, :3])
+        lu = es.factorize(forms.A, np.float32)
+        R = np.random.default_rng(5).standard_normal((forms.A.shape[0], 4))
+        R[:, 1] *= 1e-30
+        R[:, 2] *= 1e30
+        reference = lu.solve((R / np.abs(R).max(axis=0)).astype(np.float32))
+        for M in preconditioners:
+            ours = M(R)
+            assert ours.dtype == np.float64
+            np.testing.assert_array_equal(ours, reference.astype(float))
+
     def test_the_threshold_lies_between_the_measured_sizes(self):
         # the complete factor up to (3,3,3)'s 17,286 DOFs, where the
         # incomplete one saved 8 MB for 27% more time, and the incomplete
         # one from (2,2,4)'s 30,726 on
         assert 17_286 <= es.COMPLETE_FACTOR_MAX_DOFS < 30_726
+
+
+def clusters(start):
+    """The study's start blocks: the Killing fields, then the P e_i fields."""
+    return start[:, :3], start[:, 3:]
+
+
+class TestClusters:
+    """A start of one block per cluster is solved a cluster at a time,
+    B-orthogonally to the clusters before it, under one factor."""
+
+    @pytest.mark.parametrize("k,level", [(1, 3), (2, 3), (3, 2), (4, 2)])
+    def test_the_cluster_route_matches_the_one_block_route(self, k, level,
+                                                           monkeypatch):
+        forms, start = sphere_start(k, level)
+        calls = TestRoutes.counting(monkeypatch)
+        whole = solve_smallest(forms.A, forms.B, 6, start=start)
+        split = solve_smallest(forms.A, forms.B, 6, start=clusters(start))
+        assert sum(calls.values()) == 2  # one factor per solve
+        np.testing.assert_allclose(split.eigenvalues, whole.eigenvalues,
+                                   rtol=1e-13, atol=0.0)
+        assert np.all(np.diff(split.eigenvalues) >= 0.0)
+        X = split.vectors
+        assert np.abs(X.T @ (forms.B @ X) - np.eye(6)).max() <= 1e-12
+        assert split.residuals.max() <= 0.1 * 1e-10
+        # (1,1,3) 65 -> 60 column solves, (2,2,3) 48 -> 47, (3,3,2) 57 -> 57,
+        # (4,4,2) 44 -> 46
+        assert split.iterations <= whole.iterations + 3
+
+    def test_iterations_count_the_solves_of_every_block(self, monkeypatch):
+        # the lambda = 2 block runs with the Killing cluster's vectors as
+        # its constraint, and both blocks' column solves are counted
+        forms, start = sphere_start(2, 2)
+        runs = []
+        lobpcg = spla.lobpcg
+
+        def counting(*args, M, Y=None, **kwargs):
+            run = {"Y": None if Y is None else Y.shape, "solves": 0}
+            runs.append(run)
+
+            def counted(R):
+                run["solves"] += R.shape[1]
+                return M(R)
+
+            return lobpcg(*args, M=counted, Y=Y, **kwargs)
+
+        monkeypatch.setattr(spla, "lobpcg", counting)
+        ep = solve_smallest(forms.A, forms.B, 6, start=clusters(start))
+        n = forms.A.shape[0]
+        assert [run["Y"] for run in runs] == [None, (n, 3)]
+        assert all(run["solves"] > 0 for run in runs)
+        assert ep.iterations == sum(run["solves"] for run in runs)
+
+    def test_peak_memory(self):
+        # (2,2,3): LOBPCG keeps about 17 blocks as wide as its start, so
+        # solving the two clusters in turn peaks at 4.1 MiB here, and the
+        # one block of six columns at 6.7 MiB.  SuperLU allocates its factor
+        # outside numpy's traced memory, so this pins LOBPCG's workspace only
+        forms, start = sphere_start(2, 3)
+        blocks = clusters(start)
+        tracemalloc.start()
+        try:
+            solve_smallest(forms.A, forms.B, 6, start=blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 2**20
+
+    def test_a_constraint_on_too_small_a_problem_is_a_convergence_error(self):
+        # LOBPCG solves a block of p columns on fewer than 5 p free rows
+        # densely, which takes no constraint: a typed error
+        A = sp.diags(np.arange(1.0, 17.0), format="csr")
+        B = sp.identity(16, format="csr")
+        start = np.random.default_rng(12).standard_normal((16, 6))
+        with pytest.raises(ConvergenceError, match="LOBPCG failed") as err:
+            solve_smallest(A, B, 6, start=clusters(start))
+        assert isinstance(err.value.__cause__, NotImplementedError)
 
 
 class TestRelativeStop:
